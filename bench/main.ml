@@ -29,7 +29,6 @@ module Op = Galley_plan.Op
 module W = Galley_workloads
 module LQ = Galley_plan.Logical_query
 module Prng = Galley_tensor.Prng
-module V2 = Galley_compile.Kernel_v2
 module Rel = Galley_relational.Rel_engine
 module D = Galley.Driver
 module P = Galley_obs.Perfstats
@@ -53,7 +52,7 @@ let cmp_abs_floor = ref 5e-4
 
 (* --domains N pins the engine's domain-pool size for every section (the
    scaling section ignores it and sweeps its own counts).  Unset, configs
-   keep their default: GALLEY_DOMAINS or the machine's recommendation. *)
+   keep their default: GALLEY_DOMAINS or 1. *)
 let domains_override : int option ref = ref None
 
 let with_domains (c : D.config) : D.config =
@@ -540,279 +539,171 @@ let fig10 () =
     graphs
 
 (* ------------------------------------------------------------------ *)
-(* Kernel backends: staged compiler vs constraint-tree interpreter.     *)
+(* Kernel layer: microkernels, bitset merges, morsel scheduling.        *)
 (* ------------------------------------------------------------------ *)
 
-(* The same physical plans run under both engine backends, so this table
-   isolates the kernel loop nest itself (execution time only for fig6/fig7
-   shapes; total session time for BFS, whose kernels dominate). *)
-let kernels () =
-  header "Kernel backends: staged compiler vs constraint-tree interpreter";
-  let config_for backend =
-    { (with_domains D.default_config) with D.kernel_backend = backend }
-  in
-  (* One sample per trial round, the backends interleaved round by round:
-     each cell is a fresh end-to-end run, so single-run GC / allocation
-     noise would otherwise dominate the sub-millisecond rows, and
-     back-to-back runs of one backend would hand the other a warmed
-     heap.  Displayed cells are medians. *)
-  let row label f =
-    let samples_s = ref [] and samples_i = ref [] in
-    for _ = 1 to trials () do
-      samples_s := f (config_for Galley_engine.Exec.Staged) :: !samples_s;
-      samples_i := f (config_for Galley_engine.Exec.Interp) :: !samples_i
-    done;
-    let ss = List.rev !samples_s and is_ = List.rev !samples_i in
-    record ~section:"kernels" ~series:"staged" label ss;
-    record ~section:"kernels" ~series:"interp" label is_;
-    let staged = median ss and interp = median is_ in
-    p "%-22s %12s %12s %9.2fx\n%!" label (fmt_time staged) (fmt_time interp)
-      (interp /. staged)
-  in
-  p "%-22s %12s %12s %10s\n" "workload" "staged" "interp" "speedup";
-  (* Fig. 6 shape: ML over the star join, execution phase only. *)
-  let scale =
-    if !quick then
-      { W.Tpch.n_lineitems = 800; n_suppliers = 40; n_parts = 100;
-        n_orders = 200; n_customers = 60 }
-    else
-      { W.Tpch.n_lineitems = 20000; n_suppliers = 300; n_parts = 800;
-        n_orders = 2000; n_customers = 400 }
-  in
-  let star = W.Tpch.star_instance ~scale ~seed:1001 () in
-  let params = W.Ml.parameter_inputs ~seed:1002 ~d:star.W.Tpch.d ~hidden:16 in
-  let inputs = star.W.Tpch.inputs @ params in
-  List.iter
-    (fun alg ->
-      let prog = W.Ml.program_of alg ~x:star.W.Tpch.x_def ~pts:[ "i" ] in
-      row
-        ("fig6 " ^ W.Ml.algorithm_name alg)
-        (fun config ->
-          let r = D.run ~config ~inputs prog in
-          r.D.timings.D.execute_seconds))
-    [ W.Ml.Linreg; W.Ml.Logreg; W.Ml.Nn ];
-  (* Fig. 7 shape: subgraph counting, execution phase only. *)
-  let g =
-    List.hd (W.Graphs.benchmark_suite ~scale:(if !quick then 0.08 else 0.1))
-  in
-  List.iter
-    (fun pat ->
-      let prog = W.Subgraph.count_program pat in
-      let sg_inputs = W.Subgraph.bindings g pat in
-      row
-        ("fig7 " ^ pat.W.Subgraph.pname)
-        (fun config ->
-          let config = { config with D.timeout = Some sg_timeout } in
-          let r = D.run ~config ~inputs:sg_inputs prog in
-          if r.D.timed_out then nan else r.D.timings.D.execute_seconds))
-    (W.Subgraph.suite_for g);
-  (* Fig. 10 shape: a whole BFS session (kernel time dominates). *)
-  let bg = List.hd (W.Graphs.bfs_suite ~scale:(if !quick then 0.1 else 0.4)) in
-  let adjacency = W.Graphs.adjacency bg in
-  row
-    ("fig10 bfs " ^ bg.W.Graphs.name)
-    (fun config ->
-      (W.Bfs.run ~config_base:config W.Bfs.Adaptive ~adjacency ~source:0)
-        .W.Bfs.seconds)
-
-(* ------------------------------------------------------------------ *)
-(* Kernel layer v2: micro / bitset / morsel fast paths vs v1.           *)
-(* ------------------------------------------------------------------ *)
-
-(* Each row runs the identical physical plan under the staged backend
-   with the v2 gates off (v1: binder/cursor dispatch, byte probing,
-   static chunking) and on (v2: dense microkernels, word-level bitset
-   merges, morsel scheduling); outputs are bit-identical, so the delta
-   is pure kernel-layer speed.  Trials interleave the two settings round
-   by round, as in the [kernels] section, so neither side inherits a
-   warmed heap. *)
+(* Execution time of single-kernel programs shaped so the staged
+   backend's fast paths engage (DESIGN.md §14): dense microkernels,
+   word-level bitset merges, and the morsel scheduler on a skewed SpMV.
+   The series keep the names [v2] and [morsel@N] so runs compare
+   against older baselines. *)
 let kernels_v2 () =
-  header "Kernel layer v2: micro/bitset/morsel fast paths vs v1 (staged)";
-  let saved = (!V2.micro, !V2.bits, !V2.morsel) in
-  let restore () =
-    let m, b, s = saved in
-    V2.micro := m;
-    V2.bits := b;
-    V2.morsel := s
+  header "Kernel layer: microkernels, bitset merges, morsel scheduling";
+  let config = { D.default_config with D.domains = 1 } in
+  let run_q inputs (q : LQ.t) () =
+    let prog = { Ir.queries = [ LQ.to_query q ]; outputs = [ q.LQ.name ] } in
+    (D.run ~config ~inputs prog).D.timings.D.execute_seconds
   in
-  Fun.protect ~finally:restore (fun () ->
-      let config = { (with_domains D.default_config) with D.domains = 1 } in
-      let run_q inputs (q : LQ.t) () =
-        let prog = { Ir.queries = [ LQ.to_query q ]; outputs = [ q.LQ.name ] } in
-        (D.run ~config ~inputs prog).D.timings.D.execute_seconds
+  let row label f =
+    let samples = List.init (trials ()) (fun _ -> f ()) in
+    record ~section:"kernels_v2" ~series:"v2" label samples;
+    p "%-26s %12s\n%!" label (fmt_time (median samples))
+  in
+  p "%-26s %12s\n" "kernel" "time";
+  let prng = Prng.create 4242 in
+  let dense dims =
+    T.random ~prng ~dims
+      ~formats:(Array.map (fun _ -> T.Dense) dims)
+      ~density:0.95 ()
+  in
+  let bytemap ~density dims =
+    T.random ~prng ~dims
+      ~formats:(Array.map (fun _ -> T.Bytemap) dims)
+      ~density ()
+  in
+  (* Dense-dominated rows: the innermost level is Dense everywhere,
+     so the microkernel replaces per-element dispatch with unboxed
+     float-array loops. *)
+  let n = if !quick then 100_000 else 1_000_000 in
+  let v = dense [| n |] and w = dense [| n |] in
+  let dot =
+    LQ.make ~output_idxs:[] ~name:"out" ~agg_op:Op.Add ~agg_idxs:[ "j" ]
+      ~body:(Ir.mul [ Ir.input "v" [ "j" ]; Ir.input "w" [ "j" ] ])
+      ()
+  in
+  row
+    (Printf.sprintf "dot dense n=%d" n)
+    (run_q [ ("v", v); ("w", w) ] dot);
+  let axpy =
+    LQ.make ~output_idxs:[ "j" ] ~name:"out" ~agg_op:Op.Ident ~agg_idxs:[]
+      ~body:
+        (Ir.add
+           [
+             Ir.mul [ Ir.lit 2.5; Ir.input "v" [ "j" ] ];
+             Ir.input "w" [ "j" ];
+           ])
+      ()
+  in
+  row
+    (Printf.sprintf "axpy dense n=%d" n)
+    (run_q [ ("v", v); ("w", w) ] axpy);
+  let rows = if !quick then 400 else 1500 in
+  let cols = if !quick then 128 else 512 in
+  let a = dense [| rows; cols |] and x = dense [| cols |] in
+  let matvec =
+    LQ.make ~output_idxs:[ "i" ] ~name:"out" ~agg_op:Op.Add
+      ~agg_idxs:[ "j" ]
+      ~body:(Ir.mul [ Ir.input "A" [ "i"; "j" ]; Ir.input "x" [ "j" ] ])
+      ()
+  in
+  row
+    (Printf.sprintf "matvec dense %dx%d" rows cols)
+    (run_q [ ("A", a); ("x", x) ] matvec);
+  (* SpMM with a dense right operand: the GCN building block — the
+     sparse adjacency drives the outer levels, the feature loop at
+     the innermost level stays dense and micro-eligible. *)
+  let gn = if !quick then 300 else 1000 in
+  let gf = if !quick then 16 else 32 in
+  let adj =
+    T.random ~prng ~dims:[| gn; gn |]
+      ~formats:[| T.Dense; T.Sparse_list |]
+      ~density:0.01 ()
+  in
+  let h = dense [| gn; gf |] in
+  let spmm =
+    LQ.make ~output_idxs:[ "i"; "f" ] ~name:"out" ~agg_op:Op.Add
+      ~agg_idxs:[ "j" ]
+      ~body:(Ir.mul [ Ir.input "A" [ "i"; "j" ]; Ir.input "H" [ "j"; "f" ] ])
+      ()
+  in
+  row
+    (Printf.sprintf "spmm gcn %dx%d d=%d" gn gn gf)
+    (run_q [ ("A", adj); ("H", h) ] spmm);
+  (* Bytemap-merge rows: all-bytemap loop levels, dense enough that
+     the word-merge heuristic engages (density x dim >> words). *)
+  let bn = if !quick then 100_000 else 400_000 in
+  let bx = bytemap ~density:0.3 [| bn |]
+  and by = bytemap ~density:0.3 [| bn |]
+  and bz = bytemap ~density:0.3 [| bn |] in
+  let band =
+    LQ.make ~output_idxs:[] ~name:"out" ~agg_op:Op.Add ~agg_idxs:[ "i" ]
+      ~body:
+        (Ir.mul
+           [
+             Ir.input "x" [ "i" ]; Ir.input "y" [ "i" ]; Ir.input "z" [ "i" ];
+           ])
+      ()
+  in
+  row
+    (Printf.sprintf "bytemap and3 n=%d" bn)
+    (run_q [ ("x", bx); ("y", by); ("z", bz) ] band);
+  let bor =
+    LQ.make ~output_idxs:[ "i" ] ~name:"out" ~agg_op:Op.Ident ~agg_idxs:[]
+      ~body:(Ir.add [ Ir.input "x" [ "i" ]; Ir.input "y" [ "i" ] ])
+      ()
+  in
+  row
+    (Printf.sprintf "bytemap or2 n=%d" bn)
+    (run_q [ ("x", bx); ("y", by) ] bor);
+  let mn = if !quick then 200 else 600 in
+  let mm = if !quick then 300 else 800 in
+  let ma = bytemap ~density:0.3 [| mn; mm |]
+  and mb = bytemap ~density:0.3 [| mn; mm |] in
+  let had =
+    LQ.make ~output_idxs:[ "i" ] ~name:"out" ~agg_op:Op.Add
+      ~agg_idxs:[ "j" ]
+      ~body:(Ir.mul [ Ir.input "A" [ "i"; "j" ]; Ir.input "B" [ "i"; "j" ] ])
+      ()
+  in
+  row
+    (Printf.sprintf "bytemap hadamard %dx%d" mn mm)
+    (run_q [ ("A", ma); ("B", mb) ] had);
+  (* The morsel scheduler across domain counts, on a skewed SpMV: row i
+     carries ~1/(i+1) of the head row's entries, so morsels must
+     rebalance.  On a host with fewer cores than lanes, every lane
+     shares a core and the rows measure dispatch overhead. *)
+  p "\nmorsel scheduling (skewed SpMV, execution time)\n";
+  p "%-26s %12s\n" "config" "morsel";
+  let sn = if !quick then 800 else 2500 in
+  let entries = ref [] in
+  for i = 0 to sn - 1 do
+    let k = max 2 (sn / (8 * (i + 1))) in
+    for _ = 1 to k do
+      entries := ([| i; Prng.int prng sn |], Prng.float prng) :: !entries
+    done
+  done;
+  let sa =
+    T.of_coo ~dims:[| sn; sn |]
+      ~formats:[| T.Dense; T.Sparse_list |]
+      (Array.of_list !entries)
+  in
+  let sx = dense [| sn |] in
+  let label = Printf.sprintf "spmv skewed n=%d" sn in
+  let prog = { Ir.queries = [ LQ.to_query matvec ]; outputs = [ "out" ] } in
+  List.iter
+    (fun d ->
+      let config = { D.default_config with D.domains = d } in
+      let samples =
+        List.init (trials ()) (fun _ ->
+            (D.run ~config ~inputs:[ ("A", sa); ("x", sx) ] prog)
+              .D.timings.D.execute_seconds)
       in
-      let row label f =
-        let s1 = ref [] and s2 = ref [] in
-        for _ = 1 to trials () do
-          V2.set_all false;
-          s1 := f () :: !s1;
-          V2.set_all true;
-          s2 := f () :: !s2
-        done;
-        let v1 = List.rev !s1 and v2 = List.rev !s2 in
-        record ~section:"kernels_v2" ~series:"v1" label v1;
-        record ~section:"kernels_v2" ~series:"v2" label v2;
-        let t1 = median v1 and t2 = median v2 in
-        p "%-26s %12s %12s %9.2fx\n%!" label (fmt_time t1) (fmt_time t2)
-          (t1 /. t2)
-      in
-      p "%-26s %12s %12s %10s\n" "kernel" "v1" "v2" "speedup";
-      let prng = Prng.create 4242 in
-      let dense dims =
-        T.random ~prng ~dims
-          ~formats:(Array.map (fun _ -> T.Dense) dims)
-          ~density:0.95 ()
-      in
-      let bytemap ~density dims =
-        T.random ~prng ~dims
-          ~formats:(Array.map (fun _ -> T.Bytemap) dims)
-          ~density ()
-      in
-      (* Dense-dominated rows: the innermost level is Dense everywhere,
-         so the micro gate swaps per-element dispatch for unboxed
-         float-array loops. *)
-      let n = if !quick then 100_000 else 1_000_000 in
-      let v = dense [| n |] and w = dense [| n |] in
-      let dot =
-        LQ.make ~output_idxs:[] ~name:"out" ~agg_op:Op.Add ~agg_idxs:[ "j" ]
-          ~body:(Ir.mul [ Ir.input "v" [ "j" ]; Ir.input "w" [ "j" ] ])
-          ()
-      in
-      row
-        (Printf.sprintf "dot dense n=%d" n)
-        (run_q [ ("v", v); ("w", w) ] dot);
-      let axpy =
-        LQ.make ~output_idxs:[ "j" ] ~name:"out" ~agg_op:Op.Ident ~agg_idxs:[]
-          ~body:
-            (Ir.add
-               [
-                 Ir.mul [ Ir.lit 2.5; Ir.input "v" [ "j" ] ];
-                 Ir.input "w" [ "j" ];
-               ])
-          ()
-      in
-      row
-        (Printf.sprintf "axpy dense n=%d" n)
-        (run_q [ ("v", v); ("w", w) ] axpy);
-      let rows = if !quick then 400 else 1500 in
-      let cols = if !quick then 128 else 512 in
-      let a = dense [| rows; cols |] and x = dense [| cols |] in
-      let matvec =
-        LQ.make ~output_idxs:[ "i" ] ~name:"out" ~agg_op:Op.Add
-          ~agg_idxs:[ "j" ]
-          ~body:(Ir.mul [ Ir.input "A" [ "i"; "j" ]; Ir.input "x" [ "j" ] ])
-          ()
-      in
-      row
-        (Printf.sprintf "matvec dense %dx%d" rows cols)
-        (run_q [ ("A", a); ("x", x) ] matvec);
-      (* SpMM with a dense right operand: the GCN building block — the
-         sparse adjacency drives the outer levels, the feature loop at
-         the innermost level stays dense and micro-eligible. *)
-      let gn = if !quick then 300 else 1000 in
-      let gf = if !quick then 16 else 32 in
-      let adj =
-        T.random ~prng ~dims:[| gn; gn |]
-          ~formats:[| T.Dense; T.Sparse_list |]
-          ~density:0.01 ()
-      in
-      let h = dense [| gn; gf |] in
-      let spmm =
-        LQ.make ~output_idxs:[ "i"; "f" ] ~name:"out" ~agg_op:Op.Add
-          ~agg_idxs:[ "j" ]
-          ~body:(Ir.mul [ Ir.input "A" [ "i"; "j" ]; Ir.input "H" [ "j"; "f" ] ])
-          ()
-      in
-      row
-        (Printf.sprintf "spmm gcn %dx%d d=%d" gn gn gf)
-        (run_q [ ("A", adj); ("H", h) ] spmm);
-      (* Bytemap-merge rows: all-bytemap loop levels, dense enough that
-         the word-merge heuristic engages (density x dim >> words). *)
-      let bn = if !quick then 100_000 else 400_000 in
-      let bx = bytemap ~density:0.3 [| bn |]
-      and by = bytemap ~density:0.3 [| bn |]
-      and bz = bytemap ~density:0.3 [| bn |] in
-      let band =
-        LQ.make ~output_idxs:[] ~name:"out" ~agg_op:Op.Add ~agg_idxs:[ "i" ]
-          ~body:
-            (Ir.mul
-               [
-                 Ir.input "x" [ "i" ]; Ir.input "y" [ "i" ]; Ir.input "z" [ "i" ];
-               ])
-          ()
-      in
-      row
-        (Printf.sprintf "bytemap and3 n=%d" bn)
-        (run_q [ ("x", bx); ("y", by); ("z", bz) ] band);
-      let bor =
-        LQ.make ~output_idxs:[ "i" ] ~name:"out" ~agg_op:Op.Ident ~agg_idxs:[]
-          ~body:(Ir.add [ Ir.input "x" [ "i" ]; Ir.input "y" [ "i" ] ])
-          ()
-      in
-      row
-        (Printf.sprintf "bytemap or2 n=%d" bn)
-        (run_q [ ("x", bx); ("y", by) ] bor);
-      let mn = if !quick then 200 else 600 in
-      let mm = if !quick then 300 else 800 in
-      let ma = bytemap ~density:0.3 [| mn; mm |]
-      and mb = bytemap ~density:0.3 [| mn; mm |] in
-      let had =
-        LQ.make ~output_idxs:[ "i" ] ~name:"out" ~agg_op:Op.Add
-          ~agg_idxs:[ "j" ]
-          ~body:(Ir.mul [ Ir.input "A" [ "i"; "j" ]; Ir.input "B" [ "i"; "j" ] ])
-          ()
-      in
-      row
-        (Printf.sprintf "bytemap hadamard %dx%d" mn mm)
-        (run_q [ ("A", ma); ("B", mb) ] had);
-      (* Morsel vs static chunking across domain counts, on a skewed
-         SpMV: row i carries ~1/(i+1) of the head row's entries, so
-         static chunks are badly imbalanced while morsels rebalance.
-         On a single-core host both schedulers share the core and the
-         comparison collapses to dispatch overhead — the shape is
-         meaningful only where the hardware has lanes to offer. *)
-      p "\nmorsel vs static chunking (skewed SpMV, execution time)\n";
-      p "%-26s %12s %12s\n" "config" "static" "morsel";
-      let sn = if !quick then 800 else 2500 in
-      let entries = ref [] in
-      for i = 0 to sn - 1 do
-        let k = max 2 (sn / (8 * (i + 1))) in
-        for _ = 1 to k do
-          entries := ([| i; Prng.int prng sn |], Prng.float prng) :: !entries
-        done
-      done;
-      let sa =
-        T.of_coo ~dims:[| sn; sn |]
-          ~formats:[| T.Dense; T.Sparse_list |]
-          (Array.of_list !entries)
-      in
-      let sx = dense [| sn |] in
-      let label = Printf.sprintf "spmv skewed n=%d" sn in
-      List.iter
-        (fun d ->
-          let config = { D.default_config with D.domains = d } in
-          let time_with morsel =
-            V2.set_all true;
-            V2.morsel := morsel;
-            let samples =
-              List.init (trials ()) (fun _ ->
-                  let prog =
-                    { Ir.queries = [ LQ.to_query matvec ]; outputs = [ "out" ] }
-                  in
-                  (D.run ~config ~inputs:[ ("A", sa); ("x", sx) ] prog)
-                    .D.timings.D.execute_seconds)
-            in
-            record ~section:"kernels_v2"
-              ~series:(Printf.sprintf "%s@%d" (if morsel then "morsel" else "static") d)
-              label samples;
-            median samples
-          in
-          let ts = time_with false in
-          let tm = time_with true in
-          p "%-26s %12s %12s\n%!"
-            (Printf.sprintf "%s domains=%d" label d)
-            (fmt_time ts) (fmt_time tm))
-        [ 1; 2; 4 ])
+      record ~section:"kernels_v2" ~series:(Printf.sprintf "morsel@%d" d) label
+        samples;
+      p "%-26s %12s\n%!"
+        (Printf.sprintf "%s domains=%d" label d)
+        (fmt_time (median samples)))
+    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Scaling: the parallel runtime at domains ∈ {1, 2, 4}.                *)
@@ -820,7 +711,7 @@ let kernels_v2 () =
 
 (* Wall time per figure workload as the engine's domain-pool size grows;
    outputs are bit-identical across the sweep (the parallel runtime
-   replays chunk logs in serial accumulation order), so the rows isolate
+   replays morsel logs in serial accumulation order), so the rows isolate
    runtime cost alone.  speedup@N = T(domains=1) / T(domains=N).  On a
    single-core machine every lane shares the core and the sweep reports
    ~1.0x — the speedup column is meaningful only where the hardware has
@@ -1661,7 +1552,7 @@ let () =
     match args with
     | [] ->
         [
-          "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "kernels"; "kernels_v2";
+          "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "kernels_v2";
           "scaling"; "ablations"; "observability"; "serving"; "fixpoint";
           "micro";
         ]
@@ -1679,7 +1570,6 @@ let () =
       | "fig8" -> fig8 ()
       | "fig9" -> fig9 ()
       | "fig10" -> fig10 ()
-      | "kernels" -> kernels ()
       | "kernels_v2" -> kernels_v2 ()
       | "scaling" -> scaling ()
       | "ablations" -> ablations ()

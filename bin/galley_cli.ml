@@ -152,7 +152,7 @@ let finish_obs ~trace ~metrics =
 
 let run_cmd program_file inputs randoms outputs show_plans timings greedy
     uniform no_jit no_cse timeout opt_timeout faults_spec no_validate
-    no_degrade nnz_guard kernel_backend domains trace metrics =
+    no_degrade nnz_guard domains trace metrics =
   let src = read_file program_file in
   if trace <> None then Galley_obs.Trace.enable ();
   if metrics then Galley_obs.Metrics.set_detailed true;
@@ -179,7 +179,6 @@ let run_cmd program_file inputs randoms outputs show_plans timings greedy
       validate = not no_validate;
       faults;
       nnz_guard;
-      kernel_backend;
       domains;
     }
   in
@@ -383,7 +382,7 @@ let print_operator_analysis ~(estimator : string)
           scale
 
 let explain_cmd program_file inputs randoms outputs greedy uniform no_jit
-    no_cse opt_timeout kernel_backend domains analyze =
+    no_cse opt_timeout domains analyze =
   let src = read_file program_file in
   let config =
     {
@@ -396,7 +395,6 @@ let explain_cmd program_file inputs randoms outputs greedy uniform no_jit
       jit = not no_jit;
       cse = not no_cse;
       optimizer_timeout = opt_timeout;
-      kernel_backend;
       domains;
       audit = true;
     }
@@ -563,7 +561,7 @@ let print_profile_report (forest : Galley_obs.Profile.node list)
         path
 
 let profile_cmd program_file inputs randoms outputs greedy uniform no_jit
-    no_cse kernel_backend domains collapsed_out =
+    no_cse domains collapsed_out =
   let src = read_file program_file in
   let config =
     {
@@ -575,7 +573,6 @@ let profile_cmd program_file inputs randoms outputs greedy uniform no_jit
          else Galley_stats.Ctx.Chain_kind);
       jit = not no_jit;
       cse = not no_cse;
-      kernel_backend;
       domains;
     }
   in
@@ -609,7 +606,7 @@ let profile_cmd program_file inputs randoms outputs greedy uniform no_jit
    before the listener opens, so the first client sees a warm store. *)
 let serve_cmd socket inputs randoms queue_capacity drain_timeout
     default_budget naive_below greedy_below max_entries faults_spec greedy
-    uniform no_cse kernel_backend domains kernel_cache_cap cse_cache_cap
+    uniform no_cse domains kernel_cache_cap cse_cache_cap
     telemetry_dir telemetry_interval flight_cap sample_percentile audit
     provenance trace metrics =
   if trace <> None then Galley_obs.Trace.enable ();
@@ -631,7 +628,6 @@ let serve_cmd socket inputs randoms queue_capacity drain_timeout
          else Galley_stats.Ctx.Chain_kind);
       cse = not no_cse;
       faults;
-      kernel_backend;
       domains;
       kernel_cache_cap;
       cse_cache_cap;
@@ -906,21 +902,6 @@ let no_degrade_arg =
     & info [ "no-degrade" ]
         ~doc:"Treat an exhausted optimizer budget as an error instead of degrading")
 
-let kernel_backend_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("staged", Galley_engine.Exec.Staged);
-             ("interp", Galley_engine.Exec.Interp);
-           ])
-        Galley_engine.Exec.Staged
-    & info [ "kernel-backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Kernel compiler: $(b,staged) closure-specialized loop nests \
-           (default) or the $(b,interp) constraint-tree interpreter")
-
 let domains_arg =
   Arg.(
     value
@@ -928,9 +909,9 @@ let domains_arg =
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "Engine parallelism: OCaml domains used for DAG-parallel query \
-           execution and intra-kernel chunking (1 = serial; outputs are \
+           execution and intra-kernel morsels (1 = serial; outputs are \
            bit-identical at every setting; default: $(b,GALLEY_DOMAINS) or \
-           the machine's recommended count)")
+           1, since no measured workload runs faster on the pool)")
 
 let nnz_guard_arg =
   Arg.(
@@ -963,8 +944,8 @@ let run_term =
     const run_cmd $ program_arg $ inputs_arg $ randoms_arg $ outputs_arg
     $ show_plans_arg $ timings_arg $ greedy_arg $ uniform_arg $ no_jit_arg
     $ no_cse_arg $ timeout_arg $ opt_timeout_arg $ faults_arg
-    $ no_validate_arg $ no_degrade_arg $ nnz_guard_arg $ kernel_backend_arg
-    $ domains_arg $ trace_arg $ metrics_arg)
+    $ no_validate_arg $ no_degrade_arg $ nnz_guard_arg $ domains_arg
+    $ trace_arg $ metrics_arg)
 
 let run_info = Cmd.info "run" ~doc:"Optimize and execute a tensor program"
 
@@ -982,7 +963,7 @@ let explain_term =
   Term.(
     const explain_cmd $ program_arg $ inputs_arg $ randoms_arg $ outputs_arg
     $ greedy_arg $ uniform_arg $ no_jit_arg $ no_cse_arg $ opt_timeout_arg
-    $ kernel_backend_arg $ domains_arg $ analyze_arg)
+    $ domains_arg $ analyze_arg)
 
 let audit_dir_arg =
   Arg.(
@@ -1008,15 +989,6 @@ let audit_report_info =
        correction factors, plus serve counter deltas from the metrics \
        journal"
 
-let profile_domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Engine parallelism while profiling (default 1: a serial run \
-           keeps all spans in one call tree, so self times add up to \
-           wall time)")
-
 let collapsed_arg =
   Arg.(
     value
@@ -1030,8 +1002,8 @@ let collapsed_arg =
 let profile_term =
   Term.(
     const profile_cmd $ program_arg $ inputs_arg $ randoms_arg $ outputs_arg
-    $ greedy_arg $ uniform_arg $ no_jit_arg $ no_cse_arg $ kernel_backend_arg
-    $ profile_domains_arg $ collapsed_arg)
+    $ greedy_arg $ uniform_arg $ no_jit_arg $ no_cse_arg $ domains_arg
+    $ collapsed_arg)
 
 let profile_info =
   Cmd.info "profile"
@@ -1181,7 +1153,7 @@ let serve_term =
     const serve_cmd $ socket_arg $ inputs_arg $ randoms_arg $ queue_arg
     $ drain_timeout_arg $ default_budget_arg $ qos_naive_arg $ qos_greedy_arg
     $ max_entries_serve_arg $ serve_faults_arg $ greedy_arg $ uniform_arg
-    $ no_cse_arg $ kernel_backend_arg $ domains_arg $ kernel_cache_cap_arg
+    $ no_cse_arg $ domains_arg $ kernel_cache_cap_arg
     $ cse_cache_cap_arg $ telemetry_dir_arg $ telemetry_interval_arg
     $ flight_cap_arg $ sample_percentile_arg $ serve_audit_arg
     $ serve_provenance_arg $ trace_arg $ metrics_arg)

@@ -15,20 +15,20 @@
    folded in as g(body_fill, N_agg − count) per output cell (DESIGN.md).
 
    Parallel execution (DESIGN.md "Parallel runtime"): given a domain
-   [?pool], [run] chunks the *outermost* level's candidates across the
-   pool.  Level-0 generators and probes depend only on the access root
-   nodes (an access's first index binds at its index's loop level, and
-   indices are concordant with the loop order, so a level-0 binding is
-   always an access's first), so the candidate base computed once on the
-   submitting domain is shared read-only; each chunk walks levels 1.. on
-   its own private [Lowering.state] and records its innermost
-   accumulations — flattened output coordinates plus the fused body value
+   [?pool], [run] splits the *outermost* level's candidates into morsels
+   across the pool.  Level-0 generators and probes depend only on the
+   access root nodes (an access's first index binds at its index's loop
+   level, and indices are concordant with the loop order, so a level-0
+   binding is always an access's first), so the candidate base computed
+   once on the submitting domain is shared read-only; each morsel walks
+   levels 1.. on its lane's private [Lowering.state] and records its
+   innermost accumulations — flattened output coordinates plus the fused body value
    — into a private log.  The logs are then replayed into the single
-   output builder in chunk order, which reproduces the serial
+   output builder in morsel order, which reproduces the serial
    accumulation sequence *exactly*: same cells, same combine order, same
    sequential writes for sorted-list levels.  Results are therefore
    bit-identical to the serial path for every aggregate, format, and
-   chunking, at the cost of making accumulation the serial tail. *)
+   domain count, at the cost of making accumulation the serial tail. *)
 
 open Galley_plan
 module T = Galley_tensor.Tensor
@@ -46,9 +46,8 @@ exception Timeout
    same periodic branch that checks the clock, so the per-tick fast
    path stays a single increment.  [kernel.cancel_latency_ticks] is the
    number of (coarse) ticks the whole batch kept running after the
-   first chunk set the cancel flag — the wind-down cost of a timeout. *)
+   first lane set the cancel flag — the wind-down cost of a timeout. *)
 let m_deadline_ticks = Obs.Metrics.counter "kernel.deadline_ticks"
-let m_chunks = Obs.Metrics.counter "kernel.chunks"
 let m_cancel_latency = Obs.Metrics.gauge "kernel.cancel_latency_ticks"
 
 (* Morsel-driven scheduling (DESIGN.md §14): total morsels dispensed,
@@ -113,12 +112,12 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
     let loop_dims = kc.Physical.loop_dims in
     (* Same deadline cadence as the interpreter: one budget tick per
        candidate and per accumulation, clock checked every 8192 ticks.
-       Each chunk carries its own counter; [cancel] folds a timeout (or
-       any failure) raised by one chunk into every other chunk's cadence
+       Each lane carries its own counter; [cancel] folds a timeout (or
+       any failure) raised by one lane into every other lane's cadence
        so the batch winds down promptly. *)
     let cancel = Atomic.make false in
     (* Coarse-tick value of [m_deadline_ticks] when cancel was first set;
-       -1 while no chunk has failed. *)
+       -1 while no lane has failed. *)
     let cancel_mark = Atomic.make (-1) in
     let make_check () =
       match deadline with
@@ -136,7 +135,7 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
     in
     (* The loop nest from [level] down, parameterized over the innermost
        sink so the same walker serves direct accumulation (serial) and
-       log recording (parallel chunks).
+       log recording (parallel morsels).
 
        When the plan carries a [p_micro] shape, the innermost level runs
        as a dense microkernel: each source is resolved once per level
@@ -297,19 +296,16 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
       in
       go 0
     in
-    (* Chunk level 0 across the pool; false = not profitable, run serial.
+    (* Split level 0 across the pool; false = not profitable, run serial.
 
-       Two schedules share the same log-and-replay protocol.  The v1
-       path cuts the candidate range into 4×pool-size static chunks, one
-       task each.  The v2 path ([Kernel_v2.morsel]) cuts it into small
-       fixed-size morsels behind an atomic dispenser and runs one task
-       per lane, each pulling morsels until the dispenser is dry — a
-       lane stuck in a heavy fiber simply pulls fewer morsels, so
-       skewed fibers no longer leave lanes idle.  Either way, the
-       range→log mapping is a pure function of the chunk/morsel id, so
+       The candidate range is cut into small fixed-size morsels behind an
+       atomic dispenser, and one task per lane pulls morsels until the
+       dispenser is dry — a lane stuck in a heavy fiber simply pulls
+       fewer morsels, so skewed fibers do not leave lanes idle.  The
+       range→log mapping is a pure function of the morsel id, so
        replaying logs in id order reproduces the serial accumulation
        sequence exactly: same cells, same combine order, bit-identical
-       output at any domain count under any schedule. *)
+       output at any domain count. *)
     let parallel (pool : Pool.t) : bool =
       if n_levels = 0 then false
       else begin
@@ -375,83 +371,41 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
               Atomic.set cancel_mark (Obs.Metrics.value m_deadline_ticks);
             raise e
           in
-          let logs, tasks, sched, finish =
-            if !Kernel_v2.morsel then begin
-              let lanes = Pool.size pool in
-              (* ~32 morsels per lane: enough granularity to rebalance
-                 skew, few enough that per-morsel log bookkeeping stays
-                 negligible. *)
-              let msize = max 16 ((n_cand + (32 * lanes) - 1) / (32 * lanes)) in
-              let disp = Morsel.create ~n_items:n_cand ~size:msize in
-              let nm = Morsel.n_morsels disp in
-              let logs =
-                Array.init nm (fun _ ->
-                    ( Vec.Int.create ~capacity:16 (),
-                      Vec.Float.create ~capacity:16 () ))
+          let lanes = Pool.size pool in
+          (* ~32 morsels per lane: enough granularity to rebalance skew,
+             few enough that per-morsel log bookkeeping stays negligible. *)
+          let msize = max 16 ((n_cand + (32 * lanes) - 1) / (32 * lanes)) in
+          let disp = Morsel.create ~n_items:n_cand ~size:msize in
+          let nm = Morsel.n_morsels disp in
+          let logs =
+            Array.init nm (fun _ ->
+                ( Vec.Int.create ~capacity:16 (),
+                  Vec.Float.create ~capacity:16 () ))
+          in
+          let n_tasks = max 1 (min lanes nm) in
+          let pulls = Array.make n_tasks 0 in
+          let lane_task lane : Pool.task =
+           fun () ->
+            try
+              (* State and tick counter live per lane; every morsel
+                 rebinds from level 0 down, so residue between morsels is
+                 dead exactly as between candidates. *)
+              let st = Lowering.fresh_state plan tensors in
+              let check = make_check () in
+              let coords = st.Lowering.st_coords in
+              let rec drain () =
+                match Morsel.take disp with
+                | None -> ()
+                | Some (mid, lo, hi) ->
+                    Obs.Metrics.incr m_morsels;
+                    Obs.Metrics.incr (domain_counter "kernel.morsels");
+                    pulls.(lane) <- pulls.(lane) + 1;
+                    let go = make_go st check (log_sink logs.(mid) coords) in
+                    run_range st check go lo hi;
+                    drain ()
               in
-              let n_tasks = max 1 (min lanes nm) in
-              let pulls = Array.make n_tasks 0 in
-              let lane_task lane : Pool.task =
-               fun () ->
-                try
-                  (* State and tick counter live per lane; every morsel
-                     rebinds from level 0 down, so residue between
-                     morsels is dead exactly as between candidates. *)
-                  let st = Lowering.fresh_state plan tensors in
-                  let check = make_check () in
-                  let coords = st.Lowering.st_coords in
-                  let rec drain () =
-                    match Morsel.take disp with
-                    | None -> ()
-                    | Some (mid, lo, hi) ->
-                        Obs.Metrics.incr m_morsels;
-                        Obs.Metrics.incr (domain_counter "kernel.morsels");
-                        pulls.(lane) <- pulls.(lane) + 1;
-                        let go =
-                          make_go st check (log_sink logs.(mid) coords)
-                        in
-                        run_range st check go lo hi;
-                        drain ()
-                  in
-                  drain ()
-                with e -> on_failure e
-              in
-              let finish () =
-                (* Morsels a lane ran beyond its fair share = work it
-                   stole from slower lanes; zero means no skew. *)
-                let fair = nm / n_tasks in
-                Array.iter
-                  (fun c ->
-                    if c > fair then Obs.Metrics.add m_steals (c - fair))
-                  pulls
-              in
-              (logs, Array.init n_tasks lane_task, "morsel", finish)
-            end
-            else begin
-              (* Over-decompose for load balance: sparse work per
-                 candidate is skewed, so chunks outnumber lanes. *)
-              let n_chunks = min n_cand (4 * Pool.size pool) in
-              let logs =
-                Array.init n_chunks (fun _ ->
-                    ( Vec.Int.create ~capacity:64 (),
-                      Vec.Float.create ~capacity:64 () ))
-              in
-              let chunk_task c : Pool.task =
-               fun () ->
-                try
-                  Obs.Metrics.incr m_chunks;
-                  Obs.Metrics.incr (domain_counter "kernel.chunks");
-                  let lo = c * n_cand / n_chunks in
-                  let hi = (c + 1) * n_cand / n_chunks in
-                  let st = Lowering.fresh_state plan tensors in
-                  let check = make_check () in
-                  let coords = st.Lowering.st_coords in
-                  let go = make_go st check (log_sink logs.(c) coords) in
-                  run_range st check go lo hi
-                with e -> on_failure e
-              in
-              (logs, Array.init n_chunks chunk_task, "static", fun () -> ())
-            end
+              drain ()
+            with e -> on_failure e
           in
           let record_cancel_latency () =
             let mark = Atomic.get cancel_mark in
@@ -459,21 +413,26 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
               Obs.Metrics.set_gauge m_cancel_latency
                 (float_of_int (Obs.Metrics.value m_deadline_ticks - mark))
           in
-          (try Pool.run_all pool tasks
+          (try Pool.run_all pool (Array.init n_tasks lane_task)
            with e ->
              (* All lanes have drained by the time run_all re-raises, so
                 the coarse-tick delta is the cancel-to-last-exit latency. *)
              record_cancel_latency ();
              raise e);
           record_cancel_latency ();
-          finish ();
-          (* Ordered replay: logs concatenated in chunk/morsel id order
+          (* Morsels a lane ran beyond its fair share = work it stole
+             from slower lanes; zero means no skew. *)
+          let fair = nm / n_tasks in
+          Array.iter
+            (fun c -> if c > fair then Obs.Metrics.add m_steals (c - fair))
+            pulls;
+          (* Ordered replay: logs concatenated in morsel id order
              are exactly the serial accumulation sequence. *)
           Obs.span ~cat:"exec" ~name:"kernel.replay"
             ~attrs:(fun () ->
               [ ("kernel", k.Physical.name);
                 ("chunks", string_of_int (Array.length logs));
-                ("sched", sched) ])
+                ("sched", "morsel") ])
             (fun () ->
               let coords = Array.make out_rank 0 in
               Array.iter

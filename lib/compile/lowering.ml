@@ -54,7 +54,7 @@ type gen =
          interpreter's filtered candidate array *)
   | G_cur of Cursors.t  (* a composed co-iteration cursor *)
   | G_bits of int array
-      (* a freshly word-merged presence bitset (v2 bytemap∧bytemap /
+      (* a freshly word-merged presence bitset (bytemap∧bytemap /
          bytemap∨bytemap fast path): the backend walks its set bits —
          ascending, duplicate-free, so the candidate sequence is exactly
          the filtered/cursor sequence it replaces *)
@@ -74,7 +74,7 @@ type level = {
   lv_bind : state -> int -> unit;
 }
 
-(* v2 dense microkernel: compile-time shape of an innermost level whose
+(* Dense microkernel: compile-time shape of an innermost level whose
    bindings are all last-index [Dense] accesses under an all-dense
    constraint tree (statically [G_full] whenever every operand subtree
    is present).  The backend may then run an unboxed float-array inner
@@ -94,13 +94,13 @@ type plan = {
   p_fills : float array;  (* fill value per access *)
   p_out_rank : int;
   p_n_acc : int;
-  p_micro : micro option;  (* v2 innermost dense microkernel, if eligible *)
+  p_micro : micro option;  (* innermost dense microkernel, if eligible *)
   p_desc : string array;
       (* per-level merge-strategy descriptor, e.g. "inter(sparse&hash)";
          static attribution for the profiler's hot-kernel table *)
 }
 
-(* All members of an and/or are bare bytemap accesses — the shape the v2
+(* All members of an and/or are bare bytemap accesses — the shape the
    word-level merge handles. *)
 let bytemap_sources (members : ltree list) : source array option =
   let rec go acc = function
@@ -112,18 +112,17 @@ let bytemap_sources (members : ltree list) : source array option =
 
 (* Static description of a level's merge strategy, mirroring gen_of's
    classification: bare accesses show their storage format, intersections
-   list members leader-first with '&', unions with '|'; the v2 word-level
+   list members leader-first with '&', unions with '|'; the word-level
    bytemap merges name themselves bitand/bitor. *)
 let rec describe_ltree (t : ltree) : string =
   let bits_name op members =
-    match bytemap_sources members with
-    | Some srcs when !Kernel_v2.bits ->
-        Some
-          (op ^ "("
-          ^ String.concat "&"
-              (List.map (fun _ -> "bytemap") (Array.to_list srcs))
-          ^ ")")
-    | _ -> None
+    Option.map
+      (fun srcs ->
+        op ^ "("
+        ^ String.concat "&"
+            (Array.to_list (Array.map (fun _ -> "bytemap") srcs))
+        ^ ")")
+      (bytemap_sources members)
   in
   match t with
   | L_all -> "full"
@@ -144,10 +143,10 @@ let prev (st : state) (a : int) (j : int) : T.node option =
   if j = 0 then Some st.st_roots.(a) else st.st_nodes.(a).(j - 1)
 
 (* Compile an ltree into its candidate generator and membership probe.
-   [gen_of] first tries the v2 word-level bytemap merge ([bits_gen_of]);
-   [gen_of_base] is the v1 classification, kept both as the v2-off path
-   and as the runtime fallback when a word merge is not profitable for
-   the fibers actually bound at a visit. *)
+   [gen_of] first tries the word-level bytemap merge ([bits_gen_of]);
+   [gen_of_base] is the generic classification, the runtime fallback
+   when a word merge is not profitable for the fibers actually bound at
+   a visit. *)
 let rec gen_of (t : ltree) : state -> gen =
   match bits_gen_of t with Some g -> g | None -> gen_of_base t
 
@@ -277,87 +276,86 @@ and gen_of_base (t : ltree) : state -> gen =
         in
         collect [] 0
 
-(* v2 word-level bytemap merge (DESIGN.md §14): an intersection or union
+(* Word-level bytemap merge (DESIGN.md §14): an intersection or union
    whose members are all bare bytemap accesses is computed by ANDing /
    ORing their word-packed presence masks ([Tensor.Node.bitmap_words]),
    skipping the per-candidate probe / cursor machinery entirely.  The
    set-bit walk yields the same ascending duplicate-free sequence as the
-   v1 path, so results stay bit-identical.  Word merging loses when the
-   driving fibers hold fewer explicit indices than the level has words —
-   then each visit falls back to the precompiled v1 generator. *)
+   generic path, so results stay bit-identical.  Word merging loses when
+   the driving fibers hold fewer explicit indices than the level has
+   words — then each visit falls back to the precompiled generic
+   generator. *)
 and bits_gen_of (t : ltree) : (state -> gen) option =
-  if not !Kernel_v2.bits then None
-  else
-    match t with
-    | L_and members -> (
-        match bytemap_sources members with
-        | None -> None
-        | Some srcs ->
-            let fallback = gen_of_base t in
-            let n_src = Array.length srcs in
-            Some
-              (fun st ->
-                let nds = Array.map (fun s -> prev st s.s_acc s.s_slot) srcs in
-                if Array.exists (function None -> true | Some _ -> false) nds
-                then G_arr [||] (* an absent member empties the intersection *)
-                else
-                  let words_of k =
-                    match nds.(k) with
-                    | Some nd -> T.Node.bitmap_words nd
-                    | None -> None
-                  in
-                  let count_of k =
-                    match nds.(k) with
-                    | Some nd -> T.Node.explicit_count nd
-                    | None -> 0
-                  in
-                  match words_of 0 with
-                  | Some w0 when count_of 0 >= Array.length w0 ->
-                      let out = Array.copy w0 in
-                      let ok = ref true in
-                      for k = 1 to n_src - 1 do
-                        match words_of k with
-                        | Some w when Array.length w = Array.length out ->
-                            Bitset.inter_into out w
-                        | _ -> ok := false
-                      done;
-                      if !ok then G_bits out else fallback st
-                  | _ -> fallback st))
-    | L_or members -> (
-        match bytemap_sources members with
-        | None -> None
-        | Some srcs ->
-            let fallback = gen_of_base t in
-            let n_src = Array.length srcs in
-            Some
-              (fun st ->
-                let ws = Array.make n_src [||] in
-                let n_present = ref 0 in
-                let total = ref 0 and nw = ref (-1) and ok = ref true in
-                for k = 0 to n_src - 1 do
-                  match prev st srcs.(k).s_acc srcs.(k).s_slot with
-                  | None -> () (* absent members drop out of the union *)
-                  | Some nd -> (
-                      match T.Node.bitmap_words nd with
-                      | None -> ok := false
-                      | Some w ->
-                          if !nw = -1 then nw := Array.length w
-                          else if Array.length w <> !nw then ok := false;
-                          total := !total + T.Node.explicit_count nd;
-                          ws.(!n_present) <- w;
-                          incr n_present)
+  match t with
+  | L_and members -> (
+      match bytemap_sources members with
+      | None -> None
+      | Some srcs ->
+          let fallback = gen_of_base t in
+          let n_src = Array.length srcs in
+          Some
+            (fun st ->
+              let nds = Array.map (fun s -> prev st s.s_acc s.s_slot) srcs in
+              if Array.exists (function None -> true | Some _ -> false) nds
+              then G_arr [||] (* an absent member empties the intersection *)
+              else
+                let words_of k =
+                  match nds.(k) with
+                  | Some nd -> T.Node.bitmap_words nd
+                  | None -> None
+                in
+                let count_of k =
+                  match nds.(k) with
+                  | Some nd -> T.Node.explicit_count nd
+                  | None -> 0
+                in
+                match words_of 0 with
+                | Some w0 when count_of 0 >= Array.length w0 ->
+                    let out = Array.copy w0 in
+                    let ok = ref true in
+                    for k = 1 to n_src - 1 do
+                      match words_of k with
+                      | Some w when Array.length w = Array.length out ->
+                          Bitset.inter_into out w
+                      | _ -> ok := false
+                    done;
+                    if !ok then G_bits out else fallback st
+                | _ -> fallback st))
+  | L_or members -> (
+      match bytemap_sources members with
+      | None -> None
+      | Some srcs ->
+          let fallback = gen_of_base t in
+          let n_src = Array.length srcs in
+          Some
+            (fun st ->
+              let ws = Array.make n_src [||] in
+              let n_present = ref 0 in
+              let total = ref 0 and nw = ref (-1) and ok = ref true in
+              for k = 0 to n_src - 1 do
+                match prev st srcs.(k).s_acc srcs.(k).s_slot with
+                | None -> () (* absent members drop out of the union *)
+                | Some nd -> (
+                    match T.Node.bitmap_words nd with
+                    | None -> ok := false
+                    | Some w ->
+                        if !nw = -1 then nw := Array.length w
+                        else if Array.length w <> !nw then ok := false;
+                        total := !total + T.Node.explicit_count nd;
+                        ws.(!n_present) <- w;
+                        incr n_present)
+              done;
+              if not !ok then fallback st
+              else if !n_present = 0 then G_arr [||]
+              else if !total < !nw then fallback st
+              else begin
+                let out = Array.copy ws.(0) in
+                for k = 1 to !n_present - 1 do
+                  Bitset.union_into out ws.(k)
                 done;
-                if not !ok then fallback st
-                else if !n_present = 0 then G_arr [||]
-                else if !total < !nw then fallback st
-                else begin
-                  let out = Array.copy ws.(0) in
-                  for k = 1 to !n_present - 1 do
-                    Bitset.union_into out ws.(k)
-                  done;
-                  G_bits out
-                end))
-    | _ -> None
+                G_bits out
+              end))
+  | _ -> None
 
 and probe_of (t : ltree) : state -> int -> bool =
   match t with
@@ -497,7 +495,7 @@ let lower (k : Physical.kernel) ~(access_fills : float array)
         { lv_gen = gen_of ltrees.(l); lv_bind = bind_of l })
   in
   let p_micro =
-    if (not !Kernel_v2.micro) || n_levels = 0 then None
+    if n_levels = 0 then None
     else begin
       let l = n_levels - 1 in
       let rec all_dense = function

@@ -39,12 +39,12 @@ type config = {
          times its estimate; one corrective re-optimization, then
          [Budget_exceeded] *)
   kernel_backend : Galley_engine.Exec.backend;
-      (* staged closure compiler (default) or the constraint-tree
-         interpreter, retained as the differential oracle *)
+      (* staged closure compiler (production) or the constraint-tree
+         interpreter, a library-level differential oracle for tests *)
   domains : int;
       (* engine parallelism: size of the domain pool shared by DAG-parallel
-         query execution and intra-kernel chunking; 1 = the exact serial
-         path.  Outputs are bit-identical at every setting. *)
+         query execution and intra-kernel morsels; 1 (the default) = the
+         exact serial path.  Outputs are bit-identical at every setting. *)
   audit : bool;
       (* record predicted nnz (under both estimators) for every
          materialized intermediate and compare with actual nnz after
@@ -56,11 +56,12 @@ type config = {
 }
 
 (* Default parallelism: [GALLEY_DOMAINS] when set to a positive integer,
-   else the runtime's recommendation for this machine. *)
+   else one domain.  No measured workload runs faster on the pool, so
+   parallelism is opt-in (DESIGN.md §8). *)
 let default_domains =
   match Option.bind (Sys.getenv_opt "GALLEY_DOMAINS") int_of_string_opt with
   | Some d when d >= 1 -> d
-  | Some _ | None -> Domain.recommended_domain_count ()
+  | Some _ | None -> 1
 
 let default_config =
   {

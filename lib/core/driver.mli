@@ -38,14 +38,14 @@ type config = {
           statistics, then {!Errors.Budget_exceeded} *)
   kernel_backend : Galley_engine.Exec.backend;
       (** which kernel compiler the engine uses: the staged closure
-          compiler ([Staged], the default) or the constraint-tree
-          interpreter ([Interp]), retained as the differential oracle *)
+          compiler ([Staged], the production path) or the constraint-tree
+          interpreter ([Interp]), a library-level differential oracle for
+          tests *)
   domains : int;
       (** engine parallelism: size of the domain pool shared by
-          DAG-parallel query execution and intra-kernel chunking; [1] is
+          DAG-parallel query execution and intra-kernel morsels; [1] is
           the exact serial path.  Outputs are bit-identical at every
-          setting.  Defaults to [GALLEY_DOMAINS] when set, else
-          [Domain.recommended_domain_count ()]. *)
+          setting.  Defaults to [GALLEY_DOMAINS] when set, else [1]. *)
   audit : bool;
       (** record predicted nnz for every materialized intermediate under
           both estimators (uniform and chain-bound, from purely inferred
@@ -60,7 +60,7 @@ type config = {
 }
 
 (** The default [domains]: the [GALLEY_DOMAINS] environment variable when
-    set to a positive integer, else [Domain.recommended_domain_count ()]. *)
+    set to a positive integer, else [1]. *)
 val default_domains : int
 
 (** Chain-bound estimator, branch-and-bound logical search, JIT, CSE;

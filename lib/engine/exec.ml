@@ -10,11 +10,11 @@
    Parallelism (DESIGN.md "Parallel runtime"): each executor owns a domain
    pool sized by [domains] ([1] = the exact serial path).  The pool serves
    two layers — independent steps of one plan run as level-synchronous
-   waves here, and the staged backend chunks each kernel's outermost loop
-   over the same pool.  Every shared table ([tensors], [versions],
-   [kernel_cache], [cse_cache]) and the [timings] record are guarded by
-   one mutex, held only around dictionary work — never across a kernel
-   run, so lock scope cannot serialize execution.  The kernel-invocation
+   waves here, and the staged backend splits each kernel's outermost loop
+   into morsels over the same pool.  Every shared table ([tensors],
+   [versions], [kernel_cache], [cse_cache]) and the [timings] record are
+   guarded by one mutex, held only around dictionary work — never across
+   a kernel run, so lock scope cannot serialize execution.  The kernel-invocation
    ordinal feeding [kernel_hook] is an [Atomic.t], keeping fault injection
    well-defined when kernels launch concurrently. *)
 
@@ -42,9 +42,10 @@ let m_nnz_read = Obs.Metrics.counter "kernel.nnz_read"
 let m_nnz_written = Obs.Metrics.counter "kernel.nnz_written"
 
 (* Which kernel compiler backs the cache: the staged closure compiler
-   (galley_compile; the default) or the constraint-tree interpreter, kept
-   as the differential oracle.  Both produce size-generic closures keyed by
-   the same structural signature, so cache accounting is identical. *)
+   (galley_compile; the production path) or the constraint-tree
+   interpreter, a library-level differential oracle for tests.  Both
+   produce size-generic closures keyed by the same structural signature,
+   so cache accounting is identical. *)
 type backend = Interp | Staged
 
 let backend_to_string = function Interp -> "interp" | Staged -> "staged"
@@ -86,7 +87,7 @@ type t = {
       (* called with the 1-based kernel invocation ordinal before each
          kernel runs (CSE hits skip it); a fault-injection seam *)
   backend : backend;
-  pool : Pool.t;  (* shared by step waves and intra-kernel chunking *)
+  pool : Pool.t;  (* shared by step waves and intra-kernel morsels *)
   mutex : Mutex.t;  (* guards the tables and [timings] above *)
   kernel_ordinal : int Atomic.t;  (* 1-based invocation counter for the hook *)
 }
@@ -276,14 +277,11 @@ let run_kernel (t : t) (k : Physical.kernel) : T.t =
                       let pool = t.pool in
                       (* Scheduling attribution rides on the merge string
                          the profiler's hot-kernel table joins: kernels
-                         that will distribute over the pool say which
-                         scheduler hands out their outermost ranges. *)
+                         that will distribute over the pool say so. *)
                       let describe =
                         if Pool.size pool > 1 then
                           staged.Galley_compile.Backend.describe
-                          ^ (if !Galley_compile.Kernel_v2.morsel then
-                               " par:morsel"
-                             else " par:static")
+                          ^ " par:morsel"
                         else staged.Galley_compile.Backend.describe
                       in
                       {

@@ -1,6 +1,6 @@
 (* A reusable domain pool.
 
-   One pool serves both parallel layers of the runtime: intra-kernel chunk
+   One pool serves both parallel layers of the runtime: intra-kernel morsel
    execution (lib/compile/backend.ml) and inter-query wave execution
    (lib/core/driver.ml).  The design constraints, in order:
 
@@ -18,8 +18,8 @@
 
    - [run_all] must support nesting: a task running on a worker may itself
      call [run_all] on the same pool (an inter-query task running a
-     chunked kernel).  The submitting domain therefore *helps*: while its
-     batch is pending it pops and runs queued tasks — any batch's — and
+     morsel-split kernel).  The submitting domain therefore *helps*: while
+     its batch is pending it pops and runs queued tasks — any batch's — and
      only blocks on the condition variable when the queue is empty.  A
      thread blocks only when every submitted task is already running
      elsewhere, so nesting cannot deadlock and the submitter's core is

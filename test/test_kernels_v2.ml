@@ -1,9 +1,9 @@
-(* v2 kernel layer (DESIGN.md §14): word-level bitset algebra unit
+(* Kernel layer (DESIGN.md §14): word-level bitset algebra unit
    tests (tail words, empty and all-set masks, randomized vs naive),
-   the morsel dispenser protocol, and the bit-for-bit equivalence
-   matrix for all three new fast paths — dense microkernels, bytemap
-   word merges, morsel scheduling — against the interpreter oracle and
-   the brute-force reference, across v2 on/off and domains {1, 4}.
+   the morsel dispenser protocol, and the bit-for-bit equivalence of
+   the staged fast paths — dense microkernels, bytemap word merges,
+   morsel scheduling — against the interpreter oracle and the
+   brute-force reference, at domains {1, 4}.
    Also checks the observability surfacing (merge-strategy strings,
    par:morsel suffix, kernel.morsels metric) and the sparse-weight GCN
    workload against its dense reference. *)
@@ -18,7 +18,6 @@ module LQ = Galley_plan.Logical_query
 module Popt = Galley_physical.Optimizer
 module Exec = Galley_engine.Exec
 module Ctx = Galley_stats.Ctx
-module V2 = Galley_compile.Kernel_v2
 module Morsel = Galley_parallel.Morsel
 module Obs = Galley_obs
 module Trace = Galley_obs.Trace
@@ -181,7 +180,7 @@ let test_morsel_disjoint_cover () =
   check_bool "each item exactly once" true (Array.for_all (( = ) 1) claimed)
 
 (* -------------------------------------------------------------- *)
-(* Differential matrix: v2 on/off x domains {1,4} x backends.       *)
+(* Differential: staged x domains {1,4} vs the interp oracle.        *)
 (* -------------------------------------------------------------- *)
 
 let fresh_gen () =
@@ -221,38 +220,25 @@ let reference inputs (q : LQ.t) =
     (Galley.Reference.eval_program inputs
        { Ir.queries = [ LQ.to_query q ]; outputs = [ q.LQ.name ] })
 
-(* Run [f] with all three v2 switches forced to [on], restoring the
-   ambient setting afterwards (tests must not leak gate state). *)
-let with_v2 on f =
-  let micro = !V2.micro and bits = !V2.bits and morsel = !V2.morsel in
-  V2.set_all on;
-  Fun.protect
-    ~finally:(fun () ->
-      V2.micro := micro;
-      V2.bits := bits;
-      V2.morsel := morsel)
-    f
-
-(* Plan once; the interp oracle (v2 irrelevant there) fixes the
-   expected bits, and every staged configuration — v2 on/off, domains
-   1/4, so micro, bitset merges and the morsel scheduler all engage —
-   must reproduce them exactly.  The brute-force reference sums in a
-   different order, so it gets a tolerance. *)
-let check_v2_matrix ?popt_config name inputs (q : LQ.t) =
+(* Plan once; the interp oracle fixes the expected bits, and the staged
+   backend at domains 1 and 4 — so micro, bitset merges and the morsel
+   scheduler all engage — must reproduce them exactly.  The brute-force
+   reference sums in a different order, so it gets a tolerance. *)
+let check_vs_oracle ?popt_config name inputs (q : LQ.t) =
   let plan = plan_for ?popt_config inputs q in
-  let run ~v2 ~domains backend =
-    with_v2 v2 (fun () -> run_plan_with backend domains inputs plan q.LQ.name)
+  let run backend domains =
+    run_plan_with backend domains inputs plan q.LQ.name
   in
-  let oracle = run ~v2:false ~domains:1 Exec.Interp in
+  let oracle = run Exec.Interp 1 in
   List.iter
-    (fun (v2, domains) ->
-      let got = run ~v2 ~domains Exec.Staged in
+    (fun domains ->
+      let got = run Exec.Staged domains in
       if not (bits_equal got oracle) then
         Alcotest.failf
-          "%s: staged (v2=%b, domains=%d) diverges from the interp oracle:\n\
+          "%s: staged (domains=%d) diverges from the interp oracle:\n\
            %s\nvs\n%s"
-          name v2 domains (T.to_string got) (T.to_string oracle))
-    [ (true, 1); (true, 4); (false, 1); (false, 4) ];
+          name domains (T.to_string got) (T.to_string oracle))
+    [ 1; 4 ];
   let want = reference inputs q in
   if not (T.equal_approx ~eps:1e-6 oracle want) then
     Alcotest.failf "%s: disagrees with reference:\ngot  %s\nwant %s" name
@@ -275,7 +261,7 @@ let test_micro_dense_matvec () =
   let v =
     T.random ~prng ~dims:[| 40 |] ~formats:(all_dense [| 0 |]) ~density:0.9 ()
   in
-  check_v2_matrix "dense matvec" [ ("A", a); ("v", v) ] matvec;
+  check_vs_oracle "dense matvec" [ ("A", a); ("v", v) ] matvec;
   (* Scalar reduction: no output coordinate to write in the inner loop. *)
   let dot =
     LQ.make ~output_idxs:[] ~name:"out" ~agg_op:Op.Add ~agg_idxs:[ "j" ]
@@ -285,7 +271,7 @@ let test_micro_dense_matvec () =
   let w =
     T.random ~prng ~dims:[| 40 |] ~formats:(all_dense [| 0 |]) ~density:0.9 ()
   in
-  check_v2_matrix "dense dot" [ ("v", v); ("w", w) ] dot;
+  check_vs_oracle "dense dot" [ ("v", v); ("w", w) ] dot;
   (* Three dense operands + a map op in the body. *)
   let saxpy =
     LQ.make ~output_idxs:[ "j" ] ~name:"out" ~agg_op:Op.Ident ~agg_idxs:[]
@@ -296,7 +282,7 @@ let test_micro_dense_matvec () =
            ])
       ()
   in
-  check_v2_matrix "dense axpy" [ ("v", v); ("w", w) ] saxpy
+  check_vs_oracle "dense axpy" [ ("v", v); ("w", w) ] saxpy
 
 let test_micro_absent_rows () =
   (* Sparse outer level over a dense inner level: rows absent from A
@@ -312,7 +298,7 @@ let test_micro_absent_rows () =
   let v =
     T.random ~prng ~dims:[| 30 |] ~formats:(all_dense [| 0 |]) ~density:0.9 ()
   in
-  check_v2_matrix "absent-row matvec" [ ("A", a); ("v", v) ] matvec
+  check_vs_oracle "absent-row matvec" [ ("A", a); ("v", v) ] matvec
 
 let test_micro_nonzero_fill () =
   (* Fill-1 dense operands: the innermost constraint tree is a union of
@@ -326,7 +312,7 @@ let test_micro_nonzero_fill () =
     T.of_coo ~fill:1.0 ~dims:[| 70 |] ~formats:[| T.Dense |]
       [| ([| 2 |], 2.0); ([| 64 |], 4.0) |]
   in
-  check_v2_matrix "fill-1 matvec" [ ("A", a); ("v", v) ] matvec
+  check_vs_oracle "fill-1 matvec" [ ("A", a); ("v", v) ] matvec
 
 let test_bitand_bytemap () =
   let prng = Prng.create 47 in
@@ -341,16 +327,16 @@ let test_bitand_bytemap () =
       ()
   in
   (* Dense enough that the word-merge heuristic fires... *)
-  check_v2_matrix "bytemap 3-way and"
+  check_vs_oracle "bytemap 3-way and"
     [ ("x", mk 0.5); ("y", mk 0.6); ("z", mk 0.5) ]
     q3;
   (* ...and sparse enough that it declines and takes the cursor path. *)
-  check_v2_matrix "bytemap sparse and"
+  check_vs_oracle "bytemap sparse and"
     [ ("x", mk 0.01); ("y", mk 0.5); ("z", mk 0.02) ]
     q3;
   (* An all-fill operand annihilates the whole intersection. *)
   let empty = T.of_coo ~dims:[| 200 |] ~formats:[| T.Bytemap |] [||] in
-  check_v2_matrix "bytemap and with empty operand"
+  check_vs_oracle "bytemap and with empty operand"
     [ ("x", mk 0.5); ("y", empty); ("z", mk 0.5) ]
     q3
 
@@ -364,10 +350,10 @@ let test_bitor_bytemap () =
       ~body:(Ir.add [ Ir.input "x" [ "i" ]; Ir.input "y" [ "i" ] ])
       ()
   in
-  check_v2_matrix "bytemap union" [ ("x", mk 0.4); ("y", mk 0.5) ] q;
+  check_vs_oracle "bytemap union" [ ("x", mk 0.4); ("y", mk 0.5) ] q;
   let empty = T.of_coo ~dims:[| 200 |] ~formats:[| T.Bytemap |] [||] in
-  check_v2_matrix "bytemap union, one empty" [ ("x", empty); ("y", mk 0.5) ] q;
-  check_v2_matrix "bytemap union, both empty" [ ("x", empty); ("y", empty) ] q
+  check_vs_oracle "bytemap union, one empty" [ ("x", empty); ("y", mk 0.5) ] q;
+  check_vs_oracle "bytemap union, both empty" [ ("x", empty); ("y", empty) ] q
 
 let test_bytemap_matrix_levels () =
   (* Two bytemap x bytemap matrices: both loop levels carry all-bytemap
@@ -383,11 +369,11 @@ let test_bytemap_matrix_levels () =
       ~body:(Ir.mul [ Ir.input "A" [ "i"; "j" ]; Ir.input "B" [ "i"; "j" ] ])
       ()
   in
-  check_v2_matrix "bytemap matrix hadamard-sum" [ ("A", mk ()); ("B", mk ()) ] q
+  check_vs_oracle "bytemap matrix hadamard-sum" [ ("A", mk ()); ("B", mk ()) ] q
 
-let test_morsel_vs_static () =
-  (* Same plan, same inputs: the morsel scheduler and the static
-     chunker must both replay to the serial accumulation sequence. *)
+let test_morsel_vs_serial () =
+  (* Same plan, same inputs: the morsel scheduler at 4 domains must
+     replay to the serial accumulation sequence. *)
   let prng = Prng.create 61 in
   let a =
     T.random ~prng ~dims:[| 500; 300 |]
@@ -399,19 +385,10 @@ let test_morsel_vs_static () =
   in
   let inputs = [ ("A", a); ("v", v) ] in
   let plan = plan_for inputs matvec in
-  let serial =
-    with_v2 true (fun () -> run_plan_with Exec.Staged 1 inputs plan "out")
-  in
-  List.iter
-    (fun morsel ->
-      let par =
-        with_v2 true (fun () ->
-            V2.morsel := morsel;
-            run_plan_with Exec.Staged 4 inputs plan "out")
-      in
-      if not (bits_equal serial par) then
-        Alcotest.failf "morsel=%b: domains=4 diverges from domains=1" morsel)
-    [ true; false ]
+  let serial = run_plan_with Exec.Staged 1 inputs plan "out" in
+  let par = run_plan_with Exec.Staged 4 inputs plan "out" in
+  if not (bits_equal serial par) then
+    Alcotest.fail "morsel: domains=4 diverges from domains=1"
 
 (* -------------------------------------------------------------- *)
 (* Surfacing: merge-strategy strings and scheduler metrics.         *)
@@ -454,19 +431,10 @@ let test_surfacing_strategies () =
   in
   let dense_inputs = [ ("A", a); ("v", v) ] in
   let dense_plan = plan_for dense_inputs matvec in
-  with_v2 true (fun () ->
-      let m = merge_attr_of ~domains:1 dense_inputs dense_plan "out" in
-      check_bool "micro named in explain" true (contains ~needle:"micro(" m);
-      let m4 = merge_attr_of ~domains:4 dense_inputs dense_plan "out" in
-      check_bool "morsel scheduler named" true
-        (contains ~needle:" par:morsel" m4);
-      V2.morsel := false;
-      let ms = merge_attr_of ~domains:4 dense_inputs dense_plan "out" in
-      check_bool "static scheduler named" true
-        (contains ~needle:" par:static" ms));
-  with_v2 false (fun () ->
-      let m = merge_attr_of ~domains:1 dense_inputs dense_plan "out" in
-      check_bool "v1 compile drops micro" false (contains ~needle:"micro(" m));
+  let m = merge_attr_of ~domains:1 dense_inputs dense_plan "out" in
+  check_bool "micro named in explain" true (contains ~needle:"micro(" m);
+  let m4 = merge_attr_of ~domains:4 dense_inputs dense_plan "out" in
+  check_bool "morsel scheduler named" true (contains ~needle:" par:morsel" m4);
   let mkb d =
     T.random ~prng ~dims:[| 200 |] ~formats:(all_bytemap [| 0 |]) ~density:d ()
   in
@@ -477,9 +445,8 @@ let test_surfacing_strategies () =
   in
   let b_inputs = [ ("x", mkb 0.5); ("y", mkb 0.5) ] in
   let b_plan = plan_for b_inputs band in
-  with_v2 true (fun () ->
-      let m = merge_attr_of ~domains:1 b_inputs b_plan "out" in
-      check_bool "bitand named in explain" true (contains ~needle:"bitand(" m))
+  let m = merge_attr_of ~domains:1 b_inputs b_plan "out" in
+  check_bool "bitand named in explain" true (contains ~needle:"bitand(" m)
 
 let test_morsel_metrics () =
   let prng = Prng.create 71 in
@@ -495,8 +462,7 @@ let test_morsel_metrics () =
   let plan = plan_for inputs matvec in
   let morsels = Metrics.counter "kernel.morsels" in
   let before = Metrics.value morsels in
-  with_v2 true (fun () ->
-      ignore (run_plan_with Exec.Staged 4 inputs plan "out"));
+  ignore (run_plan_with Exec.Staged 4 inputs plan "out");
   check_bool "kernel.morsels advanced" true (Metrics.value morsels > before);
   (* The steals counter exists (its value is schedule-dependent). *)
   check_bool "kernel.steals registered" true
@@ -531,11 +497,11 @@ let test_gcn_sparse_weights () =
         want
 
 (* -------------------------------------------------------------- *)
-(* Property: random kernels through the full matrix.                *)
+(* Property: random kernels, staged x domains {1,4} vs interp.       *)
 (* -------------------------------------------------------------- *)
 
-let prop_v2_matrix =
-  QCheck.Test.make ~name:"v2 on/off x domains 1/4: bit-identical" ~count:30
+let prop_vs_oracle =
+  QCheck.Test.make ~name:"staged vs interp at domains 1/4" ~count:30
     (QCheck.int_range 0 1_000_000)
     (fun seed ->
       let prng = Prng.create seed in
@@ -595,7 +561,7 @@ let prop_v2_matrix =
         }
       in
       let q = LQ.make ~output_idxs ~name:"out" ~agg_op ~agg_idxs ~body () in
-      check_v2_matrix ~popt_config "random kernel" inputs q;
+      check_vs_oracle ~popt_config "random kernel" inputs q;
       true)
 
 let () =
@@ -630,8 +596,8 @@ let () =
           Alcotest.test_case "bytemap word union" `Quick test_bitor_bytemap;
           Alcotest.test_case "nested bytemap levels" `Quick
             test_bytemap_matrix_levels;
-          Alcotest.test_case "morsel vs static scheduling" `Quick
-            test_morsel_vs_static;
+          Alcotest.test_case "morsel vs serial scheduling" `Quick
+            test_morsel_vs_serial;
         ] );
       ( "surfacing",
         [
@@ -644,5 +610,5 @@ let () =
           Alcotest.test_case "sparse-weight gcn" `Quick test_gcn_sparse_weights;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_v2_matrix ] );
+        List.map QCheck_alcotest.to_alcotest [ prop_vs_oracle ] );
     ]

@@ -331,11 +331,22 @@ let test_deadline_reject () =
       ignore (rpc_ok sock (P.encode_bind_random ~name:"E" spec_e));
       ignore (rpc_ok sock (P.encode_bind_random ~name:"x" spec_x));
       (* Occupy the executor with a batch query, then submit one whose
-         1ms budget is certain to be spent queueing behind it. *)
+         1ms budget is certain to be spent queueing behind it.  The
+         executor observes a query's queue wait as it takes the query,
+         so a new [serve.queue_wait_us] sample means the slow query
+         holds the executor and its 20ms optimizer delay lies ahead. *)
+      let module M = Galley_obs.Metrics in
+      let waits = M.histogram "serve.queue_wait_us" in
+      let taken = M.histogram_count waits in
       let slow =
         Thread.create (fun () -> ignore (rpc_ok sock (P.encode_query soak_src))) ()
       in
-      Thread.delay 0.005;
+      let give_up = Unix.gettimeofday () +. 10.0 in
+      while M.histogram_count waits = taken do
+        if Unix.gettimeofday () > give_up then
+          Alcotest.fail "slow query never reached the executor";
+        Thread.delay 0.0005
+      done;
       let json =
         rpc_ok sock (P.encode_query ~id:"tight" ~budget_ms:1.0 soak_src)
       in
