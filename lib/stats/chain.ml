@@ -90,6 +90,123 @@ let xy_pairs (idx_list : Ir.idx list) : (Ir.Idx_set.t * Ir.Idx_set.t) list =
   end
   else xy_pairs_restricted idx_list
 
+(* Degree counting over packed integer keys.  Each entry's projected
+   coordinates become one mixed-radix [int]; sorting the keys makes every
+   Y-group a contiguous run, so D(X|Y) is one scan. *)
+
+(* Sort [keys], all in [0, range), ascending: least-significant-digit radix
+   passes of 8 bits, alternating with [buf] (same length).  With
+   [Array.sort] and an int compare, sorting was nine tenths of the counting
+   time; the few passes that keys of a few dozen bits need cost far less. *)
+let radix_sort (keys : int array) ~(buf : int array) ~(range : int) : unit =
+  let n = Array.length keys in
+  let start = Array.make 257 0 in
+  let src = ref keys and dst = ref buf and shift = ref 0 in
+  while !shift < Sys.int_size && (range - 1) lsr !shift > 0 do
+    let s = !src and d = !dst and sh = !shift in
+    Array.fill start 0 257 0;
+    for e = 0 to n - 1 do
+      let b = ((s.(e) lsr sh) land 255) + 1 in
+      start.(b) <- start.(b) + 1
+    done;
+    for b = 1 to 256 do
+      start.(b) <- start.(b) + start.(b - 1)
+    done;
+    for e = 0 to n - 1 do
+      let k = s.(e) in
+      let b = (k lsr sh) land 255 in
+      d.(start.(b)) <- k;
+      start.(b) <- start.(b) + 1
+    done;
+    src := d;
+    dst := s;
+    shift := sh + 8
+  done;
+  if !src != keys then Array.blit !src 0 keys 0 n
+
+(* Replace [keys], all in [0, range), by their dense ranks (order-preserving)
+   and return the number of distinct keys. *)
+let dense_rank (keys : int array) ~(range : int) : int =
+  let n = Array.length keys in
+  let uniq = Array.copy keys in
+  radix_sort uniq ~buf:(Array.make n 0) ~range;
+  let m = ref 0 in
+  Array.iter
+    (fun k ->
+      if !m = 0 || uniq.(!m - 1) <> k then begin
+        uniq.(!m) <- k;
+        incr m
+      end)
+    uniq;
+  for e = 0 to n - 1 do
+    let k = keys.(e) in
+    let lo = ref 0 and hi = ref (!m - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if uniq.(mid) < k then lo := mid + 1 else hi := mid
+    done;
+    keys.(e) <- !lo
+  done;
+  !m
+
+(* Write into [keys] the mixed-radix packing of each entry's coordinates at
+   [positions] (most significant first) and return the key range.  When the
+   next radix step would pass [max_int], the partial keys are first replaced
+   by their dense ranks (< the entry count); a dimension too large even for
+   that contributes the dense ranks of its coordinates instead. *)
+let pack_keys (cols : int array array) (dims : int array)
+    (positions : int array) (keys : int array) : int =
+  Array.fill keys 0 (Array.length keys) 0;
+  Array.fold_left
+    (fun range p ->
+      let range =
+        if range > max_int / dims.(p) then dense_rank keys ~range else range
+      in
+      let col, radix =
+        if range > max_int / dims.(p) then begin
+          let ranks = Array.copy cols.(p) in
+          (ranks, dense_rank ranks ~range:dims.(p))
+        end
+        else (cols.(p), dims.(p))
+      in
+      for e = 0 to Array.length keys - 1 do
+        keys.(e) <- (keys.(e) * radix) + col.(e)
+      done;
+      range * radix)
+    1 positions
+
+(* D(X|Y) over one or more entries: the largest number of distinct
+   X-coordinates among the entries that share one Y-coordinate.  [keys] and
+   [ykeys] are scratch arrays of the entry count. *)
+let max_degree (cols : int array array) (dims : int array) ~(xpos : int array)
+    ~(ypos : int array) ~(keys : int array) ~(ykeys : int array) : int =
+  let y_range = pack_keys cols dims ypos ykeys in
+  let x_range = pack_keys cols dims xpos keys in
+  let y_range, x_range =
+    if y_range > max_int / x_range then
+      (dense_rank ykeys ~range:y_range, dense_rank keys ~range:x_range)
+    else (y_range, x_range)
+  in
+  for e = 0 to Array.length keys - 1 do
+    keys.(e) <- (ykeys.(e) * x_range) + keys.(e)
+  done;
+  radix_sort keys ~buf:ykeys ~range:(y_range * x_range);
+  let best = ref 0 and run = ref 0 and prev = ref (-1) and prev_y = ref (-1) in
+  Array.iter
+    (fun k ->
+      if k <> !prev then begin
+        prev := k;
+        let y = k / x_range in
+        if y <> !prev_y then begin
+          prev_y := y;
+          run := 0
+        end;
+        incr run;
+        if !run > !best then best := !run
+      end)
+    keys;
+  !best
+
 let of_tensor ?(cheap = false) tensor ~idxs:idx_list =
   let dims_arr = Galley_tensor.Tensor.dims tensor in
   if Array.length dims_arr <> List.length idx_list then
@@ -106,20 +223,32 @@ let of_tensor ?(cheap = false) tensor ~idxs:idx_list =
      remaining splits cost one traversal of all *explicit* slots each (dense
      levels store every position), so pick the split set by a work budget —
      large tensors (e.g. intermediates measured by JIT optimization, where
-     mostly the *size* matters, paper Sec. 8.1) keep only cheap stats. *)
+     mostly the *size* matters, paper Sec. 8.1) keep only cheap stats.  The
+     nested rung keeps each D(all∖{k}|{k}), so a key column's functional
+     dependency survives at scales past the restricted rung. *)
   let work_budget = if cheap then 40_000 else 400_000 in
   let pass_cost = max n_entries (Galley_tensor.Tensor.explicit_count tensor) in
+  let n_idxs = List.length idx_list in
   let candidate_pairs =
     let full = xy_pairs idx_list in
+    let singletons =
+      List.map (fun i -> (Ir.Idx_set.singleton i, Ir.Idx_set.empty)) idx_list
+    in
     if pass_cost * List.length full <= work_budget then full
     else begin
       let restricted = xy_pairs_restricted idx_list in
       if pass_cost * List.length restricted <= work_budget then restricted
-      else if pass_cost * List.length idx_list <= 2 * work_budget then
+      else if (not cheap) && pass_cost * 2 * n_idxs <= work_budget then
+        singletons
+        @ List.filter_map
+            (fun i ->
+              let rest = Ir.Idx_set.remove i full_set in
+              if Ir.Idx_set.is_empty rest then None
+              else Some (rest, Ir.Idx_set.singleton i))
+            idx_list
+      else if pass_cost * n_idxs <= 2 * work_budget then
         (* Per-dimension distinct counts only. *)
-        List.map
-          (fun i -> (Ir.Idx_set.singleton i, Ir.Idx_set.empty))
-          idx_list
+        singletons
       else [] (* total count only: what JIT refresh needs (Sec. 8.1) *)
     end
   in
@@ -129,56 +258,31 @@ let of_tensor ?(cheap = false) tensor ~idxs:idx_list =
         not (Ir.Idx_set.equal x full_set && Ir.Idx_set.is_empty y))
       candidate_pairs
   in
-  let pos_of =
-    let tbl = Hashtbl.create 8 in
-    List.iteri (fun k i -> Hashtbl.replace tbl i k) idx_list;
-    fun i -> Hashtbl.find tbl i
+  let positions (s : Ir.Idx_set.t) : int array =
+    Array.of_list
+      (List.filter_map
+         (fun (k, i) -> if Ir.Idx_set.mem i s then Some k else None)
+         (List.mapi (fun k i -> (k, i)) idx_list))
   in
-  let proj (ps : int array) (coords : int array) : string =
-    let b = Buffer.create 16 in
-    Array.iter
-      (fun p ->
-        Buffer.add_string b (string_of_int coords.(p));
-        Buffer.add_char b ',')
-      ps;
-    Buffer.contents b
+  (* One pass gathers the non-fill coordinates, one column per dimension. *)
+  let cols = Array.map (fun _ -> Array.make n_entries 0) dims_arr in
+  let e = ref 0 in
+  if pairs <> [] then
+    Galley_tensor.Tensor.iter_nonfill tensor (fun coords _ ->
+        Array.iteri (fun k c -> cols.(k).(!e) <- c) coords;
+        incr e);
+  let keys = Array.make n_entries 0 and ykeys = Array.make n_entries 0 in
+  let degree (x, y) =
+    if n_entries = 0 then 0
+    else
+      max_degree cols dims_arr ~xpos:(positions x) ~ypos:(positions y) ~keys
+        ~ykeys
   in
-  (* One streaming pass over the tensor updates every split's group table. *)
-  let set_positions (s : Ir.Idx_set.t) : int array =
-    Array.of_list (List.map pos_of (Ir.Idx_set.elements s))
-  in
-  let tables =
-    List.map
-      (fun (x, y) ->
-        let groups : (string, (string, unit) Hashtbl.t) Hashtbl.t =
-          Hashtbl.create 64
-        in
-        (x, y, set_positions x, set_positions y, groups))
-      pairs
-  in
-  Galley_tensor.Tensor.iter_nonfill tensor (fun coords _ ->
-      List.iter
-        (fun (_, _, xp, yp, groups) ->
-          let yk = proj yp coords in
-          let xs =
-            match Hashtbl.find_opt groups yk with
-            | Some xs -> xs
-            | None ->
-                let xs = Hashtbl.create 8 in
-                Hashtbl.add groups yk xs;
-                xs
-          in
-          Hashtbl.replace xs (proj xp coords) ())
-        tables);
   let cons =
     { x = full_set; y = Ir.Idx_set.empty; bound = float_of_int n_entries }
     :: List.map
-         (fun (x, y, _, _, groups) ->
-           let bound =
-             Hashtbl.fold (fun _ xs acc -> max acc (Hashtbl.length xs)) groups 0
-           in
-           { x; y; bound = float_of_int bound })
-         tables
+         (fun (x, y) -> { x; y; bound = float_of_int (degree (x, y)) })
+         pairs
   in
   let cons =
     if Ir.Idx_set.is_empty full_set then [] else cons

@@ -1,7 +1,9 @@
 (* Tests for the sparsity-estimation framework: the uniform estimator's
-   closed-form cases, the chain bound's soundness as an upper bound
-   (property-checked against true non-fill counts), aggregation projections,
-   renaming, and the estimation context. *)
+   closed-form cases, exact degree statistics (property-checked against
+   brute-force distinct counts), the chain bound's soundness as an upper
+   bound (property-checked against true non-fill counts, and audited on the
+   Fig. 6 programs' intermediates), aggregation projections, renaming, and
+   the estimation context. *)
 
 module T = Galley_tensor.Tensor
 module Prng = Galley_tensor.Prng
@@ -11,6 +13,9 @@ module Schema = Galley_plan.Schema
 module Uniform = Galley_stats.Uniform
 module Chain = Galley_stats.Chain
 module Ctx = Galley_stats.Ctx
+module W = Galley_workloads
+module D = Galley.Driver
+module Audit = Galley_obs.Audit
 
 let check_float = Alcotest.(check (float 1e-6))
 let check_bool = Alcotest.(check bool)
@@ -183,6 +188,219 @@ let prop_chain_union_upper_bound =
       Chain.estimate sum +. 1e-9 >= float_of_int !true_union)
 
 (* -------------------------------------------------------------- *)
+(* Degree statistics: exact counts.                                 *)
+(* -------------------------------------------------------------- *)
+
+(* D(X|Y) by brute force over the non-fill entries: the most distinct
+   X-projections among the entries that share one Y-projection. *)
+let brute_degree (coo : (int array * float) array) (idxs : Ir.idx list) ~x ~y
+    : int =
+  let proj s (c : int array) =
+    List.filteri (fun k _ -> Ir.Idx_set.mem (List.nth idxs k) s) (Array.to_list c)
+  in
+  let groups = Hashtbl.create 16 in
+  Array.iter
+    (fun (c, _) ->
+      let yk = proj y c in
+      let xs =
+        match Hashtbl.find_opt groups yk with
+        | Some xs -> xs
+        | None ->
+            let xs = Hashtbl.create 4 in
+            Hashtbl.add groups yk xs;
+            xs
+      in
+      Hashtbl.replace xs (proj x c) ())
+    coo;
+  Hashtbl.fold (fun _ xs acc -> max acc (Hashtbl.length xs)) groups 0
+
+(* Every constraint [Chain.of_tensor] returns, under both budgets, is the
+   exact distinct count. *)
+let degrees_exact (t : T.t) : bool =
+  let idxs = List.init (T.ndims t) (Printf.sprintf "i%d") in
+  let coo = T.to_coo t in
+  List.for_all
+    (fun cheap ->
+      let c = Chain.of_tensor ~cheap t ~idxs in
+      List.for_all
+        (fun (d : Chain.degree) ->
+          d.Chain.bound
+          = float_of_int (brute_degree coo idxs ~x:d.Chain.x ~y:d.Chain.y))
+        c.Chain.cons)
+    [ false; true ]
+
+(* Entries drawn per coordinate from [coord], about a quarter of them
+   explicitly stored with the fill value (kept by [~prune:false]) so the
+   statistics must skip them. *)
+let stats_tensor ~prng ~dims ~formats ~fill ~n ~coord =
+  let entries =
+    Array.init n (fun _ ->
+        ( Array.map (fun m -> coord m) dims,
+          if Prng.int prng 4 = 0 then fill else Prng.float_range prng 1.0 2.0 ))
+  in
+  T.of_coo ~fill ~prune:false ~combine:(fun _ v -> v) ~dims ~formats entries
+
+let all_formats = [| T.Dense; T.Sparse_list; T.Bytemap; T.Hash |]
+
+(* Arity 1–7 crosses [Chain.max_full_enum] into the restricted split
+   enumeration; dense levels over many dims push the larger tensors down
+   the budget's rungs. *)
+let prop_degrees_exact =
+  QCheck.Test.make ~name:"degree statistics are exact distinct counts"
+    ~count:150 (QCheck.int_range 0 100_000) (fun seed ->
+      let prng = Prng.create seed in
+      let arity = 1 + Prng.int prng 7 in
+      let dims = Array.init arity (fun _ -> 1 + Prng.int prng 4) in
+      let formats = Array.init arity (fun _ -> all_formats.(Prng.int prng 4)) in
+      let fill = [| 0.0; 0.5; infinity |].(Prng.int prng 3) in
+      degrees_exact
+        (stats_tensor ~prng ~dims ~formats ~fill ~n:(Prng.int prng 40)
+           ~coord:(Prng.int prng)))
+
+let test_degrees_exact_edge_cases () =
+  let prng = Prng.create 17 in
+  check_bool "empty tensor" true
+    (degrees_exact
+       (T.of_coo ~dims:[| 3; 4; 5 |]
+          ~formats:[| T.Dense; T.Sparse_list; T.Hash |]
+          [||]));
+  (* Coordinates from three spread values, so groups hold several
+     entries.  5 × 8192: the dims product passes 2^62, so packing a Y and
+     an X side together goes through dense ranks. *)
+  let spread m = [| 0; m / 2; m - 1 |].(Prng.int prng 3) in
+  check_bool "dims product beyond 2^62" true
+    (degrees_exact
+       (stats_tensor ~prng ~dims:(Array.make 5 8192)
+          ~formats:[| T.Sparse_list; T.Hash; T.Sparse_list; T.Hash; T.Sparse_list |]
+          ~fill:0.0 ~n:60 ~coord:spread));
+  (* 3 × 2^61: even ranked partial keys times one such dim overflow, so a
+     dimension's own coordinates are ranked too. *)
+  check_bool "dims near max_int" true
+    (degrees_exact
+       (stats_tensor ~prng ~dims:(Array.make 3 (1 lsl 61))
+          ~formats:[| T.Sparse_list; T.Hash; T.Sparse_list |]
+          ~fill:0.5 ~n:40 ~coord:spread))
+
+(* The star-join scale of the ml_joins benchmark at [n] lineitems. *)
+let star_scale n =
+  {
+    W.Tpch.n_lineitems = n;
+    n_suppliers = max 5 (n / 25);
+    n_parts = max 6 (n / 10);
+    n_orders = max 7 (n * 3 / 20);
+    n_customers = max 5 (n * 3 / 100);
+  }
+
+(* The register_input budget's nested rung: past the restricted rung, the
+   star join's lineitem tensor keeps D(s,p,o,c|i) = 1, the functional
+   dependency that makes the join cheap; smaller scales keep their richer
+   rungs. *)
+let test_budget_keeps_key_dependency () =
+  let spoc = Ir.Idx_set.of_list [ "s"; "p"; "o"; "c" ] in
+  List.iter
+    (fun (n, want) ->
+      let star = W.Tpch.star_instance ~scale:(star_scale n) ~seed:9 () in
+      let l = List.assoc "L" star.W.Tpch.inputs in
+      let c = Chain.of_tensor l ~idxs:[ "i"; "s"; "p"; "o"; "c" ] in
+      Alcotest.(check int)
+        (Printf.sprintf "%d lineitems: constraints" n)
+        want (List.length c.Chain.cons);
+      check_bool
+        (Printf.sprintf "%d lineitems: D(s,p,o,c|i) = 1" n)
+        true
+        (List.exists
+           (fun (d : Chain.degree) ->
+             Ir.Idx_set.equal d.Chain.x spoc
+             && Ir.Idx_set.equal d.Chain.y (Ir.Idx_set.singleton "i")
+             && d.Chain.bound = 1.0)
+           c.Chain.cons))
+    [ (1000, 211); (2000, 71); (4000, 71); (10_000, 11) ]
+
+(* -------------------------------------------------------------- *)
+(* Chain bound on the Fig. 6 programs' real intermediates.          *)
+(* -------------------------------------------------------------- *)
+
+(* The six Fig. 6 programs at the ml_joins benchmark's default scales and
+   seed 1 (star join at 1 000 lineitems, covariance at 150, self join at
+   400), each audited: every chain prediction, made from input statistics
+   alone, must bound the query's actual output nnz (paper Sec. 7.3.2). *)
+let test_chain_bounds_fig6_intermediates () =
+  let self_join_scale n =
+    {
+      W.Tpch.n_lineitems = n;
+      n_suppliers = max 5 (n / 20);
+      n_parts = max 6 (n / 5);
+      n_orders = 1;
+      n_customers = 1;
+    }
+  in
+  let seed = 1 in
+  let params ~d k = W.Ml.parameter_inputs ~seed:((seed * 8) + k) ~d ~hidden:16 in
+  let star_inputs sc k =
+    let st = W.Tpch.star_instance ~scale:sc ~seed:((seed * 8) + k) () in
+    st.W.Tpch.inputs @ params ~d:st.W.Tpch.d (k + 3)
+  in
+  let star = star_inputs (star_scale 1000) 1 in
+  let cov = star_inputs (star_scale 150) 2 in
+  let sj =
+    let st =
+      W.Tpch.self_join_instance ~scale:(self_join_scale 400)
+        ~seed:((seed * 8) + 3) ()
+    in
+    st.W.Tpch.sj_inputs @ params ~d:st.W.Tpch.sj_d 6
+  in
+  let x_star j =
+    Printf.sprintf
+      "sum[s,p,o,c]((L[i,s,p,o,c] * (S[s,%s] + P[p,%s] + O[o,%s] + C[c,%s])))"
+      j j j j
+  in
+  let x_sj = "sum[s1,s2,p]((L3[i1,s1,p] * L3[i2,s2,p] * (S[s1,j] + S[s2,j] + P[p,j])))" in
+  let programs =
+    [
+      ("linreg_star", star, "Y[i] = sum[j]((" ^ x_star "j" ^ " * theta[j]))");
+      ( "logreg_star",
+        star,
+        "Prob[i] = sigmoid(sum[j]((" ^ x_star "j" ^ " * theta[j])))" );
+      ( "nn_star",
+        star,
+        "H[i,k] = relu(sum[j]((" ^ x_star "j" ^ " * W1[j,k])))\n"
+        ^ "Out[i] = sigmoid(sum[k]((H[i,k] * w2[k])))" );
+      ( "covariance_star",
+        cov,
+        "Cov[j,k] = sum[i]((" ^ x_star "j" ^ " * " ^ x_star "k" ^ "))" );
+      ("linreg_self_join", sj, "Y[i1,i2] = sum[j]((" ^ x_sj ^ " * theta[j]))");
+      ( "logreg_self_join",
+        sj,
+        "Prob[i1,i2] = sigmoid(sum[j]((" ^ x_sj ^ " * theta[j])))" );
+    ]
+  in
+  let config = { D.default_config with D.audit = true; domains = 1 } in
+  let checked = ref 0 in
+  List.iter
+    (fun (name, inputs, src) ->
+      match D.run_source_checked ~config ~inputs src with
+      | Error e -> Alcotest.failf "%s: %s" name (Galley.Errors.to_string e)
+      | Ok r -> (
+          match r.D.audit with
+          | None -> Alcotest.failf "%s: no audit" name
+          | Some a ->
+              List.iter
+                (fun (row : Audit.row) ->
+                  if row.Audit.r_estimator = "chain" then
+                    match row.Audit.r_actual with
+                    | None -> Alcotest.failf "%s/%s: no actual" name row.Audit.r_query
+                    | Some actual ->
+                        incr checked;
+                        check_bool
+                          (Printf.sprintf "%s/%s: chain %g >= actual %g" name
+                             row.Audit.r_query row.Audit.r_predicted actual)
+                          true
+                          (row.Audit.r_predicted >= actual))
+                (Audit.rows a)))
+    programs;
+  check_bool "chain rows audited" true (!checked > 0)
+
+(* -------------------------------------------------------------- *)
 (* Estimation context.                                              *)
 (* -------------------------------------------------------------- *)
 
@@ -296,6 +514,12 @@ let () =
           Alcotest.test_case "degree bound" `Quick test_chain_degree_bound_matrix;
           Alcotest.test_case "triangle bound" `Quick test_chain_triangle_bound;
           Alcotest.test_case "aggregate" `Quick test_chain_aggregate_drops_conditioned;
+          Alcotest.test_case "exact degrees: edge cases" `Quick
+            test_degrees_exact_edge_cases;
+          Alcotest.test_case "budget keeps key dependency" `Quick
+            test_budget_keeps_key_dependency;
+          Alcotest.test_case "bounds fig6 intermediates" `Quick
+            test_chain_bounds_fig6_intermediates;
         ] );
       ( "context",
         [
@@ -309,5 +533,9 @@ let () =
       ("cost", [ Alcotest.test_case "weights" `Quick test_cost_model ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_chain_upper_bound; prop_chain_union_upper_bound ] );
+          [
+            prop_chain_upper_bound;
+            prop_chain_union_upper_bound;
+            prop_degrees_exact;
+          ] );
     ]
