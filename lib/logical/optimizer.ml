@@ -179,10 +179,22 @@ let branch_and_bound ?(budget : Tier.budget option) (cfg : config)
     let improvements = ref 0 in
     let bound = ref greedy_result.cost in
     let dims = Schema.index_dims ctx.Galley_stats.Ctx.schema expr in
-    let key (eliminated : Ir.Idx_set.t) : string =
-      String.concat "," (Ir.Idx_set.elements eliminated)
+    (* A DP state is the set of eliminated indices, as a mask whose bit b
+       stands for [names.(b)] (ascending). *)
+    let names = Array.of_list (List.sort_uniq String.compare all_indices) in
+    let bit_of (v : Ir.idx) : int =
+      let rec go b = if String.equal names.(b) v then 1 lsl b else go (b + 1) in
+      go 0
     in
-    let table : (string, dp_entry) Hashtbl.t = Hashtbl.create 64 in
+    let full = (1 lsl Array.length names) - 1 in
+    (* The comma-joined names of a state.  A level's states are expanded in
+       the order a [Hashtbl] keyed by these strings lists them: that order
+       decides the fresh intermediate names and the tie-breaks, which
+       test/fixtures/logical_plans.txt pins. *)
+    let order_key (m : int) : string =
+      String.concat ","
+        (List.filteri (fun b _ -> m land (1 lsl b) <> 0) (Array.to_list names))
+    in
     let init =
       {
         dp_expr = expr;
@@ -191,12 +203,12 @@ let branch_and_bound ?(budget : Tier.budget option) (cfg : config)
         dp_ctx = ctx.Galley_stats.Ctx.clone ();
       }
     in
-    Hashtbl.replace table (key Ir.Idx_set.empty) init;
     let best_final : dp_entry option ref = ref None in
     (* Expand level by level: states at level L have eliminated L indices. *)
-    let current = ref [ (Ir.Idx_set.empty, init) ] in
+    let current = ref [ (0, init) ] in
     for _level = 1 to k do
-      let next = Hashtbl.create 32 in
+      let next : (int, dp_entry) Hashtbl.t = Hashtbl.create 32 in
+      let order : (string, int) Hashtbl.t = Hashtbl.create 32 in
       List.iter
         (fun (eliminated, entry) ->
           if entry.dp_cost > !bound then incr pruned_bound
@@ -219,12 +231,14 @@ let branch_and_bound ?(budget : Tier.budget option) (cfg : config)
                 let cost = entry.dp_cost +. step_cost in
                 if cost > !bound then incr pruned_bound
                 else begin
-                  let eliminated' = Ir.Idx_set.add v eliminated in
-                  let k' = key eliminated' in
+                  let eliminated' = eliminated lor bit_of v in
                   let better =
-                    match Hashtbl.find_opt next k' with
+                    match Hashtbl.find_opt next eliminated' with
                     | Some old -> cost < old.dp_cost
-                    | None -> true
+                    | None ->
+                        Hashtbl.replace order (order_key eliminated')
+                          eliminated';
+                        true
                   in
                   if not better then incr pruned_dominated;
                   if better then begin
@@ -238,8 +252,8 @@ let branch_and_bound ?(budget : Tier.budget option) (cfg : config)
                         dp_ctx = trial_ctx;
                       }
                     in
-                    Hashtbl.replace next k' entry';
-                    if Ir.Idx_set.cardinal eliminated' = k then begin
+                    Hashtbl.replace next eliminated' entry';
+                    if eliminated' = full then begin
                       best_final := Some entry';
                       bound := cost;
                       incr improvements
@@ -250,12 +264,8 @@ let branch_and_bound ?(budget : Tier.budget option) (cfg : config)
         !current;
       current :=
         Hashtbl.fold
-          (fun ks e acc ->
-            ( Ir.Idx_set.of_list
-                (if ks = "" then [] else String.split_on_char ',' ks),
-              e )
-            :: acc)
-          next []
+          (fun _ m acc -> (m, Hashtbl.find next m) :: acc)
+          order []
     done;
     if pv then begin
       Provenance.prune ~phase:"logical" ~query:name ~tier:"exact"

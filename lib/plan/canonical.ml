@@ -163,48 +163,97 @@ let canonicalize (schema : Schema.t) (e : Ir.expr) : Ir.expr =
    occurrence order of a canonical traversal, and the children of
    commutative operators are sorted by their canonical strings.  Two
    expressions with equal keys denote the same tensor (given equal input
-   bindings), up to index naming. *)
+   bindings), up to index naming.
+
+   A commutative node orders its children by their *standalone* keys (each
+   numbered from $0), so the order does not depend on the numbering around
+   the node.  [sorted] fixes every node's order once, bottom-up; one
+   traversal then writes the key into a single buffer. *)
+type sorted =
+  | S_leaf of Ir.expr (* Input, Alias or Literal *)
+  | S_map of Op.t * sorted list
+  | S_agg of Op.t * Ir.idx list * sorted
+
 let canonical_key ?(resolve_alias = fun (n : string) -> n) (e : Ir.expr) :
     string =
-  let rec key (env : (Ir.idx, int) Hashtbl.t) (next : int ref) (e : Ir.expr) :
-      string =
-    let idx_key i =
-      match Hashtbl.find_opt env i with
-      | Some k -> Printf.sprintf "$%d" k
-      | None ->
-          let k = !next in
-          incr next;
-          Hashtbl.add env i k;
-          Printf.sprintf "$%d" k
+  let write (buf : Buffer.t) (s : sorted) : unit =
+    (* Indices numbered so far, most recent first: number k is the
+       (k+1)-th distinct index met. *)
+    let seen = ref [] and next = ref 0 in
+    let idx i =
+      let rec find k = function
+        | [] ->
+            let k = !next in
+            seen := i :: !seen;
+            incr next;
+            k
+        | j :: rest -> if String.equal i j then k else find (k - 1) rest
+      in
+      let k = find (!next - 1) !seen in
+      Buffer.add_char buf '$';
+      Buffer.add_string buf (string_of_int k)
     in
-    match e with
-    | Ir.Input (n, idxs) ->
-        Printf.sprintf "I:%s[%s]" n (String.concat "," (List.map idx_key idxs))
-    | Ir.Alias (n, idxs) ->
-        Printf.sprintf "A:{%s}[%s]" (resolve_alias n)
-          (String.concat "," (List.map idx_key idxs))
-    | Ir.Literal v -> Printf.sprintf "L:%h" v
-    | Ir.Map (op, args) ->
-        let keys =
-          if Op.is_commutative op then
-            (* Sort by a naming-independent preliminary key so the final
-               index numbering does not depend on the original order. *)
-            let pre =
-              List.map
-                (fun a ->
-                  let k = key (Hashtbl.create 8) (ref 0) a in
-                  (k, a))
-                args
-            in
-            let sorted = List.sort (fun (k1, _) (k2, _) -> compare k1 k2) pre in
-            List.map (fun (_, a) -> key env next a) sorted
-          else List.map (key env next) args
-        in
-        Printf.sprintf "M:%s(%s)" (Op.to_string op) (String.concat ";" keys)
-    | Ir.Agg (op, idxs, body) ->
-        let bound = List.map idx_key idxs in
-        Printf.sprintf "G:%s[%s](%s)" (Op.to_string op)
-          (String.concat "," bound)
-          (key env next body)
+    let idx_list idxs =
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun j i ->
+          if j > 0 then Buffer.add_char buf ',';
+          idx i)
+        idxs;
+      Buffer.add_char buf ']'
+    in
+    let rec go = function
+      | S_leaf (Ir.Input (n, idxs)) ->
+          Buffer.add_string buf "I:";
+          Buffer.add_string buf n;
+          idx_list idxs
+      | S_leaf (Ir.Alias (n, idxs)) ->
+          Buffer.add_string buf "A:{";
+          Buffer.add_string buf (resolve_alias n);
+          Buffer.add_char buf '}';
+          idx_list idxs
+      | S_leaf (Ir.Literal v) -> Printf.bprintf buf "L:%h" v
+      | S_leaf (Ir.Map _ | Ir.Agg _) -> assert false
+      | S_map (op, args) ->
+          Buffer.add_string buf "M:";
+          Buffer.add_string buf (Op.to_string op);
+          Buffer.add_char buf '(';
+          List.iteri
+            (fun j a ->
+              if j > 0 then Buffer.add_char buf ';';
+              go a)
+            args;
+          Buffer.add_char buf ')'
+      | S_agg (op, idxs, body) ->
+          Buffer.add_string buf "G:";
+          Buffer.add_string buf (Op.to_string op);
+          idx_list idxs;
+          Buffer.add_char buf '(';
+          go body;
+          Buffer.add_char buf ')'
+    in
+    go s
   in
-  key (Hashtbl.create 16) (ref 0) e
+  let standalone s =
+    let buf = Buffer.create 64 in
+    write buf s;
+    Buffer.contents buf
+  in
+  let rec sorted (e : Ir.expr) : sorted =
+    match e with
+    | Ir.Input _ | Ir.Alias _ | Ir.Literal _ -> S_leaf e
+    | Ir.Map (op, args) ->
+        let args = List.map sorted args in
+        if Op.is_commutative op then
+          S_map
+            ( op,
+              List.map snd
+                (List.stable_sort
+                   (fun (k1, _) (k2, _) -> String.compare k1 k2)
+                   (List.map (fun a -> (standalone a, a)) args)) )
+        else S_map (op, args)
+    | Ir.Agg (op, idxs, body) -> S_agg (op, idxs, sorted body)
+  in
+  let buf = Buffer.create 256 in
+  write buf (sorted e);
+  Buffer.contents buf

@@ -8,7 +8,10 @@
    serialization seam in the tree.  Output entry values print with
    [%.17g] so they round-trip bit-identically through the socket: the
    soak test compares served results against batch [Driver.run] outputs
-   for float equality, not approximate equality.
+   for float equality, not approximate equality.  JSON has no number
+   for inf or NaN, so non-finite values travel as the strings "inf",
+   "-inf" and "nan" (a NaN other than [Float.nan] as "nan:0x<64-bit
+   pattern>"); entry values and fills accept them.
 
    Requests:
      {"op":"query","src":"<program>","id"?,"budget_ms"?,"values"?,
@@ -77,36 +80,56 @@ let req_member key json conv =
 
 let ( let* ) = Result.bind
 
+(* A float value on the wire: a JSON number, or one of the strings that
+   [buf_float] writes for non-finite values. *)
+let float_of_json (v : Json.t) : float option =
+  match v with
+  | Json.Num f -> Some f
+  | Json.Str "inf" -> Some infinity
+  | Json.Str "-inf" -> Some neg_infinity
+  | Json.Str "nan" -> Some Float.nan
+  | Json.Str s when String.starts_with ~prefix:"nan:0x" s -> (
+      match Int64.of_string_opt (String.sub s 4 (String.length s - 4)) with
+      | Some bits when Float.is_nan (Int64.float_of_bits bits) ->
+          Some (Int64.float_of_bits bits)
+      | _ -> None)
+  | _ -> None
+
+(* Rows [coord, ..., coord, value], in one pass over each row. *)
 let decode_entries ~ndims (v : Json.t) :
     ((int array * float) array, string) result =
   match Json.to_list v with
   | None -> Error "field \"entries\" must be an array"
   | Some rows ->
-      let n = List.length rows in
-      let out = Array.make n ([||], 0.0) in
+      let out = Array.make (List.length rows) ([||], 0.0) in
       let rec go i = function
         | [] -> Ok out
         | row :: rest -> (
-            match Json.to_list row with
-            | Some cells when List.length cells = ndims + 1 ->
-                let nums = List.map Json.to_float cells in
-                if List.exists Option.is_none nums then
+            let coords = Array.make ndims 0 in
+            let rec cells k = function
+              | [ v ] when k = ndims -> (
+                  match float_of_json v with
+                  | Some v -> Ok v
+                  | None -> Error (Printf.sprintf "entry %d: non-numeric cell" i))
+              | Json.Num c :: more when k < ndims ->
+                  coords.(k) <- int_of_float c;
+                  cells (k + 1) more
+              | (Json.Null | Json.Bool _ | Json.Str _) :: _ when k < ndims ->
+                  Error (Printf.sprintf "entry %d: non-numeric cell" i)
+              | _ ->
                   Error
-                    (Printf.sprintf "entry %d: non-numeric cell" i)
-                else begin
-                  let nums = List.filter_map Fun.id nums in
-                  let coords =
-                    Array.of_list
-                      (List.map int_of_float
-                         (List.filteri (fun k _ -> k < ndims) nums))
-                  in
-                  out.(i) <- (coords, List.nth nums ndims);
-                  go (i + 1) rest
-                end
-            | _ ->
+                    (Printf.sprintf "entry %d: expected [coord × %d, value]" i
+                       ndims)
+            in
+            match Option.map (cells 0) (Json.to_list row) with
+            | Some (Ok v) ->
+                out.(i) <- (coords, v);
+                go (i + 1) rest
+            | Some (Error e) -> Error e
+            | None ->
                 Error
-                  (Printf.sprintf
-                     "entry %d: expected [coord × %d, value]" i ndims))
+                  (Printf.sprintf "entry %d: expected [coord × %d, value]" i
+                     ndims))
       in
       go 0 rows
 
@@ -134,7 +157,7 @@ let decode_bind json =
           in
           let* fill =
             Result.map (Option.value ~default:0.0)
-              (opt_member "fill" json Json.to_float)
+              (opt_member "fill" json float_of_json)
           in
           let* entries =
             match Json.member "entries" json with
@@ -227,11 +250,17 @@ let buf_str b s =
   Buffer.add_string b (Metrics.json_escape s);
   Buffer.add_char b '"'
 
-(* %.17g round-trips every finite float; JSON has no literal for the
-   rest, so non-finite values degrade to null. *)
+(* %.17g round-trips every finite float; the rest are strings that
+   [float_of_json] reads back bit for bit. *)
 let buf_float b f =
   if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.17g" f)
-  else Buffer.add_string b "null"
+  else if f = infinity then Buffer.add_string b "\"inf\""
+  else if f = neg_infinity then Buffer.add_string b "\"-inf\""
+  else
+    let bits = Int64.bits_of_float f in
+    if Int64.equal bits (Int64.bits_of_float Float.nan) then
+      Buffer.add_string b "\"nan\""
+    else Buffer.add_string b (Printf.sprintf "\"nan:0x%016Lx\"" bits)
 
 let add_id b id =
   match id with
@@ -352,7 +381,8 @@ let result_json ?(id = None) ~want_values ~max_entries ?qos_tier ?fixpoints
           if j > 0 then Buffer.add_char b ',';
           Buffer.add_string b (string_of_int d))
         (T.dims t);
-      Buffer.add_string b (Printf.sprintf "],\"nnz\":%d" (T.nnz t));
+      Buffer.add_string b (Printf.sprintf "],\"nnz\":%d,\"fill\":" (T.nnz t));
+      buf_float b (T.fill t);
       if want_values then begin
         let coo = T.to_coo t in
         let total = Array.length coo in
@@ -510,7 +540,7 @@ let encode_bind_entries ?id ~name ~dims ?(fill = 0.0)
       Buffer.add_string b (string_of_int d))
     dims;
   Buffer.add_char b ']';
-  if fill <> 0.0 then begin
+  if Int64.bits_of_float fill <> 0L then begin
     Buffer.add_string b ",\"fill\":";
     buf_float b fill
   end;

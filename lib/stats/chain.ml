@@ -4,91 +4,143 @@
    non-fill X-coordinates conditioned on any fixed Y-coordinate.  Estimates
    are *upper bounds* computed as the cheapest product of degree weights
    along a path from the empty index set to the full index set
-   (breadth-first search over the cardinality-estimation graph, after
-   Chen et al. [13]). *)
+   (shortest path over the cardinality-estimation graph, after Chen et
+   al. [13]).
+
+   Representation.  A statistic names its index variables once, in an
+   array sorted ascending; an index set is an [int] mask whose bit k
+   stands for [names.(k)], and each constraint is a pair of masks and a
+   bound in parallel arrays.  Subset tests, unions, projections and
+   renamings are then integer operations.  Bits ascend with the names, so
+   a product of sizes over a mask ([space]) multiplies in ascending name
+   order, as a fold over the equivalent [Ir.Idx_set] does. *)
 
 open Galley_plan
 
 type degree = { x : Ir.Idx_set.t; y : Ir.Idx_set.t; bound : float }
 
 type t = {
-  idxs : Ir.Idx_set.t;
-  dims : int Ir.Idx_map.t;
-  cons : degree list;
+  names : Ir.idx array; (* strictly ascending; bit k of a mask is names.(k) *)
+  dims : float array; (* dims.(k) is the size of names.(k) *)
+  xs : int array; (* constraint j: D(xs.(j) | ys.(j)) <= bounds.(j) *)
+  ys : int array;
+  bounds : float array;
   empty : bool; (* true when the deviation set is known to be empty *)
 }
 
 let name = "chain"
 
-let idxs t = t.idxs
+(* Masks are OCaml ints, one bit per index variable. *)
+let max_idxs = Sys.int_size - 1
+
+let check_width (names : Ir.idx array) : unit =
+  if Array.length names > max_idxs then
+    invalid_arg
+      (Printf.sprintf "Chain: %d index variables, at most %d supported"
+         (Array.length names) max_idxs)
+
+let idxs t = Ir.Idx_set.of_seq (Array.to_seq t.names)
+
+let set_of_mask (names : Ir.idx array) (m : int) : Ir.Idx_set.t =
+  let s = ref Ir.Idx_set.empty in
+  Array.iteri (fun k i -> if m land (1 lsl k) <> 0 then s := Ir.Idx_set.add i !s) names;
+  !s
+
+let degrees (t : t) : degree list =
+  List.init (Array.length t.xs) (fun j ->
+      {
+        x = set_of_mask t.names t.xs.(j);
+        y = set_of_mask t.names t.ys.(j);
+        bound = t.bounds.(j);
+      })
+
+(* Position of [i] in [names]. *)
+let index_of (names : Ir.idx array) (i : Ir.idx) : int option =
+  let rec go k =
+    if k >= Array.length names then None
+    else if String.equal names.(k) i then Some k
+    else go (k + 1)
+  in
+  go 0
+
+let sorted_names (l : Ir.idx list) : Ir.idx array =
+  let names = Array.of_list (List.sort_uniq String.compare l) in
+  check_width names;
+  names
+
+(* Where each of [from]'s names sits in [into] (a superset). *)
+let positions_in ~(into : Ir.idx array) (from : Ir.idx array) : int array =
+  Array.map (fun i -> Option.get (index_of into i)) from
+
+(* [m] with bit k moved to bit [perm.(k)]. *)
+let remap (perm : int array) (m : int) : int =
+  let r = ref 0 and m = ref m and k = ref 0 in
+  while !m <> 0 do
+    if !m land 1 = 1 then r := !r lor (1 lsl perm.(!k));
+    m := !m lsr 1;
+    incr k
+  done;
+  !r
+
+(* Product of the sizes of [m]'s indices, lowest bit first. *)
+let space (dims : float array) (m : int) : float =
+  let acc = ref 1.0 and m = ref m and k = ref 0 in
+  while !m <> 0 do
+    if !m land 1 = 1 then acc := !acc *. dims.(!k);
+    m := !m lsr 1;
+    incr k
+  done;
+  !acc
 
 (* Beyond this many index variables we stop enumerating all (X,Y) splits
    and fall back to singleton-X constraints. *)
 let max_full_enum = 6
 
-let dim_of t i =
-  match Ir.Idx_map.find_opt i t.dims with
-  | Some n -> float_of_int n
-  | None -> invalid_arg ("Chain: unknown dim for index " ^ i)
+let bits (d : int) : int list = List.init d (fun k -> 1 lsl k)
 
-let space_of (t : t) (s : Ir.Idx_set.t) : float =
-  Ir.Idx_set.fold (fun i acc -> acc *. dim_of t i) s 1.0
-
-(* Restricted split enumeration: X a singleton or everything-but-Y, with
-   |Y| <= 2.  Used past [max_full_enum] indices and for large tensors. *)
-let xy_pairs_restricted (idx_list : Ir.idx list) :
-    (Ir.Idx_set.t * Ir.Idx_set.t) list =
-  let full = Ir.Idx_set.of_list idx_list in
+(* Restricted split enumeration over [d] index bits: X a singleton or
+   everything-but-Y, with |Y| <= 2.  Used past [max_full_enum] indices and
+   for large tensors.  When everything-but-Y is a singleton it appears
+   twice, once per form. *)
+let xy_pairs_restricted (d : int) : (int * int) list =
+  let full = (1 lsl d) - 1 in
   let ys =
-    Ir.Idx_set.empty
+    0
     :: List.concat_map
          (fun i ->
-           Ir.Idx_set.singleton i
-           :: List.filter_map
-                (fun j ->
-                  if i < j then Some (Ir.Idx_set.of_list [ i; j ]) else None)
-                idx_list)
-         idx_list
+           i :: List.filter_map (fun j -> if i < j then Some (i lor j) else None) (bits d))
+         (bits d)
   in
   List.concat_map
     (fun y ->
-      let rest = Ir.Idx_set.diff full y in
+      let rest = full land lnot y in
       let singles =
-        List.filter_map
-          (fun i ->
-            if Ir.Idx_set.mem i rest then Some (Ir.Idx_set.singleton i, y)
-            else None)
-          idx_list
+        List.filter_map (fun i -> if rest land i <> 0 then Some (i, y) else None) (bits d)
       in
-      if Ir.Idx_set.is_empty rest then singles else (rest, y) :: singles)
+      if rest = 0 then singles else (rest, y) :: singles)
     ys
 
-(* All (X, Y) pairs of disjoint subsets of [idxs] with X non-empty.  When
-   there are more than [max_full_enum] indices, restrict to |X| = 1 or
+(* All (X, Y) pairs of disjoint subsets of [d] index bits with X non-empty.
+   When there are more than [max_full_enum] indices, restrict to |X| = 1 or
    X = everything-but-Y, with |Y| <= 2. *)
-let xy_pairs (idx_list : Ir.idx list) : (Ir.Idx_set.t * Ir.Idx_set.t) list =
-  let d = List.length idx_list in
+let xy_pairs (d : int) : (int * int) list =
   if d = 0 then []
   else if d <= max_full_enum then begin
-    (* Ternary enumeration: each index goes to X, Y, or neither. *)
-    let arr = Array.of_list idx_list in
+    let full = (1 lsl d) - 1 in
     let acc = ref [] in
-    let total = int_of_float (3.0 ** float_of_int d) in
-    for code = 0 to total - 1 do
-      let x = ref Ir.Idx_set.empty and y = ref Ir.Idx_set.empty in
-      let c = ref code in
-      for k = 0 to d - 1 do
-        (match !c mod 3 with
-        | 1 -> x := Ir.Idx_set.add arr.(k) !x
-        | 2 -> y := Ir.Idx_set.add arr.(k) !y
-        | _ -> ());
-        c := !c / 3
-      done;
-      if not (Ir.Idx_set.is_empty !x) then acc := (!x, !y) :: !acc
+    for x = 1 to full do
+      (* Every subset y of the bits outside x, from all of them down to 0. *)
+      let rest = full land lnot x in
+      let y = ref rest in
+      acc := (x, rest) :: !acc;
+      while !y <> 0 do
+        y := (!y - 1) land rest;
+        acc := (x, !y) :: !acc
+      done
     done;
     !acc
   end
-  else xy_pairs_restricted idx_list
+  else xy_pairs_restricted d
 
 (* Degree counting over packed integer keys.  Each entry's projected
    coordinates become one mixed-radix [int]; sorting the keys makes every
@@ -211,13 +263,15 @@ let of_tensor ?(cheap = false) tensor ~idxs:idx_list =
   let dims_arr = Galley_tensor.Tensor.dims tensor in
   if Array.length dims_arr <> List.length idx_list then
     invalid_arg "Chain.of_tensor: arity mismatch";
-  let dims =
-    List.fold_left
-      (fun acc (k, i) -> Ir.Idx_map.add i dims_arr.(k) acc)
-      Ir.Idx_map.empty
-      (List.mapi (fun k i -> (k, i)) idx_list)
-  in
-  let full_set = Ir.Idx_set.of_list idx_list in
+  let names = sorted_names idx_list in
+  if Array.length names <> List.length idx_list then
+    invalid_arg "Chain.of_tensor: repeated index";
+  (* Storage dimension k is index variable [names.(perm.(k))]. *)
+  let perm = positions_in ~into:names (Array.of_list idx_list) in
+  let bit = Array.map (fun u -> 1 lsl u) perm in
+  let dims = Array.make (Array.length names) 0.0 in
+  Array.iteri (fun k u -> dims.(u) <- float_of_int dims_arr.(k)) perm;
+  let full = (1 lsl Array.length names) - 1 in
   let n_entries = Galley_tensor.Tensor.nnz tensor in
   (* The total count D(I|emptyset) is exactly the non-fill count: free. The
      remaining splits cost one traversal of all *explicit* slots each (dense
@@ -228,41 +282,35 @@ let of_tensor ?(cheap = false) tensor ~idxs:idx_list =
      dependency survives at scales past the restricted rung. *)
   let work_budget = if cheap then 40_000 else 400_000 in
   let pass_cost = max n_entries (Galley_tensor.Tensor.explicit_count tensor) in
-  let n_idxs = List.length idx_list in
+  let n_idxs = Array.length bit in
   let candidate_pairs =
-    let full = xy_pairs idx_list in
-    let singletons =
-      List.map (fun i -> (Ir.Idx_set.singleton i, Ir.Idx_set.empty)) idx_list
-    in
-    if pass_cost * List.length full <= work_budget then full
+    let d = Array.length names in
+    let full_pairs = xy_pairs d in
+    let singletons = Array.to_list (Array.map (fun b -> (b, 0)) bit) in
+    if pass_cost * List.length full_pairs <= work_budget then full_pairs
     else begin
-      let restricted = xy_pairs_restricted idx_list in
+      let restricted = xy_pairs_restricted d in
       if pass_cost * List.length restricted <= work_budget then restricted
       else if (not cheap) && pass_cost * 2 * n_idxs <= work_budget then
         singletons
         @ List.filter_map
-            (fun i ->
-              let rest = Ir.Idx_set.remove i full_set in
-              if Ir.Idx_set.is_empty rest then None
-              else Some (rest, Ir.Idx_set.singleton i))
-            idx_list
+            (fun b ->
+              let rest = full land lnot b in
+              if rest = 0 then None else Some (rest, b))
+            (Array.to_list bit)
       else if pass_cost * n_idxs <= 2 * work_budget then
         (* Per-dimension distinct counts only. *)
         singletons
       else [] (* total count only: what JIT refresh needs (Sec. 8.1) *)
     end
   in
-  let pairs =
-    List.filter
-      (fun (x, y) ->
-        not (Ir.Idx_set.equal x full_set && Ir.Idx_set.is_empty y))
-      candidate_pairs
-  in
-  let positions (s : Ir.Idx_set.t) : int array =
+  let pairs = List.filter (fun (x, y) -> not (x = full && y = 0)) candidate_pairs in
+  (* Storage dimensions of a mask, in storage order. *)
+  let positions (m : int) : int array =
     Array.of_list
       (List.filter_map
-         (fun (k, i) -> if Ir.Idx_set.mem i s then Some k else None)
-         (List.mapi (fun k i -> (k, i)) idx_list))
+         (fun k -> if m land bit.(k) <> 0 then Some k else None)
+         (List.init n_idxs Fun.id))
   in
   (* One pass gathers the non-fill coordinates, one column per dimension. *)
   let cols = Array.map (fun _ -> Array.make n_entries 0) dims_arr in
@@ -279,201 +327,249 @@ let of_tensor ?(cheap = false) tensor ~idxs:idx_list =
         ~ykeys
   in
   let cons =
-    { x = full_set; y = Ir.Idx_set.empty; bound = float_of_int n_entries }
-    :: List.map
-         (fun (x, y) -> { x; y; bound = float_of_int (degree (x, y)) })
-         pairs
+    if full = 0 then []
+    else
+      (full, 0, float_of_int n_entries)
+      :: List.map (fun (x, y) -> (x, y, float_of_int (degree (x, y)))) pairs
   in
-  let cons =
-    if Ir.Idx_set.is_empty full_set then [] else cons
-  in
-  { idxs = full_set; dims; cons; empty = n_entries = 0 }
+  {
+    names;
+    dims;
+    xs = Array.of_list (List.map (fun (x, _, _) -> x) cons);
+    ys = Array.of_list (List.map (fun (_, y, _) -> y) cons);
+    bounds = Array.of_list (List.map (fun (_, _, b) -> b) cons);
+    empty = n_entries = 0;
+  }
 
 let of_literal _v =
-  { idxs = Ir.Idx_set.empty; dims = Ir.Idx_map.empty; cons = []; empty = true }
+  { names = [||]; dims = [||]; xs = [||]; ys = [||]; bounds = [||]; empty = true }
 
-let union_dims ~(dims : int Ir.Idx_map.t) (children : t list) :
-    Ir.Idx_set.t * int Ir.Idx_map.t =
-  let all =
-    List.fold_left (fun acc c -> Ir.Idx_set.union acc c.idxs) Ir.Idx_set.empty
-      children
+(* The union of [children]'s index variables, each child's bit positions
+   in it, and the union's sizes: from [dims] where it has the index, else
+   from the first child that does. *)
+let merge ~(dims : int Ir.Idx_map.t) (children : t list) :
+    Ir.idx array * int array list * float array =
+  let names =
+    sorted_names (List.concat_map (fun c -> Array.to_list c.names) children)
   in
+  let perms = List.map (fun c -> positions_in ~into:names c.names) children in
   let d =
-    Ir.Idx_set.fold
-      (fun i acc ->
-        let n =
-          match Ir.Idx_map.find_opt i dims with
-          | Some n -> n
-          | None -> (
-              let rec find = function
-                | [] -> invalid_arg ("Chain: unknown dim for " ^ i)
-                | c :: rest -> (
-                    match Ir.Idx_map.find_opt i c.dims with
-                    | Some n -> n
-                    | None -> find rest)
-              in
-              find children)
-        in
-        Ir.Idx_map.add i n acc)
-      all Ir.Idx_map.empty
+    Array.map
+      (fun i ->
+        match Ir.Idx_map.find_opt i dims with
+        | Some n -> float_of_int n
+        | None -> Float.nan)
+      names
   in
-  (all, d)
+  List.iter2
+    (fun c perm ->
+      Array.iteri (fun k u -> if Float.is_nan d.(u) then d.(u) <- c.dims.(k)) perm)
+    children perms;
+  Array.iteri
+    (fun u n -> if Float.is_nan n then invalid_arg ("Chain: unknown dim for " ^ names.(u)))
+    d;
+  (names, perms, d)
 
-(* Tightest bound on the number of distinct [x]-coordinates of [c]'s
-   deviation set, conditioned on [y], after cylindrically extending [c] to a
-   larger index space.  Any constraint (X'|Y') with X' ⊆ x and Y' ⊆ y gives
-   bound · Π_{k ∈ x∖X'} n_k; missing dims of the cylinder range freely. *)
-let bound_for (c : t) ~(dims : int Ir.Idx_map.t) ~(x : Ir.Idx_set.t)
-    ~(y : Ir.Idx_set.t) : float =
-  if c.empty then 0.0
-  else begin
-    let dim i =
-      match Ir.Idx_map.find_opt i dims with
-      | Some n -> float_of_int n
-      | None -> (
-          match Ir.Idx_map.find_opt i c.dims with
-          | Some n -> float_of_int n
-          | None -> invalid_arg ("Chain.bound_for: unknown dim " ^ i))
-    in
-    let full_cyl = Ir.Idx_set.fold (fun i acc -> acc *. dim i) x 1.0 in
-    List.fold_left
-      (fun best d ->
-        if Ir.Idx_set.subset d.x x && Ir.Idx_set.subset d.y y then begin
-          let extra = Ir.Idx_set.diff x d.x in
-          let b =
-            d.bound *. Ir.Idx_set.fold (fun i acc -> acc *. dim i) extra 1.0
-          in
-          Float.min best b
-        end
-        else best)
-      full_cyl c.cons
-  end
-
-(* Keep one constraint per (X, Y) pair — the tightest. *)
-let dedupe_cons (cons : degree list) : degree list =
-  let tbl = Hashtbl.create (2 * List.length cons) in
-  List.iter
-    (fun d ->
-      let key =
-        String.concat "," (Ir.Idx_set.elements d.x)
-        ^ "|"
-        ^ String.concat "," (Ir.Idx_set.elements d.y)
-      in
-      match Hashtbl.find_opt tbl key with
-      | Some prev when prev.bound <= d.bound -> ()
-      | _ -> Hashtbl.replace tbl key d)
-    cons;
-  Hashtbl.fold (fun _ d acc -> d :: acc) tbl []
+(* Keep one constraint per (X, Y) pair — the tightest; between equal bounds
+   the earlier constraint stays.  Open addressing over the pairs: [slot]
+   holds the index of the constraint kept for a pair, or -1. *)
+let dedupe (xs : int array) (ys : int array) (bounds : float array) :
+    int array * int array * float array =
+  let n = Array.length xs in
+  let size = ref 4 in
+  while !size < 2 * n do
+    size := 2 * !size
+  done;
+  let mask = !size - 1 in
+  let slot = Array.make !size (-1) in
+  for j = 0 to n - 1 do
+    let x = xs.(j) and y = ys.(j) in
+    let h = ref ((((x * 0x9E3779B1) lxor y) * 0x85EBCA6B) lsr 16 land mask) in
+    while slot.(!h) >= 0 && not (xs.(slot.(!h)) = x && ys.(slot.(!h)) = y) do
+      h := (!h + 1) land mask
+    done;
+    let p = slot.(!h) in
+    if p < 0 || not (bounds.(p) <= bounds.(j)) then slot.(!h) <- j
+  done;
+  let kept = Array.of_list (List.filter (fun j -> j >= 0) (Array.to_list slot)) in
+  (Array.map (fun j -> xs.(j)) kept, Array.map (fun j -> ys.(j)) kept,
+   Array.map (fun j -> bounds.(j)) kept)
 
 let map_annihilating ~dims children =
-  let all, d = union_dims ~dims children in
-  let cons = dedupe_cons (List.concat_map (fun c -> c.cons) children) in
-  { idxs = all; dims = d; cons; empty = List.exists (fun c -> c.empty) children }
+  let names, perms, d = merge ~dims children in
+  let xs = Array.concat (List.map2 (fun c p -> Array.map (remap p) c.xs) children perms) in
+  let ys = Array.concat (List.map2 (fun c p -> Array.map (remap p) c.ys) children perms) in
+  let bounds = Array.concat (List.map (fun c -> c.bounds) children) in
+  let xs, ys, bounds = dedupe xs ys bounds in
+  { names; dims = d; xs; ys; bounds; empty = List.exists (fun c -> c.empty) children }
+
+(* Tightest bound on the number of distinct [x]-coordinates of a child's
+   deviation set, conditioned on [y], after cylindrically extending it to
+   the merged index space (its masks [cx], [cy] already moved there).  Any
+   constraint (X'|Y') with X' ⊆ x and Y' ⊆ y gives bound · Π_{k ∈ x∖X'}
+   n_k; missing dims of the cylinder range freely. *)
+let bound_for ~(dims : float array) ~(cx : int array) ~(cy : int array)
+    ~(cb : float array) ~(x : int) ~(y : int) : float =
+  let best = ref (space dims x) in
+  for j = 0 to Array.length cx - 1 do
+    let xj = cx.(j) and yj = cy.(j) in
+    if xj land x = xj && yj land y = yj then
+      best := Float.min !best (cb.(j) *. space dims (x land lnot xj))
+  done;
+  !best
 
 let map_non_annihilating ~dims children =
-  let all, d = union_dims ~dims children in
-  let idx_list = Ir.Idx_set.elements all in
-  let cons =
-    List.map
-      (fun (x, y) ->
-        let bound =
-          List.fold_left
-            (fun acc c -> acc +. bound_for c ~dims:d ~x ~y)
-            0.0 children
-        in
-        { x; y; bound })
-      (xy_pairs idx_list)
+  let names, perms, d = merge ~dims children in
+  let kids =
+    List.map2
+      (fun c p -> (c.empty, Array.map (remap p) c.xs, Array.map (remap p) c.ys, c.bounds))
+      children perms
   in
-  { idxs = all; dims = d; cons; empty = List.for_all (fun c -> c.empty) children }
+  let pairs = Array.of_list (xy_pairs (Array.length names)) in
+  let bounds =
+    Array.map
+      (fun (x, y) ->
+        List.fold_left
+          (fun acc (empty, cx, cy, cb) ->
+            acc +. if empty then 0.0 else bound_for ~dims:d ~cx ~cy ~cb ~x ~y)
+          0.0 kids)
+      pairs
+  in
+  {
+    names;
+    dims = d;
+    xs = Array.map fst pairs;
+    ys = Array.map snd pairs;
+    bounds;
+    empty = List.for_all (fun c -> c.empty) children;
+  }
 
 let aggregate ~dims:_ (c : t) ~over =
-  let over_set = Ir.Idx_set.inter (Ir.Idx_set.of_list over) c.idxs in
-  if Ir.Idx_set.is_empty over_set then c
+  let over_mask =
+    List.fold_left
+      (fun m i -> match index_of c.names i with Some k -> m lor (1 lsl k) | None -> m)
+      0 over
+  in
+  if over_mask = 0 then c
   else begin
-    let keep = Ir.Idx_set.diff c.idxs over_set in
-    let cons =
-      List.filter_map
-        (fun d ->
-          (* Conditioning on an aggregated index is meaningless afterwards;
-             X may be projected (distinct counts only shrink). *)
-          if not (Ir.Idx_set.is_empty (Ir.Idx_set.inter d.y over_set)) then None
-          else
-            let x' = Ir.Idx_set.diff d.x over_set in
-            if Ir.Idx_set.is_empty x' then None
-            else Some { d with x = x' })
-        c.cons
-    in
-    let dims' = Ir.Idx_map.filter (fun i _ -> Ir.Idx_set.mem i keep) c.dims in
-    { idxs = keep; dims = dims'; cons; empty = c.empty }
+    (* Kept bits close ranks: perm.(k) is bit k's position among them. *)
+    let perm = Array.make (Array.length c.names) (-1) in
+    let n_keep = ref 0 in
+    Array.iteri
+      (fun k _ ->
+        if over_mask land (1 lsl k) = 0 then begin
+          perm.(k) <- !n_keep;
+          incr n_keep
+        end)
+      c.names;
+    let kept a = Array.of_list (List.filteri (fun k _ -> perm.(k) >= 0) (Array.to_list a)) in
+    (* Conditioning on an aggregated index is meaningless afterwards; X may
+       be projected (distinct counts only shrink). *)
+    let xs = ref [] and ys = ref [] and bounds = ref [] in
+    for j = Array.length c.xs - 1 downto 0 do
+      let x' = c.xs.(j) land lnot over_mask in
+      if c.ys.(j) land over_mask = 0 && x' <> 0 then begin
+        xs := remap perm x' :: !xs;
+        ys := remap perm c.ys.(j) :: !ys;
+        bounds := c.bounds.(j) :: !bounds
+      end
+    done;
+    {
+      names = kept c.names;
+      dims = kept c.dims;
+      xs = Array.of_list !xs;
+      ys = Array.of_list !ys;
+      bounds = Array.of_list !bounds;
+      empty = c.empty;
+    }
   end
 
 (* Shortest weighted path from the empty set to the full index set, where an
    edge S -> S ∪ X with weight D(X|Y) exists whenever Y ⊆ S.  Implicit
-   fallback edges S -> S ∪ {i} with weight n_i keep the graph connected. *)
+   fallback edges S -> S ∪ {i} with weight n_i keep the graph connected.
+   Every edge adds at least one bit, so it leads to a numerically larger
+   mask: visiting the masks in ascending order settles each one before any
+   edge leaves it, and one pass finds every shortest distance. *)
 let estimate (c : t) : float =
   if c.empty then 0.0
   else begin
-    let idx_arr = Array.of_list (Ir.Idx_set.elements c.idxs) in
-    let d = Array.length idx_arr in
+    let d = Array.length c.names in
+    let full = (1 lsl d) - 1 in
     if d = 0 then 1.0
-    else if d > 16 then space_of c c.idxs
+    else if d > 16 then space c.dims full
     else begin
-      let pos = Hashtbl.create 8 in
-      Array.iteri (fun k i -> Hashtbl.replace pos i k) idx_arr;
-      let set_to_mask (s : Ir.Idx_set.t) : int =
-        Ir.Idx_set.fold (fun i m -> m lor (1 lsl Hashtbl.find pos i)) s 0
-      in
-      let full = (1 lsl d) - 1 in
+      (* The constraint edges, counting-sorted by Y: group g holds the
+         edges [start.(g), start.(g+1)) with Y = gy.(g), so a mask skips
+         whole groups whose Y it lacks. *)
+      let n = Array.length c.xs in
+      let start_of_y = Array.make (full + 2) 0 in
+      Array.iter (fun y -> start_of_y.(y + 1) <- start_of_y.(y + 1) + 1) c.ys;
+      let gy = ref [] in
+      for y = full downto 0 do
+        if start_of_y.(y + 1) > 0 then gy := y :: !gy
+      done;
+      let gy = Array.of_list !gy in
+      for y = 1 to full + 1 do
+        start_of_y.(y) <- start_of_y.(y) + start_of_y.(y - 1)
+      done;
+      let start = Array.append (Array.map (fun y -> start_of_y.(y)) gy) [| n |] in
+      let xs = Array.make n 0 and bounds = Array.make n 0.0 in
+      Array.iteri
+        (fun j y ->
+          let p = start_of_y.(y) in
+          xs.(p) <- c.xs.(j);
+          bounds.(p) <- c.bounds.(j);
+          start_of_y.(y) <- p + 1)
+        c.ys;
       let dist = Array.make (full + 1) infinity in
       dist.(0) <- 1.0;
-      (* Edges as (y_mask, x_mask, weight). *)
-      let edges =
-        List.map (fun dg -> (set_to_mask dg.y, set_to_mask dg.x, dg.bound)) c.cons
-        @ List.init d (fun k -> (0, 1 lsl k, dim_of c idx_arr.(k)))
-      in
-      (* Bellman-Ford style relaxation: weights are multiplicative and
-         >= 0; masks only grow, so |full|+1 rounds suffice. *)
-      let changed = ref true in
-      let rounds = ref 0 in
-      while !changed && !rounds <= d + 1 do
-        changed := false;
-        incr rounds;
-        for s = 0 to full do
-          if dist.(s) < infinity then
-            List.iter
-              (fun (ym, xm, w) ->
-                if ym land s = ym && xm land lnot s <> 0 then begin
-                  let s' = s lor xm in
-                  let nd = dist.(s) *. w in
-                  if nd < dist.(s') then begin
-                    dist.(s') <- nd;
-                    changed := true
-                  end
-                end)
-              edges
-        done
+      for s = 0 to full - 1 do
+        let ds = dist.(s) in
+        if ds < infinity then begin
+          for g = 0 to Array.length gy - 1 do
+            let ym = gy.(g) in
+            if ym land s = ym then
+              for j = start.(g) to start.(g + 1) - 1 do
+                let xm = xs.(j) in
+                if xm land lnot s <> 0 then begin
+                  let s' = s lor xm and nd = ds *. bounds.(j) in
+                  if nd < dist.(s') then dist.(s') <- nd
+                end
+              done
+          done;
+          for k = 0 to d - 1 do
+            if s land (1 lsl k) = 0 then begin
+              let s' = s lor (1 lsl k) and nd = ds *. c.dims.(k) in
+              if nd < dist.(s') then dist.(s') <- nd
+            end
+          done
+        end
       done;
-      let bound = dist.(full) in
-      if bound = infinity then space_of c c.idxs
-      else Float.min bound (space_of c c.idxs)
+      let bound = dist.(full) and total = space c.dims full in
+      if bound = infinity then total else Float.min bound total
     end
   end
 
+(* Renaming moves only the names, unless the new names sort differently or
+   two of them collide; then the masks follow the names to their sorted
+   positions (colliding bits merge, and the size of the later old name
+   wins). *)
 let rename (c : t) (f : Ir.idx -> Ir.idx) : t =
-  {
-    idxs = Ir.Idx_set.map f c.idxs;
-    dims =
-      Ir.Idx_map.fold
-        (fun i n acc -> Ir.Idx_map.add (f i) n acc)
-        c.dims Ir.Idx_map.empty;
-    cons =
-      List.map
-        (fun d -> { d with x = Ir.Idx_set.map f d.x; y = Ir.Idx_set.map f d.y })
-        c.cons;
-    empty = c.empty;
-  }
+  let mapped = Array.map f c.names in
+  let ascending = ref true in
+  for k = 1 to Array.length mapped - 1 do
+    if String.compare mapped.(k - 1) mapped.(k) >= 0 then ascending := false
+  done;
+  if !ascending then { c with names = mapped }
+  else begin
+    let names = sorted_names (Array.to_list mapped) in
+    let perm = positions_in ~into:names mapped in
+    let dims = Array.make (Array.length names) 0.0 in
+    Array.iteri (fun k u -> dims.(u) <- c.dims.(k)) perm;
+    { c with names; dims; xs = Array.map (remap perm) c.xs; ys = Array.map (remap perm) c.ys }
+  end
 
 let pp fmt (c : t) =
   Format.fprintf fmt "chain{[%s] %d degs est=%.3g}"
-    (String.concat "," (Ir.Idx_set.elements c.idxs))
-    (List.length c.cons) (estimate c)
+    (String.concat "," (Array.to_list c.names))
+    (Array.length c.xs) (estimate c)

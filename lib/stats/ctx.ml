@@ -33,7 +33,7 @@ type t = {
 }
 
 (* Canonical positional index names used for cached per-tensor stats. *)
-let canon_idx k = Printf.sprintf "%%%d" k
+let canon_idx k = "%" ^ string_of_int k
 
 (* Estimator traffic, per context kind, for the metrics report.  Memo
    hits count too — the counters measure how hard the optimizers lean on
@@ -51,10 +51,15 @@ module Build (E : Estimator_sig.S) = struct
     cache : (string, E.t) Hashtbl.t; (* canonical positional names *)
     memo : (string, float) Hashtbl.t;
         (* estimates per resolved canonical key: alias names are replaced by
-           their definitions' keys, so semantically identical sub-queries
+           their definitions' key ids, so semantically identical sub-queries
            reached along different search branches share entries.  Cleared
            only when an existing name is re-registered (JIT refresh). *)
-    def_keys : (string, string) Hashtbl.t; (* alias -> defining key *)
+    def_keys : (string, string) Hashtbl.t; (* alias -> defining key's id *)
+    key_ids : (string, string) Hashtbl.t;
+        (* defining key -> short id: a key names each alias's definition by
+           this id instead of nesting the definition's whole key, so keys
+           stay short however deep the aliases go.  Equal definitions share
+           an id; shared across clones like [memo]. *)
     stats_memo : (string, E.t) Hashtbl.t;
         (* inferred alias statistics per (resolved key | output order):
            branch-independent, shared across clones like [memo] *)
@@ -65,6 +70,16 @@ module Build (E : Estimator_sig.S) = struct
       ~resolve_alias:(fun n ->
         match Hashtbl.find_opt st.def_keys n with Some k -> k | None -> n)
       e
+
+  (* A short id per distinct defining key.  Ids contain ':', which no
+     tensor name does, so an id never equals an unresolved alias name. *)
+  let key_id (st : state) (key : string) : string =
+    match Hashtbl.find_opt st.key_ids key with
+    | Some id -> id
+    | None ->
+        let id = "D:" ^ string_of_int (Hashtbl.length st.key_ids) in
+        Hashtbl.add st.key_ids key id;
+        id
 
   let lookup (st : state) (name : string) (access_idxs : Ir.idx list) : E.t =
     match Hashtbl.find_opt st.cache name with
@@ -122,7 +137,7 @@ module Build (E : Estimator_sig.S) = struct
       register_input = register_tensor ~cheap:false;
       register_alias_estimated =
         (fun name ~output_idxs e ->
-          let def_key = resolved_key st e in
+          let def_key = key_id st (resolved_key st e) in
           let stats_key = def_key ^ "|" ^ String.concat "," output_idxs in
           let stats =
             match Hashtbl.find_opt st.stats_memo stats_key with
@@ -166,23 +181,17 @@ module Build (E : Estimator_sig.S) = struct
           Galley_obs.Metrics.incr (calls_counter kind);
           let stats = lookup st name idxs in
           let over = List.filter (fun i -> not (Ir.Idx_set.mem i keep)) idxs in
-          let dims =
-            List.fold_left
-              (fun acc i ->
-                match Schema.find schema name with
-                | Some info ->
-                    let k =
-                      match
-                        List.find_opt (fun (_, j) -> j = i)
-                          (List.mapi (fun k j -> (k, j)) idxs)
-                      with
-                      | Some (k, _) -> k
-                      | None -> 0
-                    in
-                    Ir.Idx_map.add i info.Schema.dims.(k) acc
-                | None -> acc)
-              Ir.Idx_map.empty idxs
-          in
+          (* Each index's size is that of its first position in the access. *)
+          let dims = ref Ir.Idx_map.empty in
+          (match Schema.find schema name with
+          | Some info ->
+              List.iteri
+                (fun k i ->
+                  if not (Ir.Idx_map.mem i !dims) then
+                    dims := Ir.Idx_map.add i info.Schema.dims.(k) !dims)
+                idxs
+          | None -> ());
+          let dims = !dims in
           E.estimate (E.aggregate ~dims stats ~over));
       has_stats = (fun name -> Hashtbl.mem st.cache name);
       clone =
@@ -193,6 +202,7 @@ module Build (E : Estimator_sig.S) = struct
               cache = Hashtbl.copy st.cache;
               memo = st.memo; (* shared: resolved keys are branch-independent *)
               def_keys = Hashtbl.copy st.def_keys;
+              key_ids = st.key_ids;
               stats_memo = st.stats_memo;
             }
             kind);
@@ -205,6 +215,7 @@ module Build (E : Estimator_sig.S) = struct
         cache = Hashtbl.create 32;
         memo = Hashtbl.create 1024;
         def_keys = Hashtbl.create 64;
+        key_ids = Hashtbl.create 256;
         stats_memo = Hashtbl.create 256;
       }
       kind

@@ -184,6 +184,82 @@ let test_resolve_alias_key () =
   in
   check_str "aliases with same def share keys" k1 k2
 
+(* The canonical-key algorithm the buffer-writing [Canonical.canonical_key]
+   replaced, kept as a reference: every commutative node computes each
+   child's standalone key, sorts by it, then keys the children again in the
+   shared numbering.  Engine CSE and the estimation memo both key on this
+   output, so it must not change by a byte. *)
+let reference_canonical_key ?(resolve_alias = fun (n : string) -> n)
+    (e : Ir.expr) : string =
+  let rec key (env : (Ir.idx, int) Hashtbl.t) (next : int ref) (e : Ir.expr) :
+      string =
+    let idx_key i =
+      match Hashtbl.find_opt env i with
+      | Some k -> Printf.sprintf "$%d" k
+      | None ->
+          let k = !next in
+          incr next;
+          Hashtbl.add env i k;
+          Printf.sprintf "$%d" k
+    in
+    match e with
+    | Ir.Input (n, idxs) ->
+        Printf.sprintf "I:%s[%s]" n (String.concat "," (List.map idx_key idxs))
+    | Ir.Alias (n, idxs) ->
+        Printf.sprintf "A:{%s}[%s]" (resolve_alias n)
+          (String.concat "," (List.map idx_key idxs))
+    | Ir.Literal v -> Printf.sprintf "L:%h" v
+    | Ir.Map (op, args) ->
+        let keys =
+          if Op.is_commutative op then
+            let pre = List.map (fun a -> (key (Hashtbl.create 8) (ref 0) a, a)) args in
+            let sorted = List.sort (fun (k1, _) (k2, _) -> compare k1 k2) pre in
+            List.map (fun (_, a) -> key env next a) sorted
+          else List.map (key env next) args
+        in
+        Printf.sprintf "M:%s(%s)" (Op.to_string op) (String.concat ";" keys)
+    | Ir.Agg (op, idxs, body) ->
+        let bound = List.map idx_key idxs in
+        Printf.sprintf "G:%s[%s](%s)" (Op.to_string op)
+          (String.concat "," bound)
+          (key env next body)
+  in
+  key (Hashtbl.create 16) (ref 0) e
+
+(* Random expressions with nested commutative maps, repeated and shared
+   indices, aliases and literals (signed zeros, infinities, NaN). *)
+let random_key_expr (prng : Galley_tensor.Prng.t) : Ir.expr =
+  let pick a = a.(Galley_tensor.Prng.int prng (Array.length a)) in
+  let idxs () =
+    List.init (Galley_tensor.Prng.int prng 4) (fun _ -> pick [| "i"; "j"; "k"; "l" |])
+  in
+  let rec gen depth =
+    if depth = 0 || Galley_tensor.Prng.int prng 4 = 0 then
+      match Galley_tensor.Prng.int prng 4 with
+      | 0 -> Ir.Alias (pick [| "t1"; "t2" |], idxs ())
+      | 1 -> Ir.Literal (pick [| 0.0; -0.0; 1.5; infinity; Float.nan; 1e-310 |])
+      | _ -> Ir.Input (pick [| "A"; "B"; "C" |], idxs ())
+    else
+      let args n = List.init n (fun _ -> gen (depth - 1)) in
+      match Galley_tensor.Prng.int prng 6 with
+      | 0 | 1 ->
+          Ir.Map (pick [| Op.Add; Op.Mul; Op.Max |], args (2 + Galley_tensor.Prng.int prng 3))
+      | 2 -> Ir.Map (pick [| Op.Sub; Op.Div |], args 2)
+      | 3 -> Ir.Map (Op.Sigmoid, args 1)
+      | _ -> Ir.Agg (pick [| Op.Add; Op.Max |], idxs (), gen (depth - 1))
+  in
+  gen 4
+
+let prop_canonical_key_matches_reference =
+  QCheck.Test.make ~name:"canonical_key is byte-identical to the reference"
+    ~count:500 (QCheck.int_range 0 100_000) (fun seed ->
+      let prng = Galley_tensor.Prng.create seed in
+      let e = random_key_expr prng in
+      let resolve_alias n = "def:" ^ n in
+      Canonical.canonical_key e = reference_canonical_key e
+      && Canonical.canonical_key ~resolve_alias e
+         = reference_canonical_key ~resolve_alias e)
+
 (* -------------------------------------------------------------- *)
 (* Schema.                                                          *)
 (* -------------------------------------------------------------- *)
@@ -346,5 +422,6 @@ let () =
           Alcotest.test_case "of_query" `Quick test_logical_of_query;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_canonicalize_preserves_free ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_canonicalize_preserves_free; prop_canonical_key_matches_reference ] );
     ]

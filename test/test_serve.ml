@@ -87,6 +87,67 @@ let test_protocol_roundtrip () =
   check_bool "bind without source rejected" true
     (Result.is_error (P.decode_request {|{"op":"bind","name":"E"}|}))
 
+let bits = Int64.bits_of_float
+
+(* Every float the wire carries comes back with the same bits: NaNs
+   (including a payload and a negative one), infinities, signed zeros,
+   subnormals, and the largest finite values; the fill too. *)
+let test_float_wire_roundtrip () =
+  let values =
+    [|
+      Float.nan;
+      Int64.float_of_bits 0x7ff0_0000_0000_0abcL;
+      Int64.float_of_bits 0xfff8_0000_0000_0000L;
+      infinity;
+      neg_infinity;
+      0.0;
+      -0.0;
+      5e-324;
+      -4.9406564584124654e-324;
+      2.2250738585072009e-308;
+      Float.max_float;
+      -.Float.max_float;
+      0.1;
+    |]
+  in
+  let entries = Array.mapi (fun k v -> ([| k |], v)) values in
+  List.iter
+    (fun fill ->
+      match
+        P.decode_request
+          (P.encode_bind_entries ~name:"V" ~dims:[| Array.length values |] ~fill
+             entries)
+      with
+      | Ok { req = P.Bind { spec = P.From_entries { fill = got_fill; entries = got; _ }; _ }; _ } ->
+          check_bool
+            (Printf.sprintf "fill %h bits" fill)
+            true
+            (bits got_fill = bits fill);
+          check_int "entry count" (Array.length values) (Array.length got);
+          Array.iteri
+            (fun k (coords, v) ->
+              check_bool (Printf.sprintf "entry %d coords" k) true (coords = [| k |]);
+              check_bool
+                (Printf.sprintf "entry %d: %h bits" k values.(k))
+                true
+                (bits v = bits values.(k)))
+            got
+      | Ok _ -> Alcotest.fail "bind decoded to the wrong request"
+      | Error e -> Alcotest.fail e)
+    [ 0.0; -0.0; infinity; neg_infinity; Float.nan; 5e-324 ];
+  check_bool "finite values keep %.17g" true
+    (let b = Buffer.create 16 in
+     P.buf_float b 0.1;
+     Buffer.contents b = "0.10000000000000001");
+  check_bool "a string cell that is not a float is rejected" true
+    (Result.is_error
+       (P.decode_request
+          {|{"op":"bind","name":"V","dims":[2],"entries":[[0,"infinity"]]}|}));
+  check_bool "a coordinate must be a number" true
+    (Result.is_error
+       (P.decode_request
+          {|{"op":"bind","name":"V","dims":[2],"entries":[["inf",1]]}|}))
+
 (* ------------------------------------------------------------------ *)
 (* Daemon harness                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -154,6 +215,39 @@ let entries_of json name =
             List.nth cells (n - 1) ))
         rows
 
+(* Output [name]'s fill and entries from a response, non-finite values
+   included. *)
+let output_of_response json name : float * (int array * float) array =
+  let outputs =
+    Option.value ~default:[]
+      (Option.bind (Json.member "outputs" json) Json.to_list)
+  in
+  match
+    List.find_opt
+      (fun o -> Option.bind (Json.member "name" o) Json.to_string = Some name)
+      outputs
+  with
+  | None -> Alcotest.failf "response has no output %S" name
+  | Some o ->
+      let fill =
+        match Option.bind (Json.member "fill" o) P.float_of_json with
+        | Some f -> f
+        | None -> Alcotest.failf "output %S has no fill" name
+      in
+      let dims =
+        List.length
+          (Option.value ~default:[] (Option.bind (Json.member "dims" o) Json.to_list))
+      in
+      let entries =
+        match Json.member "entries" o with
+        | None -> Alcotest.failf "output %S has no entries" name
+        | Some e -> (
+            match P.decode_entries ~ndims:dims e with
+            | Ok entries -> entries
+            | Error e -> Alcotest.fail e)
+      in
+      (fill, entries)
+
 (* Served results must be BIT-identical to a batch run: same coords,
    float equality, not approximate. *)
 let check_matches_batch ~msg json name (expected : (int array * float) array)
@@ -196,6 +290,53 @@ let test_bind_query_roundtrip () =
       let resp = rpc_ok sock (P.encode_query ~id:"rt" soak_src) in
       check_bool "query ok" true (is_ok resp);
       check_matches_batch ~msg:"round-trip" resp "y" expected)
+
+(* Bellman-Ford (min-plus, fill = +inf) served from the example program:
+   the inputs' +inf fill must survive the bind, and the served distances
+   must match a batch fixpoint run bit for bit, fill included. *)
+let test_bellman_ford_serve_matches_batch () =
+  let src = In_channel.with_open_bin "../examples/bellman_ford.gly" In_channel.input_all in
+  let g =
+    Galley_workloads.Graphs.symmetrize
+      (Galley_workloads.Graphs.power_law ~seed:5 ~n:80 ~m:240 ())
+  in
+  let source = fst g.Galley_workloads.Graphs.edges.(0) in
+  (* The tensors as the server builds them from the wire. *)
+  let inputs =
+    List.map
+      (fun (name, t) ->
+        let dims = T.dims t in
+        (name, T.of_coo ~fill:(T.fill t) ~dims ~formats:(P.default_formats dims) (T.to_coo t)))
+      (Galley_workloads.Iterative.bellman_inputs g ~source)
+  in
+  let batch =
+    match Galley_fixpoint.Fixpoint.run_source_checked ~inputs src with
+    | Ok (r, _) -> D.output_of r "D"
+    | Error e -> Alcotest.fail (Galley.Errors.to_string e)
+  in
+  check_bool "batch fill is +inf" true (T.fill batch = infinity);
+  with_server (fun sock _ ->
+      List.iter
+        (fun (name, t) ->
+          check_bool ("bind " ^ name) true
+            (is_ok
+               (rpc_ok sock
+                  (P.encode_bind_entries ~name ~dims:(T.dims t) ~fill:(T.fill t)
+                     (T.to_coo t)))))
+        inputs;
+      let resp = rpc_ok sock (P.encode_query ~id:"bf" src) in
+      check_bool "query ok" true (is_ok resp);
+      let fill, entries = output_of_response resp "D" in
+      check_bool "served fill bit-identical" true (bits fill = bits (T.fill batch));
+      let want = T.to_coo batch in
+      check_int "entry count" (Array.length want) (Array.length entries);
+      check_bool "reaches past the source" true (Array.length want > 1);
+      Array.iteri
+        (fun k (coords, v) ->
+          let wc, wv = want.(k) in
+          check_bool (Printf.sprintf "entry %d coords" k) true (coords = wc);
+          check_bool (Printf.sprintf "entry %d bits" k) true (bits v = bits wv))
+        entries)
 
 let cache_field json cache field =
   Option.bind (Json.member cache json) (fun c ->
@@ -624,11 +765,15 @@ let () =
             test_tier_of_budget;
           Alcotest.test_case "protocol round-trip" `Quick
             test_protocol_roundtrip;
+          Alcotest.test_case "non-finite and subnormal floats round-trip"
+            `Quick test_float_wire_roundtrip;
         ] );
       ( "daemon",
         [
           Alcotest.test_case "bind+query matches batch bit-identically"
             `Quick test_bind_query_roundtrip;
+          Alcotest.test_case "served Bellman-Ford matches batch bit-identically"
+            `Quick test_bellman_ford_serve_matches_batch;
           Alcotest.test_case "warm cache replays without compiling" `Quick
             test_warm_cache_replay;
           Alcotest.test_case "concurrent soak, 4 clients" `Quick

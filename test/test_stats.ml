@@ -187,6 +187,64 @@ let prop_chain_union_upper_bound =
       done;
       Chain.estimate sum +. 1e-9 >= float_of_int !true_union)
 
+(* Property: [Chain.estimate] is the cheapest path product.  Random
+   constraint sets over d <= 5 indices, with fractional bounds so rounding
+   shows; the brute force walks every edge path from the empty set
+   (multiplying along the path, as the estimator does) and caps the
+   minimum by the index space. *)
+let prop_chain_estimate_brute_force =
+  QCheck.Test.make ~name:"chain estimate = brute-force path minimum"
+    ~count:300 (QCheck.int_range 0 100_000) (fun seed ->
+      let prng = Prng.create seed in
+      let d = 1 + Prng.int prng 5 in
+      let full = (1 lsl d) - 1 in
+      let dims = Array.init d (fun _ -> float_of_int (1 + Prng.int prng 9)) in
+      let n = Prng.int prng 7 in
+      let xs = Array.init n (fun _ -> 1 + Prng.int prng full) in
+      let ys = Array.init n (fun j -> Prng.int prng (full + 1) land lnot xs.(j)) in
+      let bounds = Array.init n (fun _ -> Prng.float_range prng 0.5 40.0) in
+      let c =
+        {
+          Chain.names = Array.init d (fun k -> String.make 1 (Char.chr (97 + k)));
+          dims;
+          xs;
+          ys;
+          bounds;
+          empty = false;
+        }
+      in
+      let edges =
+        List.init n (fun j -> (ys.(j), xs.(j), bounds.(j)))
+        @ List.init d (fun k -> (0, 1 lsl k, dims.(k)))
+      in
+      let rec walk s acc =
+        if s = full then acc
+        else
+          List.fold_left
+            (fun best (y, x, w) ->
+              if y land s = y && x land lnot s <> 0 then
+                Float.min best (walk (s lor x) (acc *. w))
+              else best)
+            infinity edges
+      in
+      let space = Array.fold_left ( *. ) 1.0 dims in
+      Chain.estimate c = Float.min (walk 0 1.0) space)
+
+let test_chain_rename_collision () =
+  (* D(%0|%1) renamed with both names to "i": one index, masks merged. *)
+  let prng = Prng.create 3 in
+  let t = sparse_matrix ~prng ~rows:5 ~cols:5 ~density:0.5 in
+  let c = Chain.rename (Chain.of_tensor t ~idxs:[ "%0"; "%1" ]) (fun _ -> "i") in
+  Alcotest.(check (list string)) "one index" [ "i" ]
+    (Ir.Idx_set.elements (Chain.idxs c));
+  check_bool "every constraint over {i}" true
+    (List.for_all
+       (fun (d : Chain.degree) ->
+         Ir.Idx_set.equal d.Chain.x (Ir.Idx_set.singleton "i")
+         && Ir.Idx_set.subset d.Chain.y (Ir.Idx_set.singleton "i"))
+       (Chain.degrees c));
+  check_bool "estimate within the space" true (Chain.estimate c <= 5.0)
+
 (* -------------------------------------------------------------- *)
 (* Degree statistics: exact counts.                                 *)
 (* -------------------------------------------------------------- *)
@@ -226,7 +284,7 @@ let degrees_exact (t : T.t) : bool =
         (fun (d : Chain.degree) ->
           d.Chain.bound
           = float_of_int (brute_degree coo idxs ~x:d.Chain.x ~y:d.Chain.y))
-        c.Chain.cons)
+        (Chain.degrees c))
     [ false; true ]
 
 (* Entries drawn per coordinate from [coord], about a quarter of them
@@ -256,6 +314,36 @@ let prop_degrees_exact =
       degrees_exact
         (stats_tensor ~prng ~dims ~formats ~fill ~n:(Prng.int prng 40)
            ~coord:(Prng.int prng)))
+
+(* Property: renaming statistics to new names (in another sort order) gives
+   the constraints [of_tensor] computes under those names directly. *)
+let prop_chain_rename_matches_of_tensor =
+  QCheck.Test.make ~name:"chain rename = of_tensor under the new names"
+    ~count:100 (QCheck.int_range 0 100_000) (fun seed ->
+      let prng = Prng.create seed in
+      let arity = 1 + Prng.int prng 4 in
+      let dims = Array.init arity (fun _ -> 1 + Prng.int prng 4) in
+      let t =
+        stats_tensor ~prng ~dims
+          ~formats:(Array.map (fun _ -> T.Sparse_list) dims)
+          ~fill:0.0 ~n:(Prng.int prng 30) ~coord:(Prng.int prng)
+      in
+      let fresh = [| "q"; "b"; "x"; "a" |] in
+      let canon = List.init arity (Printf.sprintf "%%%d") in
+      let renamed =
+        Chain.rename (Chain.of_tensor t ~idxs:canon) (fun i ->
+            fresh.(int_of_string (String.sub i 1 (String.length i - 1))))
+      in
+      let direct = Chain.of_tensor t ~idxs:(List.init arity (fun k -> fresh.(k))) in
+      let sorted c =
+        List.sort compare
+          (List.map
+             (fun (d : Chain.degree) ->
+               (Ir.Idx_set.elements d.Chain.x, Ir.Idx_set.elements d.Chain.y, d.Chain.bound))
+             (Chain.degrees c))
+      in
+      sorted renamed = sorted direct
+      && Chain.estimate renamed = Chain.estimate direct)
 
 let test_degrees_exact_edge_cases () =
   let prng = Prng.create 17 in
@@ -304,7 +392,7 @@ let test_budget_keeps_key_dependency () =
       let c = Chain.of_tensor l ~idxs:[ "i"; "s"; "p"; "o"; "c" ] in
       Alcotest.(check int)
         (Printf.sprintf "%d lineitems: constraints" n)
-        want (List.length c.Chain.cons);
+        want (List.length (Chain.degrees c));
       check_bool
         (Printf.sprintf "%d lineitems: D(s,p,o,c|i) = 1" n)
         true
@@ -313,7 +401,7 @@ let test_budget_keeps_key_dependency () =
              Ir.Idx_set.equal d.Chain.x spoc
              && Ir.Idx_set.equal d.Chain.y (Ir.Idx_set.singleton "i")
              && d.Chain.bound = 1.0)
-           c.Chain.cons))
+           (Chain.degrees c)))
     [ (1000, 211); (2000, 71); (4000, 71); (10_000, 11) ]
 
 (* -------------------------------------------------------------- *)
@@ -520,6 +608,7 @@ let () =
             test_budget_keeps_key_dependency;
           Alcotest.test_case "bounds fig6 intermediates" `Quick
             test_chain_bounds_fig6_intermediates;
+          Alcotest.test_case "rename collision" `Quick test_chain_rename_collision;
         ] );
       ( "context",
         [
@@ -537,5 +626,7 @@ let () =
             prop_chain_upper_bound;
             prop_chain_union_upper_bound;
             prop_degrees_exact;
+            prop_chain_estimate_brute_force;
+            prop_chain_rename_matches_of_tensor;
           ] );
     ]
