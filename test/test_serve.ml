@@ -772,8 +772,6 @@ let () =
         [
           Alcotest.test_case "bind+query matches batch bit-identically"
             `Quick test_bind_query_roundtrip;
-          Alcotest.test_case "served Bellman-Ford matches batch bit-identically"
-            `Quick test_bellman_ford_serve_matches_batch;
           Alcotest.test_case "warm cache replays without compiling" `Quick
             test_warm_cache_replay;
           Alcotest.test_case "concurrent soak, 4 clients" `Quick
@@ -792,6 +790,8 @@ let () =
             test_shutdown_request_drains;
           Alcotest.test_case "health and metrics commands" `Quick
             test_health_and_metrics;
+          Alcotest.test_case "served Bellman-Ford matches batch bit-identically"
+            `Quick test_bellman_ford_serve_matches_batch;
         ] );
       ( "observability",
         [
