@@ -1118,7 +1118,9 @@ let flight_cap_arg =
   Arg.(
     value & opt int 256
     & info [ "flight-cap" ] ~docv:"N"
-        ~doc:"Flight-recorder ring capacity (per-request records)")
+        ~doc:
+          "Flight-recorder ring capacity (per-request records); also bounds \
+           how many recent requests' provenance $(b,explain) can answer from")
 
 let sample_percentile_arg =
   Arg.(
@@ -1145,8 +1147,8 @@ let serve_provenance_arg =
     & info [ "provenance" ]
         ~doc:
           "Record the optimizer's search trace for every planned request \
-           and retain it in a bounded store keyed by plan digest; fetch \
-           with $(b,galley client explain DIGEST)")
+           on its flight record (kept for the last $(b,--flight-cap) \
+           requests); fetch with $(b,galley client explain DIGEST)")
 
 let serve_term =
   Term.(

@@ -88,9 +88,10 @@ let expand (e : Ir.expr) : Ir.expr =
 
 (* The fully distributed variant of [e], if it stays within the size cap and
    actually differs from the canonicalized original. *)
-let distributed_variant (schema : Schema.t) (e : Ir.expr) : Ir.expr option =
+let distributed_variant ~(binder : Ir.idx -> Ir.idx) (schema : Schema.t)
+    (e : Ir.expr) : Ir.expr option =
   match expand (hoist_neg (normalize e)) with
   | exception Too_large -> None
   | e' ->
-      let e' = Canonical.canonicalize schema e' in
+      let e' = Canonical.canonicalize ~binder schema e' in
       if e' = e then None else Some e'

@@ -332,7 +332,8 @@ let naive (ctx : Galley_stats.Ctx.t) ~(fresh : unit -> string)
 (* ------------------------------------------------------------------ *)
 
 let optimize_expr ?(budget : Tier.budget option) (cfg : config)
-    (ctx : Galley_stats.Ctx.t) ~(fresh : unit -> string) ~(name : string)
+    (ctx : Galley_stats.Ctx.t) ~(fresh : unit -> string)
+    ~(binder : Ir.idx -> Ir.idx) ~(name : string)
     ~(out_order : Ir.idx list option) (expr : Ir.expr) : result =
   let run ctx expr =
     match cfg.search with
@@ -340,12 +341,17 @@ let optimize_expr ?(budget : Tier.budget option) (cfg : config)
     | Branch_and_bound ->
         branch_and_bound ?budget cfg ctx ~fresh ~name ~out_order expr
   in
-  let canon = Canonical.canonicalize ctx.Galley_stats.Ctx.schema expr in
+  let canon =
+    Canonical.canonicalize ~binder ctx.Galley_stats.Ctx.schema expr
+  in
   let variants =
     canon
     ::
     (if cfg.try_distribute then
-       match Distribute.distributed_variant ctx.Galley_stats.Ctx.schema canon with
+       match
+         Distribute.distributed_variant ~binder ctx.Galley_stats.Ctx.schema
+           canon
+       with
        | Some d -> [ d ]
        | None -> []
      else [])
@@ -383,8 +389,8 @@ let optimize_expr ?(budget : Tier.budget option) (cfg : config)
    degrading (used to surface deadline errors when requested). *)
 let optimize_expr_tiered ?(deadline : float option) ?(degrade = true)
     (cfg : config) (ctx : Galley_stats.Ctx.t) ~(fresh : unit -> string)
-    ~(name : string) ~(out_order : Ir.idx list option) (expr : Ir.expr) :
-    result * Tier.t =
+    ~(binder : Ir.idx -> Ir.idx) ~(name : string)
+    ~(out_order : Ir.idx list option) (expr : Ir.expr) : result * Tier.t =
   let budget_for () =
     match (deadline, cfg.max_nodes) with
     | None, None -> None
@@ -400,7 +406,8 @@ let optimize_expr_tiered ?(deadline : float option) ?(degrade = true)
     (* Charge rung entry so trivial (tick-free) searches still respect an
        already-expired deadline. *)
     Tier.tick_opt budget;
-    optimize_expr ?budget { cfg with search } ctx ~fresh ~name ~out_order expr
+    optimize_expr ?budget { cfg with search } ctx ~fresh ~binder ~name
+      ~out_order expr
   in
   let rungs =
     match cfg.search with
@@ -409,7 +416,9 @@ let optimize_expr_tiered ?(deadline : float option) ?(degrade = true)
   in
   let rec go = function
     | [] ->
-        let canon = Canonical.canonicalize ctx.Galley_stats.Ctx.schema expr in
+        let canon =
+          Canonical.canonicalize ~binder ctx.Galley_stats.Ctx.schema expr
+        in
         let r = (naive ctx ~fresh ~name ~out_order canon, Tier.Naive) in
         if Provenance.enabled () then
           Provenance.rung ~phase:"logical" ~query:name ~tier:"naive"
@@ -445,14 +454,15 @@ let optimize_expr_tiered ?(deadline : float option) ?(degrade = true)
   (r, tier)
 
 let optimize_query_tiered ?deadline ?degrade (cfg : config)
-    (ctx : Galley_stats.Ctx.t) ~(fresh : unit -> string) (q : Ir.query) :
-    result * Tier.t =
-  optimize_expr_tiered ?deadline ?degrade cfg ctx ~fresh ~name:q.Ir.name
-    ~out_order:q.Ir.out_order q.Ir.expr
+    (ctx : Galley_stats.Ctx.t) ~(fresh : unit -> string)
+    ~(binder : Ir.idx -> Ir.idx) (q : Ir.query) : result * Tier.t =
+  optimize_expr_tiered ?deadline ?degrade cfg ctx ~fresh ~binder
+    ~name:q.Ir.name ~out_order:q.Ir.out_order q.Ir.expr
 
 let optimize_query (cfg : config) (ctx : Galley_stats.Ctx.t)
-    ~(fresh : unit -> string) (q : Ir.query) : result =
-  fst (optimize_query_tiered cfg ctx ~fresh q)
+    ~(fresh : unit -> string) ~(binder : Ir.idx -> Ir.idx) (q : Ir.query) :
+    result =
+  fst (optimize_query_tiered cfg ctx ~fresh ~binder q)
 
 (* Optimize a whole program: queries are processed in order; each query's
    output is registered as an alias usable by later queries.  [timeout] is
@@ -466,6 +476,7 @@ let optimize_program_tiered ?(timeout : float option) ?degrade (cfg : config)
     incr counter;
     Printf.sprintf "#t%d" !counter
   in
+  let binder = Canonical.binder_namer () in
   let tiers = ref [] in
   let queries =
     List.concat_map
@@ -473,7 +484,9 @@ let optimize_program_tiered ?(timeout : float option) ?degrade (cfg : config)
         let deadline =
           Option.map (fun s -> Unix.gettimeofday () +. s) timeout
         in
-        let r, tier = optimize_query_tiered ?deadline ?degrade cfg ctx ~fresh q in
+        let r, tier =
+          optimize_query_tiered ?deadline ?degrade cfg ctx ~fresh ~binder q
+        in
         tiers := (q.Ir.name, tier) :: !tiers;
         r.queries)
       p.Ir.queries

@@ -4,37 +4,43 @@
    Every request served by the daemon leaves one bounded-size record —
    request id, program/plan digests, QoS tier and the rung actually
    served, per-phase latency breakdown, cache hits, fixpoint
-   iteration/replan counts, estimator q-errors, and the outcome — so an
-   operator can always answer "what were the last N queries and what did
-   the optimizer do to them", even after the interesting request is long
-   gone.  Recording is a record allocation plus a mutex-guarded array
-   store; the ring never grows, so the recorder is safe to leave on in
-   production.  [write_jsonl] dumps the ring (oldest first) for incident
-   files and the `galley debug` command. *)
+   iteration/replan counts, estimator q-errors, the outcome, and the
+   request's optimizer provenance — so an operator can always answer
+   "what were the last N queries and what did the optimizer do to
+   them", even after the interesting request is long gone.  The daemon
+   starts the record when it takes a request and fills it in as the
+   request progresses; [note] seals it into the ring.  Recording is a
+   record allocation plus a mutex-guarded array store; the ring never
+   grows, so the recorder is safe to leave on in production.
+   [write_jsonl] dumps the ring (oldest first) for incident files and
+   the `galley debug` command. *)
 
 type record = {
-  fl_seq : int;  (* monotonic per-recorder ordinal, assigned by [note] *)
-  fl_ts_us : int;  (* completion time, microseconds since process start *)
+  mutable fl_seq : int;  (* monotonic per-recorder ordinal, assigned by [note] *)
+  mutable fl_ts_us : int;  (* completion time, microseconds since process start *)
   fl_id : string;  (* request id (client-sent or server-assigned) *)
   fl_op : string;  (* "query" | "bind" | ... *)
-  fl_outcome : string;  (* "ok" | "error:<kind>" | "shed:<kind>" *)
+  mutable fl_outcome : string;  (* "ok" | "error:<kind>" | "shed:<kind>" *)
   fl_program : string;  (* program source digest (md5 prefix) *)
-  fl_plan : string;  (* physical plan digest; "" when none was built *)
-  fl_qos : string;  (* requested tier ("batch" when unbudgeted) *)
-  fl_rung : string;  (* worst optimizer tier actually served; "" if none *)
-  fl_queue_us : int;  (* time spent in the admission queue *)
-  fl_logical_us : int;
-  fl_physical_us : int;
-  fl_compile_us : int;
-  fl_execute_us : int;
-  fl_total_us : int;  (* arrival-to-response latency *)
-  fl_compiles : int;  (* cold kernel compiles (0 = fully warm) *)
-  fl_kernels : int;  (* kernels run *)
-  fl_cse_hits : int;
-  fl_replans : int;  (* fixpoint plan switches in this request *)
-  fl_iterations : int;  (* fixpoint iterations (0 for straight-line) *)
-  fl_qerrors : (string * float) list;  (* estimator -> geo-mean q-error *)
-  fl_trace : string;  (* retained trace name ("" = trace sampled away) *)
+  mutable fl_plan : string;  (* physical plan digest; "" when none was built *)
+  mutable fl_qos : string;  (* requested tier ("batch" when unbudgeted) *)
+  mutable fl_rung : string;  (* worst optimizer tier actually served; "" if none *)
+  mutable fl_queue_us : int;  (* time spent in the admission queue *)
+  mutable fl_logical_us : int;
+  mutable fl_physical_us : int;
+  mutable fl_compile_us : int;
+  mutable fl_execute_us : int;
+  mutable fl_total_us : int;  (* arrival-to-response latency *)
+  mutable fl_compiles : int;  (* cold kernel compiles (0 = fully warm) *)
+  mutable fl_kernels : int;  (* kernels run *)
+  mutable fl_cse_hits : int;
+  mutable fl_replans : int;  (* fixpoint plan switches in this request *)
+  mutable fl_iterations : int;  (* fixpoint iterations (0 for straight-line) *)
+  mutable fl_qerrors : (string * float) list;  (* estimator -> geo-mean q-error *)
+  mutable fl_trace : string;  (* retained trace name ("" = trace sampled away) *)
+  mutable fl_provenance : string;
+      (* drained optimizer provenance as JSON ("" = none); served by
+         `explain <plan digest>`, never written by [to_json] *)
 }
 
 let empty_record ~id ~op =
@@ -61,6 +67,7 @@ let empty_record ~id ~op =
     fl_iterations = 0;
     fl_qerrors = [];
     fl_trace = "";
+    fl_provenance = "";
   }
 
 (* A 12-hex-char content digest: long enough to correlate, short enough
@@ -86,10 +93,12 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* Record one request; assigns the sequence number and timestamp. *)
+(* Seal one request's record into the ring; assigns the sequence number
+   and timestamp.  The caller must not update [r] afterwards. *)
 let note (t : t) (r : record) : record =
   locked t (fun () ->
-      let r = { r with fl_seq = t.count + 1; fl_ts_us = Clock.now_us () } in
+      r.fl_seq <- t.count + 1;
+      r.fl_ts_us <- Clock.now_us ();
       t.ring.(t.head) <- Some r;
       t.head <- (t.head + 1) mod Array.length t.ring;
       t.count <- t.count + 1;

@@ -1,11 +1,11 @@
 (* Tail-based trace sampling for the serve daemon.
 
    Spans are collected for *every* request (tracing stays enabled), but a
-   request's events are only retained — as an in-memory Chrome trace and,
-   when a directory is configured, a `trace-<seq>-<id>.json` file — when
-   the finished request turns out to be interesting: an explicit trigger
-   fired (error, shed, tier degradation, fixpoint replan) or the request
-   was slow relative to a rolling percentile of recent durations.
+   request's events are only retained — as a `trace-<seq>-<id>.json`
+   Chrome trace file when a directory is configured — when the finished
+   request turns out to be interesting: an explicit trigger fired
+   (error, shed, tier degradation, fixpoint replan) or the request was
+   slow relative to a rolling percentile of recent durations.
    Everything else is drained and dropped, so in the common case tracing
    costs only the per-span buffer appends.
 
@@ -19,15 +19,8 @@
 type decision = {
   kept : bool;
   reason : string;  (* first trigger, or "slow", or "" when dropped *)
-  trace_name : string;  (* file basename when written, else "" *)
-}
-
-type retained = {
-  rt_seq : int;
-  rt_id : string;
-  rt_reason : string;
-  rt_name : string;  (* trace-<seq>-<id>.json *)
-  rt_events : Trace.event list;
+  trace_name : string;  (* trace file basename when kept (written only
+                           when a dir is set), else "" *)
 }
 
 type t = {
@@ -37,9 +30,7 @@ type t = {
   mutable window_len : int;
   mutable window_pos : int;
   min_window : int;  (* no slow trigger until this many samples seen *)
-  max_keep : int;  (* in-memory retained-trace ring size *)
   keep_all : bool;
-  mutable retained : retained list;  (* newest first, <= max_keep *)
   mutable all_events : Trace.event list;  (* keep_all accumulator, newest first *)
   mutable seq : int;
   mutable trace_was_on : bool;
@@ -50,7 +41,7 @@ let m_retained = Metrics.counter "sampler.retained"
 let m_dropped = Metrics.counter "sampler.dropped"
 
 let create ?dir ?(percentile = 0.90) ?(window = 128) ?(min_window = 16)
-    ?(max_keep = 8) ?(keep_all = false) () : t =
+    ?(keep_all = false) () : t =
   if window <= 0 then invalid_arg "Sampler.create: window must be positive";
   {
     dir;
@@ -59,9 +50,7 @@ let create ?dir ?(percentile = 0.90) ?(window = 128) ?(min_window = 16)
     window_len = 0;
     window_pos = 0;
     min_window = Stdlib.max 1 min_window;
-    max_keep = Stdlib.max 1 max_keep;
     keep_all;
-    retained = [];
     all_events = [];
     seq = 0;
     trace_was_on = false;
@@ -138,14 +127,6 @@ let end_request (t : t) ~id ~duration_us ~(triggers : string list) : decision =
       else begin
         t.seq <- t.seq + 1;
         let name = Printf.sprintf "trace-%04d-%s.json" t.seq (sanitize id) in
-        let r =
-          { rt_seq = t.seq; rt_id = id; rt_reason = reason; rt_name = name;
-            rt_events = events }
-        in
-        t.retained <-
-          r :: (if List.length t.retained >= t.max_keep then
-                  List.filteri (fun i _ -> i < t.max_keep - 1) t.retained
-                else t.retained);
         Metrics.incr m_retained;
         (match t.dir with
         | Some dir -> (
@@ -154,19 +135,6 @@ let end_request (t : t) ~id ~duration_us ~(triggers : string list) : decision =
         | None -> ());
         { kept = true; reason; trace_name = name }
       end)
-
-(* Retained traces still in memory, oldest first. *)
-let retained (t : t) : retained list = locked t (fun () -> List.rev t.retained)
-
-(* Write every in-memory retained trace into [dir]; returns the file
-   names written.  Used for incident dumps when no telemetry dir was
-   configured up front. *)
-let write_retained (t : t) (dir : string) : string list =
-  List.map
-    (fun r ->
-      write_trace_file (Filename.concat dir r.rt_name) r.rt_events;
-      r.rt_name)
-    (retained t)
 
 (* [keep_all] mode: write everything accumulated (plus anything still in
    the live buffers) as one Chrome trace; returns the event count. *)

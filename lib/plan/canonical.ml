@@ -12,14 +12,19 @@
    fold all-literal maps, and turn aggregates over indices absent from their
    body into an explicit repeated-application Map. *)
 
-let fresh_counter = ref 0
-
-let fresh_idx (base : Ir.idx) : Ir.idx =
-  incr fresh_counter;
-  Printf.sprintf "%s#%d" base !fresh_counter
+(* A fresh binder namer: renames [i] to [i#N], with N counting from 1.
+   Binder names order the logical search, so one program's plan must not
+   depend on what was planned before it: the optimizer makes one namer
+   per program and every canonicalization within it shares that namer,
+   which keeps the names unique across the program. *)
+let binder_namer () : Ir.idx -> Ir.idx =
+  let n = ref 0 in
+  fun base ->
+    incr n;
+    Printf.sprintf "%s#%d" base !n
 
 (* Rule 4: make every Agg binder unique and distinct from free indices. *)
-let uniquify (e : Ir.expr) : Ir.expr =
+let uniquify ~(binder : Ir.idx -> Ir.idx) (e : Ir.expr) : Ir.expr =
   let free = Ir.free_indices e in
   let seen_binders = ref free in
   let rename subst i =
@@ -36,7 +41,7 @@ let uniquify (e : Ir.expr) : Ir.expr =
           List.fold_left_map
             (fun subst i ->
               if Ir.Idx_set.mem i !seen_binders then begin
-                let j = fresh_idx i in
+                let j = binder i in
                 seen_binders := Ir.Idx_set.add j !seen_binders;
                 (Ir.Idx_map.add i j subst, j)
               end
@@ -150,8 +155,9 @@ let rec simplify (dims : int Ir.Idx_map.t) (e : Ir.expr) : Ir.expr =
   if e' = e then e else simplify dims e'
 
 (* Full canonicalization of a query expression. *)
-let canonicalize (schema : Schema.t) (e : Ir.expr) : Ir.expr =
-  let e = uniquify e in
+let canonicalize ~(binder : Ir.idx -> Ir.idx) (schema : Schema.t)
+    (e : Ir.expr) : Ir.expr =
+  let e = uniquify ~binder e in
   let dims = Schema.index_dims schema e in
   simplify dims e
 

@@ -13,9 +13,9 @@
 
    [drain] removes and returns everything recorded so far (oldest
    first); `galley explain --analyze` renders it directly, while
-   `galley serve` stashes the drained events in a [Store] keyed by the
-   plan digest the flight recorder stamps, so `client explain <digest>`
-   can replay the search for a long-gone request. *)
+   `galley serve` keeps each request's drained events on its flight
+   record, so `client explain <digest>` can replay the search for any
+   request still in the flight ring. *)
 
 type event = {
   pv_kind : string;  (* "rung" | "candidate" | "prune" | "operator" *)
@@ -123,7 +123,7 @@ let drain () : event list =
 let reset () = ignore (drain ())
 
 (* ------------------------------------------------------------------ *)
-(* JSON rendering (single line per event, JSONL- and store-friendly).  *)
+(* JSON rendering (single line per event, JSONL-friendly).              *)
 (* ------------------------------------------------------------------ *)
 
 let esc = Galley_obs.Metrics.json_escape
@@ -161,65 +161,3 @@ let events_to_json (evs : event list) : string =
     evs;
   Buffer.add_char b ']';
   Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Digest-keyed retention for `galley serve` (bounded ring, same        *)
-(* spirit as the flight recorder).                                      *)
-(* ------------------------------------------------------------------ *)
-
-module Store = struct
-  type entry = { st_digest : string; st_json : string }
-
-  type t = {
-    slots : entry option array;
-    mutable head : int;
-    mutex : Mutex.t;
-  }
-
-  let create ~capacity () : t =
-    if capacity <= 0 then
-      invalid_arg "Provenance.Store.create: capacity must be positive";
-    { slots = Array.make capacity None; head = 0; mutex = Mutex.create () }
-
-  let locked t f =
-    Mutex.lock t.mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-  (* Retain [json] under [digest]; an existing entry for the same plan
-     is refreshed in place (replans of a hot plan don't evict others). *)
-  let put (t : t) ~digest (json : string) : unit =
-    locked t (fun () ->
-        let n = Array.length t.slots in
-        let existing = ref None in
-        for i = 0 to n - 1 do
-          match t.slots.(i) with
-          | Some e when e.st_digest = digest -> existing := Some i
-          | _ -> ()
-        done;
-        let slot =
-          match !existing with
-          | Some i -> i
-          | None ->
-              let i = t.head in
-              t.head <- (t.head + 1) mod n;
-              i
-        in
-        t.slots.(slot) <- Some { st_digest = digest; st_json = json })
-
-  let get (t : t) (digest : string) : string option =
-    locked t (fun () ->
-        let found = ref None in
-        Array.iter
-          (function
-            | Some e when e.st_digest = digest -> found := Some e.st_json
-            | _ -> ())
-          t.slots;
-        !found)
-
-  let digests (t : t) : string list =
-    locked t (fun () ->
-        Array.to_list t.slots
-        |> List.filter_map (function
-             | Some e -> Some e.st_digest
-             | None -> None))
-end

@@ -16,6 +16,12 @@ let to_string = function
   | Greedy -> "greedy"
   | Naive -> "naive"
 
+let of_string = function
+  | "exact" -> Some Exact
+  | "greedy" -> Some Greedy
+  | "naive" -> Some Naive
+  | _ -> None
+
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 (* The tier actually served is the requested one or a degradation of it. *)

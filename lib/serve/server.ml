@@ -56,7 +56,9 @@ type config = {
   max_response_entries : int;
       (** per-output cap on entries serialized into a response *)
   driver : D.config;  (** base pipeline config (faults ride in here) *)
-  flight_capacity : int;  (** flight-recorder ring size (records) *)
+  flight_capacity : int;
+      (** flight-recorder ring size (records); also bounds how many
+          requests' provenance `explain` can answer from *)
   sampler_percentile : float;
       (** tail-sampling slow trigger: retain traces above this rolling
           percentile of recent request latencies *)
@@ -71,8 +73,8 @@ type config = {
       (** keep every request's spans (serve --trace FILE), not just the
           tail-sampled ones *)
   provenance : bool;
-      (** record optimizer search provenance per request and retain it
-          keyed by plan digest for `client explain <digest>` *)
+      (** record optimizer search provenance on each request's flight
+          record for `client explain <digest>` *)
 }
 
 let default_config ~socket_path =
@@ -195,9 +197,6 @@ type t = {
   rid_seq : int Atomic.t; (* server-assigned request ids (r1, r2, ...) *)
   mutable last_snapshot : float; (* executor thread only *)
   mutable incident_seq : int; (* executor thread only *)
-  (* optimizer provenance retained per plan digest (DESIGN.md §16);
-     written by the executor, read inline by connection threads *)
-  prov_store : Galley_plan.Provenance.Store.t;
 }
 
 let state_of t =
@@ -255,8 +254,6 @@ let create (cfg : config) : t =
     rid_seq = Atomic.make 0;
     last_snapshot = Unix.gettimeofday ();
     incident_seq = 0;
-    prov_store =
-      Galley_plan.Provenance.Store.create ~capacity:cfg.flight_capacity ();
   }
 
 let initiate_drain t =
@@ -274,35 +271,27 @@ let request_drain t = Atomic.set t.drain_requested true
 
 exception Injected_kill of int
 
-(* Per-request observability scratch: the handlers fill it in as the
-   request progresses; [process_job] consumes it to route the latency
-   observation, decide the sampling triggers, and build the flight
-   record. *)
-type req_info = {
-  mutable ri_outcome : string;  (* "ok" | "error:<kind>" | "shed:<kind>" *)
-  mutable ri_program : string;  (* program digest *)
-  mutable ri_plan : string;  (* physical plan digest *)
-  mutable ri_req_tier : Tier.t option;  (* QoS tier the budget requested *)
-  mutable ri_rung_tier : Tier.t option;  (* worst tier actually served *)
-  mutable ri_queue_us : int;
-  mutable ri_timings : D.timings option;
-  mutable ri_replans : int;
-  mutable ri_iterations : int;
-  mutable ri_audit : Obs.Audit.t option;
-}
-
-let new_req_info () =
+(* The request's one telemetry record, started with everything known
+   before any work — request id, op, program digest, queue wait — for
+   queries, binds and rejections alike.  The handlers fill in the rest;
+   [Flight.note] seals it into the ring. *)
+let start_record t (parsed : Protocol.parsed) ~(queue_us : int) :
+    Obs.Flight.record =
+  let rid =
+    match parsed.Protocol.req_id with
+    | Some i -> i
+    | None -> Printf.sprintf "r%d" (Atomic.fetch_and_add t.rid_seq 1 + 1)
+  in
+  let op, program =
+    match parsed.Protocol.req with
+    | Protocol.Query { src; _ } -> ("query", Obs.Flight.digest src)
+    | Protocol.Bind { name; _ } -> ("bind", Obs.Flight.digest name)
+    | _ -> ("other", "")
+  in
   {
-    ri_outcome = "ok";
-    ri_program = "";
-    ri_plan = "";
-    ri_req_tier = None;
-    ri_rung_tier = None;
-    ri_queue_us = 0;
-    ri_timings = None;
-    ri_replans = 0;
-    ri_iterations = 0;
-    ri_audit = None;
+    (Obs.Flight.empty_record ~id:rid ~op) with
+    Obs.Flight.fl_program = program;
+    fl_queue_us = queue_us;
   }
 
 let outcome_is_shed o = String.length o >= 5 && String.sub o 0 5 = "shed:"
@@ -310,14 +299,21 @@ let outcome_is_error o = String.length o >= 6 && String.sub o 0 6 = "error:"
 
 (* A batch request implicitly asks for the exact tier, so any ladder
    degradation on it counts as degraded too. *)
-let degraded (info : req_info) : bool =
-  match info.ri_rung_tier with
+let degraded (r : Obs.Flight.record) : bool =
+  match Tier.of_string r.Obs.Flight.fl_rung with
   | None -> false
   | Some rung ->
       let req =
-        match info.ri_req_tier with Some t -> t | None -> Tier.Exact
+        Option.value ~default:Tier.Exact (Tier.of_string r.Obs.Flight.fl_qos)
       in
       Tier.rank rung < Tier.rank req
+
+(* The sampler's retention triggers, read off the finished record. *)
+let triggers (r : Obs.Flight.record) : string list =
+  let o = r.Obs.Flight.fl_outcome in
+  (if outcome_is_error o || outcome_is_shed o then [ o ] else [])
+  @ (if degraded r then [ "degraded" ] else [])
+  @ if r.Obs.Flight.fl_replans > 0 then [ "replanned" ] else []
 
 let worst_tier (res : D.result) : Tier.t option =
   List.fold_left
@@ -329,74 +325,37 @@ let worst_tier (res : D.result) : Tier.t option =
     (res.D.logical_tiers @ res.D.physical_tiers)
 
 (* Fold one successful driver result (plus any fixpoint reports) into
-   the request's scratch record. *)
-let note_result (info : req_info)
+   the request's record; audit rows go straight to the journal. *)
+let note_result t (r : Obs.Flight.record)
     ?(reports : Galley_fixpoint.Fixpoint.fix_report list = [])
     (res : D.result) : unit =
-  info.ri_plan <-
+  let us s = int_of_float (s *. 1e6) in
+  let sum f = List.fold_left (fun a rep -> a + f rep) 0 reports in
+  let tm = res.D.timings in
+  r.Obs.Flight.fl_plan <-
     Obs.Flight.digest (Galley_plan.Physical.plan_to_string res.D.physical_plan);
-  info.ri_rung_tier <- worst_tier res;
-  info.ri_timings <- Some res.D.timings;
-  info.ri_audit <- res.D.audit;
-  info.ri_replans <-
-    List.fold_left
-      (fun a (r : Galley_fixpoint.Fixpoint.fix_report) ->
-        a + r.Galley_fixpoint.Fixpoint.fr_replans)
-      0 reports;
-  info.ri_iterations <-
-    List.fold_left
-      (fun a (r : Galley_fixpoint.Fixpoint.fix_report) ->
-        a + r.Galley_fixpoint.Fixpoint.fr_iterations)
-      0 reports
-
-let flight_record_of ~rid ~op ~total_us (info : req_info) ~trace :
-    Obs.Flight.record =
-  let base = Obs.Flight.empty_record ~id:rid ~op in
-  let s2us s = int_of_float (s *. 1e6) in
-  let lus, pus, cus, eus, compiles, kernels, cse =
-    match info.ri_timings with
-    | Some tm ->
-        ( s2us tm.D.logical_seconds,
-          s2us tm.D.physical_seconds,
-          s2us tm.D.compile_seconds,
-          s2us tm.D.execute_seconds,
-          tm.D.compile_count,
-          tm.D.kernel_count,
-          tm.D.cse_hits )
-    | None -> (0, 0, 0, 0, 0, 0, 0)
-  in
-  {
-    base with
-    Obs.Flight.fl_outcome = info.ri_outcome;
-    fl_program = info.ri_program;
-    fl_plan = info.ri_plan;
-    fl_qos =
-      (match info.ri_req_tier with
-      | Some t -> Tier.to_string t
-      | None -> "batch");
-    fl_rung =
-      (match info.ri_rung_tier with Some t -> Tier.to_string t | None -> "");
-    fl_queue_us = info.ri_queue_us;
-    fl_logical_us = lus;
-    fl_physical_us = pus;
-    fl_compile_us = cus;
-    fl_execute_us = eus;
-    fl_total_us = total_us;
-    fl_compiles = compiles;
-    fl_kernels = kernels;
-    fl_cse_hits = cse;
-    fl_replans = info.ri_replans;
-    fl_iterations = info.ri_iterations;
-    fl_qerrors =
-      (match info.ri_audit with
-      | Some a ->
-          List.map
-            (fun (s : Obs.Audit.summary) ->
-              (s.Obs.Audit.s_estimator, s.Obs.Audit.s_mean_q))
-            (Obs.Audit.summaries a)
-      | None -> []);
-    fl_trace = trace;
-  }
+  r.fl_rung <- Option.fold ~none:"" ~some:Tier.to_string (worst_tier res);
+  r.fl_logical_us <- us tm.D.logical_seconds;
+  r.fl_physical_us <- us tm.D.physical_seconds;
+  r.fl_compile_us <- us tm.D.compile_seconds;
+  r.fl_execute_us <- us tm.D.execute_seconds;
+  r.fl_compiles <- tm.D.compile_count;
+  r.fl_kernels <- tm.D.kernel_count;
+  r.fl_cse_hits <- tm.D.cse_hits;
+  r.fl_replans <- sum (fun rep -> rep.Galley_fixpoint.Fixpoint.fr_replans);
+  r.fl_iterations <-
+    sum (fun rep -> rep.Galley_fixpoint.Fixpoint.fr_iterations);
+  match res.D.audit with
+  | None -> ()
+  | Some a ->
+      r.fl_qerrors <-
+        List.map
+          (fun (s : Obs.Audit.summary) ->
+            (s.Obs.Audit.s_estimator, s.Obs.Audit.s_mean_q))
+          (Obs.Audit.summaries a);
+      Option.iter
+        (fun j -> Obs.Journal.audit_rows j ~id:r.fl_id (Obs.Audit.rows a))
+        t.journal
 
 (* Derive the per-request driver config from the deadline budget: tier
    selection via Tier.of_budget, the remaining budget as both the
@@ -441,23 +400,20 @@ let request_config t ~(remaining_s : float option) : D.config * Tier.t option
         },
         Some tier )
 
-let handle_query t (job : job) (info : req_info) ~src ~budget_ms ~want_values
-    ~max_entries =
+let handle_query t (job : job) (r : Obs.Flight.record) ~src ~budget_ms
+    ~want_values ~max_entries =
   let id = job.j_parsed.Protocol.req_id in
   let budget_ms =
     match budget_ms with Some b -> Some b | None -> t.cfg.default_budget_ms
   in
-  let waited = Unix.gettimeofday () -. job.j_arrival in
-  Metrics.observe m_queue_wait (int_of_float (waited *. 1e6));
-  info.ri_queue_us <- int_of_float (waited *. 1e6);
-  info.ri_program <- Obs.Flight.digest src;
+  let waited = float_of_int r.Obs.Flight.fl_queue_us /. 1e6 in
   let remaining_s =
     Option.map (fun b -> (b /. 1000.0) -. waited) budget_ms
   in
   match remaining_s with
   | Some rem when rem <= 0.0 ->
       Metrics.incr m_rejected_deadline;
-      info.ri_outcome <- "shed:deadline";
+      r.fl_outcome <- "shed:deadline";
       Protocol.error_json ~id ~kind:"deadline"
         ~message:
           (Printf.sprintf
@@ -469,11 +425,11 @@ let handle_query t (job : job) (info : req_info) ~src ~budget_ms ~want_values
       let config =
         if t.cfg.audit_requests then { config with D.audit = true } else config
       in
-      info.ri_req_tier <- qos_tier;
+      Option.iter (fun q -> r.fl_qos <- Tier.to_string q) qos_tier;
       match Galley_fixpoint.Fixpoint.parse_checked src with
       | Error e ->
           Metrics.incr m_requests_failed;
-          info.ri_outcome <- "error:" ^ Protocol.kind_of_error e;
+          r.fl_outcome <- "error:" ^ Protocol.kind_of_error e;
           Protocol.error_of ~id e
       | Ok xprogram -> (
           (* serve-kill fires after parse, mid-request: the outer
@@ -501,12 +457,12 @@ let handle_query t (job : job) (info : req_info) ~src ~budget_ms ~want_values
               with
               | Ok res ->
                   Metrics.incr m_requests_ok;
-                  note_result info res;
+                  note_result t r res;
                   Protocol.result_json ~id ~want_values ~max_entries ?qos_tier
                     res
               | Error e ->
                   Metrics.incr m_requests_failed;
-                  info.ri_outcome <- "error:" ^ Protocol.kind_of_error e;
+                  r.fl_outcome <- "error:" ^ Protocol.kind_of_error e;
                   Protocol.error_of ~id e)
           | None -> (
               match
@@ -515,23 +471,20 @@ let handle_query t (job : job) (info : req_info) ~src ~budget_ms ~want_values
               with
               | Ok (res, reports) ->
                   Metrics.incr m_requests_ok;
-                  note_result info ~reports res;
+                  note_result t r ~reports res;
                   Protocol.result_json ~id ~want_values ~max_entries ?qos_tier
                     ~fixpoints:reports res
               | Error e ->
                   Metrics.incr m_requests_failed;
-                  info.ri_outcome <- "error:" ^ Protocol.kind_of_error e;
+                  r.fl_outcome <- "error:" ^ Protocol.kind_of_error e;
                   Protocol.error_of ~id e)))
 
-let handle_bind t (job : job) (info : req_info) ~name ~spec =
+let handle_bind t (job : job) (r : Obs.Flight.record) ~name ~spec =
   let id = job.j_parsed.Protocol.req_id in
-  info.ri_program <- Obs.Flight.digest name;
-  info.ri_queue_us <-
-    int_of_float ((Unix.gettimeofday () -. job.j_arrival) *. 1e6);
   match Protocol.tensor_of_bind spec with
   | Error msg ->
       Metrics.incr m_bad_requests;
-      info.ri_outcome <- "error:bad_request";
+      r.Obs.Flight.fl_outcome <- "error:bad_request";
       Protocol.error_json ~id ~kind:"bad_request" ~message:msg ()
   | Ok tensor -> (
       match D.Session.bind t.session name tensor with
@@ -540,14 +493,14 @@ let handle_bind t (job : job) (info : req_info) ~name ~spec =
           Protocol.bound_json ~id ~name tensor
       | exception (Invalid_argument m | Failure m) ->
           Metrics.incr m_requests_failed;
-          info.ri_outcome <- "error:bad_request";
+          r.Obs.Flight.fl_outcome <- "error:bad_request";
           Protocol.error_json ~id ~kind:"bad_request" ~message:m ())
 
-let handle_admitted t (job : job) (info : req_info) : string =
+let handle_admitted t (job : job) (r : Obs.Flight.record) : string =
   match job.j_parsed.Protocol.req with
   | Protocol.Query { src; budget_ms; want_values; max_entries } ->
-      handle_query t job info ~src ~budget_ms ~want_values ~max_entries
-  | Protocol.Bind { name; spec } -> handle_bind t job info ~name ~spec
+      handle_query t job r ~src ~budget_ms ~want_values ~max_entries
+  | Protocol.Bind { name; spec } -> handle_bind t job r ~name ~spec
   | Protocol.Health | Protocol.Metrics_req _ | Protocol.Debug_req _
   | Protocol.Explain_req _ | Protocol.Shutdown ->
       (* Handled inline by the connection thread; never queued. *)
@@ -562,32 +515,28 @@ let deliver (job : job) (resp : string) =
 (* The per-request isolation boundary: no exception escaping a request
    may kill the executor thread or leak to another request.
 
-   Telemetry sequencing: the request id is stamped on the log context
-   and span attrs before any work; after delivery the latency lands in
-   the admitted or rejection histogram (never both), the sampler decides
-   trace retention (so the flight record can name the retained trace),
-   the flight recorder notes the record, and crash-shaped outcomes dump
-   the whole ring to an incident file while the state is fresh. *)
+   Telemetry sequencing: the request's record is started and its id
+   stamped on the log context and span attrs before any work; after
+   delivery the record takes the request's optimizer provenance, the
+   latency lands in the admitted or rejection histogram (never both),
+   the sampler decides trace retention from the record (so the record
+   can name the retained trace), the flight recorder seals it, and
+   crash-shaped outcomes dump the whole ring to an incident file while
+   the state is fresh. *)
 let process_job t (job : job) =
   let id = job.j_parsed.Protocol.req_id in
-  let rid =
-    match id with
-    | Some i -> i
-    | None -> Printf.sprintf "r%d" (Atomic.fetch_and_add t.rid_seq 1 + 1)
+  let queue_us =
+    int_of_float ((Unix.gettimeofday () -. job.j_arrival) *. 1e6)
   in
-  let op =
-    match job.j_parsed.Protocol.req with
-    | Protocol.Query _ -> "query"
-    | Protocol.Bind _ -> "bind"
-    | _ -> "other"
-  in
-  let info = new_req_info () in
+  Metrics.observe m_queue_wait queue_us;
+  let r = start_record t job.j_parsed ~queue_us in
+  let rid = r.Obs.Flight.fl_id in
   Obs.Log.set_context (Some rid);
   Obs.Sampler.begin_request t.sampler;
   let resp =
     if Atomic.get t.force_stop then begin
       Metrics.incr m_rejected_draining;
-      info.ri_outcome <- "shed:draining";
+      r.fl_outcome <- "shed:draining";
       Protocol.error_json ~id ~kind:"draining"
         ~message:"server drain deadline passed; request not executed" ()
     end
@@ -596,69 +545,56 @@ let process_job t (job : job) =
         Obs.span ~cat:"serve" ~name:"serve.request"
           ~attrs:(fun () ->
             (* forced at emission, after the handler: outcome is final *)
-            [ ("rid", rid); ("op", op); ("outcome", info.ri_outcome) ])
-          (fun () -> handle_admitted t job info)
+            [ ("rid", rid); ("op", r.fl_op); ("outcome", r.fl_outcome) ])
+          (fun () -> handle_admitted t job r)
       with
       | Injected_kill n ->
           Metrics.incr m_requests_failed;
-          info.ri_outcome <- "error:injected_fault";
+          r.fl_outcome <- "error:injected_fault";
           Protocol.error_json ~id ~kind:"injected_fault"
             ~message:
               (Printf.sprintf "injected mid-request kill (query %d)" n)
             ()
       | exn ->
           Metrics.incr m_requests_failed;
-          info.ri_outcome <- "error:internal";
+          r.fl_outcome <- "error:internal";
           Obs.Log.error "serve: request failed uncaught: %s"
             (Printexc.to_string exn);
           Protocol.error_json ~id ~kind:"internal"
             ~message:(Printexc.to_string exn) ()
   in
   deliver job resp;
-  (* Retain this request's optimizer provenance under its plan digest.
-     The executor is the only thread that plans, so the drain returns
-     exactly this request's events; draining even without a digest
-     keeps the recorder buffer bounded across failed requests. *)
+  (* The executor is the only thread that plans, so the drain returns
+     exactly this request's events; draining even without a plan keeps
+     the recorder buffer bounded across failed requests. *)
   if Galley_plan.Provenance.enabled () then begin
     let evs = Galley_plan.Provenance.drain () in
-    if info.ri_plan <> "" && evs <> [] then
-      Galley_plan.Provenance.Store.put t.prov_store ~digest:info.ri_plan
-        (Printf.sprintf {|{"plan":"%s","rid":"%s","events":%s}|} info.ri_plan
-           (Metrics.json_escape rid)
-           (Galley_plan.Provenance.events_to_json evs))
+    if r.fl_plan <> "" && evs <> [] then
+      r.fl_provenance <-
+        Printf.sprintf {|{"plan":"%s","rid":"%s","events":%s}|} r.fl_plan
+          (Metrics.json_escape rid)
+          (Galley_plan.Provenance.events_to_json evs)
   end;
-  let total_us =
-    int_of_float ((Unix.gettimeofday () -. job.j_arrival) *. 1e6)
-  in
-  if outcome_is_shed info.ri_outcome then
-    Metrics.observe m_rejection_latency total_us
-  else Metrics.observe m_latency total_us;
-  let triggers =
-    (if outcome_is_error info.ri_outcome then [ info.ri_outcome ] else [])
-    @ (if outcome_is_shed info.ri_outcome then [ info.ri_outcome ] else [])
-    @ (if degraded info then [ "degraded" ] else [])
-    @ if info.ri_replans > 0 then [ "replanned" ] else []
-  in
+  r.fl_total_us <-
+    int_of_float ((Unix.gettimeofday () -. job.j_arrival) *. 1e6);
+  if outcome_is_shed r.fl_outcome then
+    Metrics.observe m_rejection_latency r.fl_total_us
+  else Metrics.observe m_latency r.fl_total_us;
   let decision =
-    Obs.Sampler.end_request t.sampler ~id:rid ~duration_us:total_us ~triggers
+    Obs.Sampler.end_request t.sampler ~id:rid ~duration_us:r.fl_total_us
+      ~triggers:(triggers r)
   in
-  let record =
-    Obs.Flight.note t.flight
-      (flight_record_of ~rid ~op ~total_us info
-         ~trace:decision.Obs.Sampler.trace_name)
-  in
+  r.fl_trace <- decision.Obs.Sampler.trace_name;
+  ignore (Obs.Flight.note t.flight r);
   (match t.journal with
   | Some j ->
-      (match info.ri_audit with
-      | Some a -> Obs.Journal.audit_rows j ~id:rid (Obs.Audit.rows a)
-      | None -> ());
       let now = Unix.gettimeofday () in
       if now -. t.last_snapshot >= t.cfg.telemetry_interval then begin
         Obs.Journal.snapshot j;
         t.last_snapshot <- now
       end
   | None -> ());
-  (match (t.cfg.telemetry_dir, info.ri_outcome) with
+  (match (t.cfg.telemetry_dir, r.fl_outcome) with
   | Some dir, ("error:injected_fault" | "error:internal") ->
       t.incident_seq <- t.incident_seq + 1;
       let file =
@@ -667,8 +603,7 @@ let process_job t (job : job) =
       in
       let n = Obs.Flight.write_jsonl t.flight (Filename.concat dir file) in
       Obs.Log.info "serve: incident dump %s (%d records, trace %s)" file n
-        (if record.Obs.Flight.fl_trace = "" then "-"
-         else record.Obs.Flight.fl_trace)
+        (if r.fl_trace = "" then "-" else r.fl_trace)
   | _ -> ());
   Obs.Log.set_context None
 
@@ -701,28 +636,11 @@ let executor_loop t =
    this path — an unadmitted request has no spans to retain. *)
 let note_rejection t (parsed : Protocol.parsed) ~(kind : string)
     ~(arrival : float) : unit =
-  let rid =
-    match parsed.Protocol.req_id with
-    | Some i -> i
-    | None -> Printf.sprintf "r%d" (Atomic.fetch_and_add t.rid_seq 1 + 1)
-  in
-  let op, program =
-    match parsed.Protocol.req with
-    | Protocol.Query { src; _ } -> ("query", Obs.Flight.digest src)
-    | Protocol.Bind { name; _ } -> ("bind", Obs.Flight.digest name)
-    | _ -> ("other", "")
-  in
-  let total_us = int_of_float ((Unix.gettimeofday () -. arrival) *. 1e6) in
-  Metrics.observe m_rejection_latency total_us;
-  let base = Obs.Flight.empty_record ~id:rid ~op in
-  ignore
-    (Obs.Flight.note t.flight
-       {
-         base with
-         Obs.Flight.fl_outcome = "shed:" ^ kind;
-         fl_program = program;
-         fl_total_us = total_us;
-       })
+  let r = start_record t parsed ~queue_us:0 in
+  r.Obs.Flight.fl_outcome <- "shed:" ^ kind;
+  r.fl_total_us <- int_of_float ((Unix.gettimeofday () -. arrival) *. 1e6);
+  Metrics.observe m_rejection_latency r.fl_total_us;
+  ignore (Obs.Flight.note t.flight r)
 
 let submit t (parsed : Protocol.parsed) : string =
   let id = parsed.Protocol.req_id in
@@ -827,12 +745,18 @@ let debug_json t id ~last =
         "[" ^ String.concat "," (List.map Obs.Flight.to_json rs) ^ "]" );
     ]
 
-(* Resident provenance lookup: the retained search trace for a plan
-   digest (as stamped in flight records and `galley debug` output). *)
+(* Resident provenance lookup: the search trace of the newest request in
+   the flight ring that built the plan with this digest (as stamped in
+   flight records and `galley debug` output). *)
 let explain_json t id ~digest =
-  match Galley_plan.Provenance.Store.get t.prov_store digest with
-  | Some json ->
-      Protocol.ok_json ~id [ ("op", "\"explain\""); ("provenance", json) ]
+  match
+    List.find_opt
+      (fun r -> r.Obs.Flight.fl_plan = digest && r.fl_provenance <> "")
+      (List.rev (Obs.Flight.records t.flight))
+  with
+  | Some r ->
+      Protocol.ok_json ~id
+        [ ("op", "\"explain\""); ("provenance", r.Obs.Flight.fl_provenance) ]
   | None ->
       let message =
         if not (Galley_plan.Provenance.enabled ()) then

@@ -1,10 +1,10 @@
 (* Observability-for-serve layer (PR 9): the flight-recorder ring
    (wrap-around, sequencing, JSONL schema), tail-based trace sampling
-   (trigger priority, rolling-percentile slow detection, retained-ring
-   bound, on-disk trace files, keep_all mode), Prometheus text
-   exposition, the rotating telemetry journal, request-id log context,
-   fixpoint iteration span attributes, and the property that leaving
-   the recorder + sampler on is bit-for-bit invisible to results. *)
+   (trigger priority, rolling-percentile slow detection, on-disk trace
+   files, keep_all mode), Prometheus text exposition, the rotating
+   telemetry journal, request-id log context, fixpoint iteration span
+   attributes, and the property that leaving the recorder + sampler on
+   is bit-for-bit invisible to results. *)
 
 module T = Galley_tensor.Tensor
 module Prng = Galley_tensor.Prng
@@ -162,9 +162,21 @@ let one_request sm ~id ~duration_us ~triggers ~spans =
   done;
   Sampler.end_request sm ~id ~duration_us ~triggers
 
+(* A retained trace file's events. *)
+let trace_events path : Json.t list =
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  match Json.parse s with
+  | Error e -> Alcotest.failf "%s: %s" path e
+  | Ok json -> (
+      match Option.bind (Json.member "traceEvents" json) Json.to_list with
+      | Some evs -> evs
+      | None -> Alcotest.failf "%s has no traceEvents" path)
+
 let test_trigger_retention () =
   let was_on = Trace.enabled () in
-  let sm = Sampler.create () in
+  let dir = temp_dir "sampler" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let sm = Sampler.create ~dir () in
   (* boring request below min_window: dropped *)
   let d = one_request sm ~id:"fine" ~duration_us:100 ~triggers:[] ~spans:2 in
   check_bool "uninteresting request dropped" false d.Sampler.kept;
@@ -178,17 +190,17 @@ let test_trigger_retention () =
   check_string "first trigger wins" "error" d.Sampler.reason;
   check_string "filename sanitized" "trace-0001-bad_id.json"
     d.Sampler.trace_name;
-  (match Sampler.retained sm with
-  | [ r ] ->
-      check_string "retained id" "bad/id" r.Sampler.rt_id;
-      check_int "spans captured" 3 (List.length r.Sampler.rt_events);
-      check_bool "only this request's spans" true
-        (List.for_all
-           (fun e ->
-             String.length e.Trace.ev_name >= 4
-             && String.sub e.Trace.ev_name 0 4 = "work")
-           r.Sampler.rt_events)
-  | rs -> Alcotest.failf "expected 1 retained trace, got %d" (List.length rs));
+  check_bool "only the retained request was written" true
+    (Sys.readdir dir = [| d.Sampler.trace_name |]);
+  let evs = trace_events (Filename.concat dir d.Sampler.trace_name) in
+  check_int "spans captured" 3 (List.length evs);
+  check_bool "only this request's spans" true
+    (List.for_all
+       (fun e ->
+         match Option.bind (Json.member "name" e) Json.to_string with
+         | Some n -> String.length n >= 4 && String.sub n 0 4 = "work"
+         | None -> false)
+       evs);
   check_bool "sampler restores prior trace state" true
     (Trace.enabled () = was_on)
 
@@ -214,41 +226,34 @@ let test_slow_percentile () =
   check_bool "outlier retained" true d.Sampler.kept;
   check_string "reason is slow" "slow" d.Sampler.reason
 
-let test_retained_ring_and_dir () =
+let test_retained_trace_files () =
   let dir = temp_dir "sampler" in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      let sm = Sampler.create ~dir ~max_keep:2 () in
+      let sm = Sampler.create ~dir () in
       for i = 1 to 4 do
         ignore
           (one_request sm ~id:(Printf.sprintf "e%d" i) ~duration_us:10
              ~triggers:[ "error" ] ~spans:1)
       done;
-      let rs = Sampler.retained sm in
-      check_int "in-memory ring bounded" 2 (List.length rs);
-      check_bool "newest kept, oldest first" true
-        (List.map (fun r -> r.Sampler.rt_id) rs = [ "e3"; "e4" ]);
-      (* every retained trace was also written to the directory, and is
-         a parseable Chrome trace *)
+      (* every retained trace is written to the directory, named by its
+         retention ordinal and request id, as a parseable Chrome trace *)
       let files =
         List.sort compare
           (List.filter
              (fun f -> Filename.check_suffix f ".json")
              (Array.to_list (Sys.readdir dir)))
       in
-      check_int "all four written to disk" 4 (List.length files);
+      Alcotest.(check (list string))
+        "all four written to disk"
+        [ "trace-0001-e1.json"; "trace-0002-e2.json"; "trace-0003-e3.json";
+          "trace-0004-e4.json" ]
+        files;
       List.iter
         (fun f ->
-          let ic = open_in (Filename.concat dir f) in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          match Json.parse s with
-          | Ok json ->
-              check_bool (f ^ " has traceEvents") true
-                (Json.member "traceEvents" json <> None)
-          | Error e -> Alcotest.failf "%s: %s" f e)
+          check_int (f ^ " holds its request's span") 1
+            (List.length (trace_events (Filename.concat dir f))))
         files)
 
 let test_keep_all_mode () =
@@ -508,8 +513,8 @@ let () =
             test_trigger_retention;
           Alcotest.test_case "rolling-percentile slow trigger" `Quick
             test_slow_percentile;
-          Alcotest.test_case "retained ring bound and trace files" `Quick
-            test_retained_ring_and_dir;
+          Alcotest.test_case "retained traces written as files" `Quick
+            test_retained_trace_files;
           Alcotest.test_case "keep_all whole-run mode" `Quick
             test_keep_all_mode;
         ] );

@@ -13,6 +13,10 @@ let check_str = Alcotest.(check string)
 
 let idx_set_to_list s = Ir.Idx_set.elements s
 
+(* Canonicalization with a binder namer of its own, as one program gets. *)
+let canonicalize schema e =
+  Canonical.canonicalize ~binder:(Canonical.binder_namer ()) schema e
+
 let schema_with (entries : (string * int array) list) : Schema.t =
   let s = Schema.create () in
   List.iter (fun (n, dims) -> Schema.declare s n ~dims ~fill:0.0) entries;
@@ -63,7 +67,7 @@ let test_merge_nested_maps () =
           Ir.input "C" [ "i" ];
         ] )
   in
-  match Canonical.canonicalize schema e with
+  match canonicalize schema e with
   | Ir.Map (Op.Add, args) ->
       Alcotest.(check int) "flattened to 3" 3 (List.length args)
   | e' -> Alcotest.failf "unexpected shape: %s" (Ir.expr_to_string e')
@@ -71,7 +75,7 @@ let test_merge_nested_maps () =
 let test_merge_nested_aggs () =
   let schema = schema_with [ ("A", [| 3; 4 |]) ] in
   let e = Ir.(sum [ "i" ] (sum [ "j" ] (input "A" [ "i"; "j" ]))) in
-  match Canonical.canonicalize schema e with
+  match canonicalize schema e with
   | Ir.Agg (Op.Add, idxs, Ir.Input ("A", _)) ->
       Alcotest.(check int) "merged binders" 2 (List.length idxs)
   | e' -> Alcotest.failf "unexpected shape: %s" (Ir.expr_to_string e')
@@ -82,7 +86,7 @@ let test_lift_agg_above_map () =
   let e =
     Ir.(mul [ input "theta" [ "j" ]; sum [ "i" ] (input "A" [ "i"; "j" ]) ])
   in
-  match Canonical.canonicalize schema e with
+  match canonicalize schema e with
   | Ir.Agg (Op.Add, [ "i" ], Ir.Map (Op.Mul, _)) -> ()
   | e' -> Alcotest.failf "not lifted: %s" (Ir.expr_to_string e')
 
@@ -91,7 +95,7 @@ let test_no_lift_when_mentioned () =
      renames the binder, after which lifting is sound. *)
   let schema = schema_with [ ("A", [| 3 |]); ("B", [| 3 |]) ] in
   let e = Ir.(mul [ input "B" [ "i" ]; sum [ "i" ] (input "A" [ "i" ]) ]) in
-  let e' = Canonical.canonicalize schema e in
+  let e' = canonicalize schema e in
   (* after renaming, B's i stays free *)
   check_bool "i still free" true (Ir.Idx_set.mem "i" (Ir.free_indices e'))
 
@@ -104,7 +108,7 @@ let test_uniquify_shadowing () =
           sum [ "i" ] (input "B" [ "i" ]);
         ])
   in
-  let e' = Canonical.uniquify e in
+  let e' = Canonical.uniquify ~binder:(Canonical.binder_namer ()) e in
   let rec binders acc = function
     | Ir.Agg (_, idxs, body) -> binders (idxs @ acc) body
     | Ir.Map (_, args) -> List.fold_left binders acc args
@@ -377,7 +381,7 @@ let prop_canonicalize_preserves_free =
       in
       let e = gen 3 in
       let free_before = Ir.free_indices e in
-      let free_after = Ir.free_indices (Canonical.canonicalize schema e) in
+      let free_after = Ir.free_indices (canonicalize schema e) in
       Ir.Idx_set.equal free_before free_after)
 
 let () =

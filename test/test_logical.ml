@@ -223,13 +223,14 @@ let test_bnb_no_worse_than_greedy () =
   in
   let counter = ref 0 in
   let fresh () = incr counter; Printf.sprintf "#g%d" !counter in
+  let binder = Galley_plan.Canonical.binder_namer () in
   let greedy =
     Opt.optimize_expr { Opt.default_config with search = Opt.Greedy } (mk ())
-      ~fresh ~name:"out" ~out_order:None expr
+      ~fresh ~binder ~name:"out" ~out_order:None expr
   in
   let bnb =
     Opt.optimize_expr { Opt.default_config with search = Opt.Branch_and_bound }
-      (mk ()) ~fresh ~name:"out" ~out_order:None expr
+      (mk ()) ~fresh ~binder ~name:"out" ~out_order:None expr
   in
   check_bool "bnb <= greedy cost" true (bnb.Opt.cost <= greedy.Opt.cost +. 1e-6)
 

@@ -153,7 +153,10 @@ let test_distributed_variant_none_when_same () =
   let schema = Galley_plan.Schema.create () in
   Galley_plan.Schema.declare schema "A" ~dims:[| 4 |] ~fill:0.0;
   check_bool "no change, no variant" true
-    (Dist.distributed_variant schema (Ir.input "A" [ "i" ]) = None)
+    (Dist.distributed_variant
+       ~binder:(Galley_plan.Canonical.binder_namer ())
+       schema (Ir.input "A" [ "i" ])
+    = None)
 
 (* -------------------------------------------------------------- *)
 (* Failure injection across layers.                                 *)

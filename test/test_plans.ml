@@ -20,12 +20,10 @@ module Ctx = Galley_stats.Ctx
 module Optimizer = Galley_logical.Optimizer
 
 (* The logical optimizer as [Driver.run] drives it, one input query at a
-   time so each query's search cost is visible.  The global counter behind
-   fresh index names restarts per program, so the names do not depend on
-   which programs ran before. *)
+   time so each query's search cost is visible: one intermediate namer
+   and one binder namer per program, shared by its queries. *)
 let plan_block ~(label : string) ~(kind : Ctx.kind) inputs (src : string) :
     string =
-  Canonical.fresh_counter := 0;
   let program = D.resolve_names (Galley_lang.Parser.parse_program src) in
   let schema = Schema.create () in
   List.iter (fun (n, t) -> Schema.declare_tensor schema n t) inputs;
@@ -36,12 +34,14 @@ let plan_block ~(label : string) ~(kind : Ctx.kind) inputs (src : string) :
     incr counter;
     Printf.sprintf "#t%d" !counter
   in
+  let binder = Canonical.binder_namer () in
   let b = Buffer.create 4096 in
   Printf.bprintf b "== %s %s\n" label (Ctx.kind_to_string kind);
   List.iter
     (fun (q : Ir.query) ->
       let r, tier =
-        Optimizer.optimize_query_tiered Optimizer.default_config ctx ~fresh q
+        Optimizer.optimize_query_tiered Optimizer.default_config ctx ~fresh
+          ~binder q
       in
       Printf.bprintf b "query %s tier=%s cost=%h\n" q.Ir.name
         (Tier.to_string tier) r.Optimizer.cost;
@@ -103,6 +103,30 @@ let test_golden_plans () =
   let got = golden_text () in
   if want <> got then Alcotest.fail (first_difference want got)
 
+(* Repeated cold runs in one process plan alike: binder names restart
+   with every program instead of continuing a process-wide count. *)
+let test_cold_runs_plan_alike () =
+  let c =
+    List.find
+      (fun (c : Perfbench.Ml_joins.case) ->
+        c.Perfbench.Ml_joins.name = "covariance_star")
+      (Perfbench.Ml_joins.cases ~seed:1 ())
+  in
+  let plan () =
+    match
+      D.run_source_checked ~inputs:c.Perfbench.Ml_joins.inputs
+        c.Perfbench.Ml_joins.src
+    with
+    | Ok r -> List.map Logical_query.to_string r.D.logical_plan
+    | Error e -> Alcotest.fail (Galley.Errors.to_string e)
+  in
+  let first = plan () in
+  for run = 2 to 6 do
+    Alcotest.(check (list string))
+      (Printf.sprintf "run %d plans as run 1" run)
+      first (plan ())
+  done
+
 let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "record" then
     print_string (golden_text ())
@@ -113,5 +137,7 @@ let () =
           [
             Alcotest.test_case "fig6 and fixpoint logical plans" `Slow
               test_golden_plans;
+            Alcotest.test_case "six cold covariance runs plan alike" `Slow
+              test_cold_runs_plan_alike;
           ] );
       ]

@@ -1,9 +1,9 @@
 (* Optimizer provenance (DESIGN.md §16): recorder gating and drain
-   semantics, the digest-keyed retention store, structural plan
-   diffing, the offline audit-report reduction over a committed journal
-   fixture, and the property that recording the search leaves both the
-   chosen plans and the program outputs bit-identical across kernel
-   backends and domain counts. *)
+   semantics, structural plan diffing, the offline audit-report
+   reduction over a committed journal fixture, and the property that
+   recording the search leaves both the chosen plans and the program
+   outputs bit-identical across kernel backends and domain counts.  The
+   daemon's retention of provenance is tested in test_serve.ml. *)
 
 module T = Galley_tensor.Tensor
 module Prng = Galley_tensor.Prng
@@ -78,21 +78,6 @@ let test_event_json () =
           (* prune has nan cost: the field must be omitted, not "nan" *)
           check_bool "nan cost omitted" true (Json.member "cost" prune = None)
       | _ -> Alcotest.fail "expected a two-element JSON array")
-
-let test_store () =
-  let s = Prov.Store.create ~capacity:2 () in
-  Prov.Store.put s ~digest:"aaa" "{\"v\":1}";
-  Prov.Store.put s ~digest:"bbb" "{\"v\":2}";
-  check_bool "get aaa" true (Prov.Store.get s "aaa" = Some "{\"v\":1}");
-  (* refreshing an existing digest must not evict the other entry *)
-  Prov.Store.put s ~digest:"aaa" "{\"v\":3}";
-  check_bool "aaa refreshed" true (Prov.Store.get s "aaa" = Some "{\"v\":3}");
-  check_bool "bbb survives refresh" true
-    (Prov.Store.get s "bbb" = Some "{\"v\":2}");
-  (* a genuinely new digest evicts the oldest slot *)
-  Prov.Store.put s ~digest:"ccc" "{\"v\":4}";
-  check_int "capacity bounded" 2 (List.length (Prov.Store.digests s));
-  check_bool "miss is None" true (Prov.Store.get s "zzz" = None)
 
 (* -------------------------------------------------------------- *)
 (* Plan diff.                                                       *)
@@ -332,7 +317,6 @@ let () =
         [
           Alcotest.test_case "gating and drain" `Quick test_recorder_gating;
           Alcotest.test_case "event json shape" `Quick test_event_json;
-          Alcotest.test_case "digest store" `Quick test_store;
         ] );
       ( "plan-diff",
         [

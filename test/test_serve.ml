@@ -754,6 +754,70 @@ let test_debug_fixpoint_over_wire () =
         | Some t -> t >= 3
         | None -> false))
 
+let test_bind_queue_wait () =
+  let module M = Galley_obs.Metrics in
+  with_server (fun sock _ ->
+      let waits = M.histogram "serve.queue_wait_us" in
+      List.iteri
+        (fun i (name, spec) ->
+          let before = M.histogram_count waits in
+          check_bool ("bind " ^ name ^ " ok") true
+            (is_ok (rpc_ok sock (P.encode_bind_random ~name spec)));
+          check_int
+            (Printf.sprintf "bind %d observes its queue wait" (i + 1))
+            (before + 1) (M.histogram_count waits))
+        [ ("E", spec_e); ("x", spec_x) ])
+
+(* `explain <digest>` answers from the flight ring: provenance lives on
+   the records of the last [flight_capacity] requests, so it follows
+   them out of the window, and a repeated plan answers with its newest
+   request. *)
+let test_explain_flight_window () =
+  with_server
+    ~cfg:(fun c -> { c with S.flight_capacity = 2; provenance = true })
+    (fun sock _ ->
+      ignore (rpc_ok sock (P.encode_bind_random ~name:"E" spec_e));
+      ignore (rpc_ok sock (P.encode_bind_random ~name:"x" spec_x));
+      let query id src =
+        check_bool ("query " ^ id ^ " ok") true
+          (is_ok (rpc_ok sock (P.encode_query ~id ~values:false src)));
+        let records =
+          Option.value ~default:[]
+            (Option.bind
+               (Json.member "records" (rpc_ok sock (P.encode_debug ())))
+               Json.to_list)
+        in
+        match
+          List.find_map
+            (fun r ->
+              if Option.bind (Json.member "id" r) Json.to_string = Some id then
+                Option.bind (Json.member "plan" r) Json.to_string
+              else None)
+            records
+        with
+        | Some plan -> plan
+        | None -> Alcotest.failf "no flight record with a plan for %s" id
+      in
+      let explain digest = rpc_ok sock (P.encode_explain ~digest ()) in
+      let rid_of json =
+        Option.bind (Json.member "provenance" json) (fun p ->
+            Option.bind (Json.member "rid" p) Json.to_string)
+      in
+      let src_b = "z[j] = sum[i](E[i,j] * x[i])" in
+      let pa = query "a" soak_src in
+      let pb = query "b" src_b in
+      check_bool "b's provenance answers" true (rid_of (explain pb) = Some "b");
+      let pc = query "c" "s = sum[i,j](E[i,j])" in
+      check_bool "three distinct plans" true (pa <> pb && pb <> pc && pa <> pc);
+      let miss = explain pa in
+      check_bool "first plan left the window" true
+        (error_kind miss = Some "not_found");
+      check_bool "c answers" true (rid_of (explain pc) = Some "c");
+      check_string "a repeated program repeats its plan" pb (query "b2" src_b);
+      check_bool "a repeated plan answers with its newest request" true
+        (rid_of (explain pb) = Some "b2"));
+  Galley_plan.Provenance.disable ()
+
 let () =
   Alcotest.run "serve"
     [
@@ -801,5 +865,9 @@ let () =
             `Quick test_shed_requests_not_in_latency;
           Alcotest.test_case "debug op reports fixpoint flight records"
             `Quick test_debug_fixpoint_over_wire;
+          Alcotest.test_case "bind requests feed the queue-wait histogram"
+            `Quick test_bind_queue_wait;
+          Alcotest.test_case "explain answers from the flight window" `Quick
+            test_explain_flight_window;
         ] );
     ]
