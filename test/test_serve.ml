@@ -867,7 +867,7 @@ let () =
             `Quick test_debug_fixpoint_over_wire;
           Alcotest.test_case "bind requests feed the queue-wait histogram"
             `Quick test_bind_queue_wait;
-          Alcotest.test_case "explain answers from the flight window" `Quick
+          Alcotest.test_case "explain reads the flight window" `Quick
             test_explain_flight_window;
         ] );
     ]
