@@ -56,6 +56,12 @@ let m_cancel_latency = Obs.Metrics.gauge "kernel.cancel_latency_ticks"
 let m_morsels = Obs.Metrics.counter "kernel.morsels"
 let m_steals = Obs.Metrics.counter "kernel.steals"
 
+(* Reader kinds of a row loop's loads (see [make_go]). *)
+let k_fill = 0 (* absent subtree: the load reads fill all visit *)
+let k_dense = 1 (* [Leaf_dense]: read by index *)
+let k_step = 2 (* sparse or bytemap leaf: forward pointer *)
+let k_find = 3 (* anything else: [find_value_or] *)
+
 let domain_counter prefix =
   Obs.Metrics.counter
     (prefix ^ ".domain" ^ string_of_int (Domain.self () :> int))
@@ -135,45 +141,142 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
     in
     (* The loop nest from [level] down, parameterized over the innermost
        sink so the same walker serves direct accumulation (serial) and
-       log recording (parallel morsels).
+       log recording (parallel morsels): [put v] accumulates [v] at the
+       coordinates in [st_coords], and [new_row ()] is called at every
+       visit of the innermost level, before its first [put].
 
-       When the plan carries a [p_micro] shape, the innermost level runs
-       as a dense microkernel: each source is resolved once per level
-       visit to its unboxed [Leaf_dense] value array and the inner loop
-       reads floats straight out of those arrays — no per-element
-       binder-closure dispatch, no [find_value] option allocation.  The
-       tick cadence is identical to the generic level (one [check] per
-       candidate plus one per accumulation), and any visit whose sources
-       do not all resolve to long-enough dense leaves falls back to the
-       generic walker, so the execution trace is bit-identical. *)
+       The innermost level runs, when the plan allows, as one of two
+       fused loops; either re-checks its shape per visit and otherwise
+       runs the generic walker, so the execution trace is bit-identical.
+
+       - A dense microkernel ([p_micro]): each source is resolved once per
+         level visit to its unboxed [Leaf_dense] value array and the inner
+         loop reads floats straight out of those arrays — no per-element
+         binder-closure dispatch, no [find_value] option allocation.
+       - A row loop ([p_row]): the positional walk reads the driving
+         sparse leaf by position, the in-step lookup runs a [G_full] visit
+         over the whole range, and every other load reads through a
+         reader resolved once per visit (a forward pointer into a sparse
+         leaf, a dense array, or [find_value_or]).
+
+       The tick cadence is the generic level's: one [check] per candidate
+       plus one per accumulation. *)
     let make_go (st : Lowering.state) (check : unit -> unit)
-        (sink : int array -> float -> unit) : int -> unit =
+        ~(new_row : unit -> unit) ~(put : float -> unit) : int -> unit =
       let values = st.Lowering.st_values in
       let coords = st.Lowering.st_coords in
+      let last = n_levels - 1 in
       let micro = plan.Lowering.p_micro in
-      let has_micro = match micro with Some _ -> true | None -> false in
-      let micro_out =
-        match micro with Some m -> m.Lowering.mi_out | None -> None
-      in
+      let has_micro = Option.is_some micro in
+      let micro_out = plan.Lowering.p_last_out in
       let micro_srcs =
         match micro with Some m -> m.Lowering.mi_srcs | None -> [||]
       in
       let micro_n_src = Array.length micro_srcs in
       let micro_accs = Array.map fst micro_srcs in
       let micro_arrs = Array.make micro_n_src [||] in
+      let row = plan.Lowering.p_row in
+      let has_row = Option.is_some row in
+      let row_walk = match row with Some r -> r.Lowering.rw_walk | None -> None in
+      let row_out =
+        match plan.Lowering.p_last_out with Some q -> q | None -> -1
+      in
+      (* Per-visit readers of the row loop's loads. *)
+      let loads = match row with Some r -> r.Lowering.rw_loads | None -> [||] in
+      let n_loads = Array.length loads in
+      let ld_acc = Array.map fst loads in
+      let ld_fill = Array.map (fun a -> plan.Lowering.p_fills.(a)) ld_acc in
+      let ld_kind = Array.make n_loads 0 in
+      let ld_crd = Array.make n_loads [||] in
+      let ld_vals = Array.make n_loads [||] in
+      let ld_ptr = Array.make n_loads 0 in
+      let ld_node = Array.make n_loads (T.Scalar 0.0) in
+      let resolve_loads () =
+        for s = 0 to n_loads - 1 do
+          let a, j = loads.(s) in
+          ld_ptr.(s) <- 0;
+          match Lowering.prev st a j with
+          | None ->
+              (* An absent subtree reads fill for the whole visit. *)
+              ld_kind.(s) <- k_fill;
+              values.(a) <- ld_fill.(s)
+          | Some (T.Leaf_dense vs) ->
+              ld_kind.(s) <- k_dense;
+              ld_vals.(s) <- vs
+          | Some (T.Leaf_sparse { crd; vals } | T.Leaf_bytemap { crd; vals; _ })
+            ->
+              ld_kind.(s) <- k_step;
+              ld_crd.(s) <- crd;
+              ld_vals.(s) <- vals
+          | Some nd ->
+              ld_kind.(s) <- k_find;
+              ld_node.(s) <- nd
+        done
+      in
+      (* Load every reader at candidate [i].  Candidates ascend within a
+         visit, so a sparse reader's pointer only moves forward: one step
+         when the next stored index is already [>= i] (the full-range
+         case), else galloping and bisecting (a walk that skips ahead). *)
+      let load_all i =
+        for s = 0 to n_loads - 1 do
+          let k = Array.unsafe_get ld_kind s in
+          if k = k_step then begin
+            let crd = Array.unsafe_get ld_crd s in
+            let n = Array.length crd in
+            let p = Array.unsafe_get ld_ptr s in
+            let p =
+              if p < n && Array.unsafe_get crd p < i then begin
+                let lo = ref p and stride = ref 1 in
+                while
+                  !lo + !stride < n && Array.unsafe_get crd (!lo + !stride) < i
+                do
+                  lo := !lo + !stride;
+                  stride := 2 * !stride
+                done;
+                let hi = ref (min (!lo + !stride) n) in
+                while !hi - !lo > 1 do
+                  let mid = (!lo + !hi) lsr 1 in
+                  if Array.unsafe_get crd mid < i then lo := mid else hi := mid
+                done;
+                Array.unsafe_set ld_ptr s !hi;
+                !hi
+              end
+              else p
+            in
+            values.(ld_acc.(s)) <-
+              (if p < n && Array.unsafe_get crd p = i then
+                 Array.unsafe_get (Array.unsafe_get ld_vals s) p
+               else Array.unsafe_get ld_fill s)
+          end
+          else if k = k_dense then begin
+            let vs = Array.unsafe_get ld_vals s in
+            values.(ld_acc.(s)) <-
+              (if i < Array.length vs then Array.unsafe_get vs i
+               else ld_fill.(s))
+          end
+          else if k = k_find then
+            values.(ld_acc.(s)) <- T.Node.find_value_or ld_node.(s) i ld_fill.(s)
+        done
+      in
       let rec go (level : int) : unit =
         if level = n_levels then begin
           check ();
-          sink coords (body values)
+          put (body values)
         end
-        else if has_micro && level = n_levels - 1 then begin
-          if not (try_micro ()) then generic level
+        else if level = last then begin
+          new_row ();
+          if has_micro then begin
+            if not (try_micro ()) then generic level
+          end
+          else if has_row then row_level ()
+          else generic level
         end
         else generic level
       and generic (level : int) : unit =
-        let lv = levels.(level) in
-        let bind = lv.Lowering.lv_bind in
-        match lv.Lowering.lv_gen st with
+        run_gen level (levels.(level).Lowering.lv_gen st)
+      and run_gen (level : int) (g : Lowering.gen) : unit =
+        let bind = levels.(level).Lowering.lv_bind in
+        match g with
         | Lowering.G_full ->
             let n = loop_dims.(level) in
             for i = 0 to n - 1 do
@@ -209,8 +312,49 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
               go (level + 1);
               c.Cursors.next ()
             done
+      and row_level () : unit =
+        match row_walk with
+        | Some (la, lj, probe) -> (
+            match Lowering.prev st la lj with
+            | None -> () (* an absent leader has no candidates *)
+            | Some (T.Leaf_sparse { crd; vals } | T.Leaf_bytemap { crd; vals; _ })
+              ->
+                resolve_loads ();
+                (* One accumulation at candidate [i], leader position [p]. *)
+                let emit p i =
+                  check ();
+                  values.(la) <- Array.unsafe_get vals p;
+                  load_all i;
+                  if row_out >= 0 then coords.(row_out) <- i;
+                  check ();
+                  put (body values)
+                in
+                let n = Array.length crd in
+                (match probe with
+                | None ->
+                    for p = 0 to n - 1 do
+                      emit p (Array.unsafe_get crd p)
+                    done
+                | Some pr ->
+                    for p = 0 to n - 1 do
+                      let i = Array.unsafe_get crd p in
+                      if pr st i then emit p i
+                    done)
+            | Some _ -> generic last)
+        | None -> (
+            match levels.(last).Lowering.lv_gen st with
+            | Lowering.G_full ->
+                resolve_loads ();
+                for i = 0 to loop_dims.(last) - 1 do
+                  check ();
+                  load_all i;
+                  if row_out >= 0 then coords.(row_out) <- i;
+                  check ();
+                  put (body values)
+                done
+            | g -> run_gen last g)
       and try_micro () : bool =
-        let n = loop_dims.(n_levels - 1) in
+        let n = loop_dims.(last) in
         let ok = ref true in
         for s = 0 to micro_n_src - 1 do
           let a, j = micro_srcs.(s) in
@@ -232,7 +376,7 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
                values.(a0) <- Array.unsafe_get v0 i;
                coords.(p) <- i;
                check ();
-               sink coords (body values)
+               put (body values)
              done
          | Some p, 2 ->
              let a0 = micro_accs.(0) and v0 = micro_arrs.(0) in
@@ -243,7 +387,7 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
                values.(a1) <- Array.unsafe_get v1 i;
                coords.(p) <- i;
                check ();
-               sink coords (body values)
+               put (body values)
              done
          | Some p, _ ->
              for i = 0 to n - 1 do
@@ -254,7 +398,7 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
                done;
                coords.(p) <- i;
                check ();
-               sink coords (body values)
+               put (body values)
              done
          | None, 1 ->
              let a0 = micro_accs.(0) and v0 = micro_arrs.(0) in
@@ -262,7 +406,7 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
                check ();
                values.(a0) <- Array.unsafe_get v0 i;
                check ();
-               sink coords (body values)
+               put (body values)
              done
          | None, 2 ->
              let a0 = micro_accs.(0) and v0 = micro_arrs.(0) in
@@ -272,7 +416,7 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
                values.(a0) <- Array.unsafe_get v0 i;
                values.(a1) <- Array.unsafe_get v1 i;
                check ();
-               sink coords (body values)
+               put (body values)
              done
          | None, _ ->
              for i = 0 to n - 1 do
@@ -282,18 +426,59 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
                    Array.unsafe_get micro_arrs.(s) i
                done;
                check ();
-               sink coords (body values)
+               put (body values)
              done);
          true)
       in
       go
     in
+    (* Serial sink: when every output coordinate but the last is fixed
+       for a whole innermost visit (the innermost level binds the last
+       output index, or none), the visit's leaf row is resolved once, at
+       its first accumulation, and written in place — a dense row
+       directly, with [Add], [Min] and [Max] inlined (the same float
+       operations [Op.apply2] performs).  Otherwise [Builder.accum]. *)
     let serial () =
       let st = Lowering.fresh_state plan tensors in
-      let go =
-        make_go st (make_check ()) (fun coords v ->
-            Builder.accum builder coords v ~combine)
+      let coords = st.Lowering.st_coords in
+      let row_ok =
+        n_levels > 0
+        &&
+        match plan.Lowering.p_last_out with
+        | None -> true
+        | Some q -> q = out_rank - 1
       in
+      let row = ref Builder.no_leaf in
+      let new_row () = row := Builder.no_leaf in
+      let put =
+        if not row_ok then fun v -> Builder.accum builder coords v ~combine
+        else fun v ->
+          let leaf =
+            let l = !row in
+            if l != Builder.no_leaf then l
+            else begin
+              let l = Builder.leaf builder coords in
+              row := l;
+              l
+            end
+          in
+          match leaf with
+          | Builder.B_leaf_dense { vals; cnts } ->
+              let i = coords.(out_rank - 1) in
+              let x = vals.(i) in
+              vals.(i) <-
+                (match agg_op with
+                | Op.Add -> x +. v
+                | Op.Min -> Float.min x v
+                | Op.Max -> Float.max x v
+                | _ -> combine x v);
+              cnts.(i) <- cnts.(i) + 1
+          | l ->
+              Builder.leaf_accum builder l
+                (if out_rank = 0 then 0 else coords.(out_rank - 1))
+                v ~combine
+      in
+      let go = make_go st (make_check ()) ~new_row ~put in
       go 0
     in
     (* Split level 0 across the pool; false = not profitable, run serial.
@@ -358,9 +543,8 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
                   if pr i then visit i
                 done
           in
-          let log_sink (lc, lv) (coords : int array) : int array -> float -> unit
-              =
-           fun _ v ->
+          let log_put (lc, lv) (coords : int array) : float -> unit =
+           fun v ->
             for d = 0 to out_rank - 1 do
               Vec.Int.push lc coords.(d)
             done;
@@ -400,7 +584,10 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
                     Obs.Metrics.incr m_morsels;
                     Obs.Metrics.incr (domain_counter "kernel.morsels");
                     pulls.(lane) <- pulls.(lane) + 1;
-                    let go = make_go st check (log_sink logs.(mid) coords) in
+                    let go =
+                      make_go st check ~new_row:ignore
+                        ~put:(log_put logs.(mid) coords)
+                    in
                     run_range st check go lo hi;
                     drain ()
               in

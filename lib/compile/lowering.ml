@@ -85,7 +85,31 @@ type level = {
 type micro = {
   mi_srcs : (int * int) array;
       (* (access, slot) of every innermost value binding *)
-  mi_out : int option;  (* output-coordinate position bound here, if any *)
+}
+
+(* Row loop: compile-time shape of an innermost level whose bindings are
+   all last-index value loads, run without per-element binder dispatch
+   (DESIGN.md §14 "row loops").  Two input cases:
+
+   - positional walk ([rw_walk]): the level is driven by one bare
+     [Sparse_list]/[Bytemap] leaf access (alone, or leading an
+     intersection whose other members probe); the backend walks that
+     leaf's [crd]/[vals] by position, so the leader's value load is
+     [vals.(p)] — no binary search, no option;
+   - in-step lookup: a level whose tree can yield [G_full], on a visit
+     whose generator does; candidates then ascend through the whole
+     range and every sparse leaf is read through a forward pointer that
+     advances with the index.
+
+   The remaining loads ([rw_loads]) read in step in both cases.  A visit
+   whose leader is not a sparse leaf, or (in-step) whose generator is not
+   [G_full], runs the generic level, so candidate and accumulation
+   sequences stay those of the interpreter. *)
+type row = {
+  rw_walk : (int * int * (state -> int -> bool) option) option;
+      (* (access, slot) of the walked leaf, and the probe of the
+         intersection's other members *)
+  rw_loads : (int * int) array;  (* (access, slot) of every other load *)
 }
 
 type plan = {
@@ -95,6 +119,9 @@ type plan = {
   p_out_rank : int;
   p_n_acc : int;
   p_micro : micro option;  (* innermost dense microkernel, if eligible *)
+  p_row : row option;  (* innermost row loop, if eligible (and not micro) *)
+  p_last_out : int option;
+      (* output-coordinate position bound by the innermost level, if any *)
   p_desc : string array;
       (* per-level merge-strategy descriptor, e.g. "inter(sparse&hash)";
          static attribution for the profiler's hot-kernel table *)
@@ -455,10 +482,7 @@ let lower (k : Physical.kernel) ~(access_fills : float array)
               st.st_values.(a) <-
                 (match prev st a j with
                 | None -> fill
-                | Some nd -> (
-                    match T.Node.find_value nd i with
-                    | Some v -> v
-                    | None -> fill))
+                | Some nd -> T.Node.find_value_or nd i fill)
           else
             fun st i ->
               st.st_nodes.(a).(j) <-
@@ -519,15 +543,69 @@ let lower (k : Physical.kernel) ~(access_fills : float array)
             mi_srcs =
               Array.of_list
                 (List.map (fun (a, j, _) -> (a, j)) bindings_per_level.(l));
-            mi_out = out_pos_of_level.(l);
+          }
+      else None
+    end
+  in
+  let p_row =
+    if n_levels = 0 || Option.is_some p_micro then None
+    else begin
+      let l = n_levels - 1 in
+      let bs = bindings_per_level.(l) in
+      let walk =
+        (* A word-merged bytemap level keeps its merge ([bits_gen_of]). *)
+        if Option.is_some (bits_gen_of ltrees.(l)) then None
+        else
+          match ltrees.(l) with
+          | L_access ({ s_fmt = T.Sparse_list | T.Bytemap; _ } as s) ->
+              Some (s, None)
+          | L_and (L_access ({ s_fmt = T.Sparse_list | T.Bytemap; _ } as s) :: rest)
+            ->
+              let probe =
+                match rest with
+                | [] -> None
+                | [ m2 ] -> Some (probe_of m2)
+                | _ -> Some (probe_of (L_and rest))
+              in
+              Some (s, probe)
+          | _ -> None
+      in
+      (* Can a visit's generator yield [G_full]? (mirrors [gen_of_base]) *)
+      let rec may_full = function
+        | L_all | L_access { s_fmt = T.Dense; _ } -> true
+        | L_access _ | L_empty -> false
+        | L_and ms -> List.for_all may_full ms
+        | L_or ms -> List.exists may_full ms
+      in
+      if
+        List.for_all (fun (_, _, is_last) -> is_last) bs
+        && (Option.is_some walk || may_full ltrees.(l))
+      then
+        let loads =
+          List.filter_map
+            (fun (a, j, _) ->
+              match walk with
+              | Some (s, _) when s.s_acc = a -> None
+              | _ -> Some (a, j))
+            (List.rev bs)
+        in
+        Some
+          {
+            rw_walk = Option.map (fun (s, probe) -> (s.s_acc, s.s_slot, probe)) walk;
+            rw_loads = Array.of_list loads;
           }
       else None
     end
   in
   let p_desc = Array.map describe_ltree ltrees in
-  (match p_micro with
-  | Some _ -> p_desc.(n_levels - 1) <- "micro(" ^ p_desc.(n_levels - 1) ^ ")"
-  | None -> ());
+  let name_last tag =
+    p_desc.(n_levels - 1) <- tag ^ "(" ^ p_desc.(n_levels - 1) ^ ")"
+  in
+  (match (p_micro, p_row) with
+  | Some _, _ -> name_last "micro"
+  | None, Some { rw_walk = Some _; _ } -> name_last "walk"
+  | None, Some { rw_walk = None; _ } -> name_last "step"
+  | None, None -> ());
   {
     p_levels = levels;
     p_acc_arity = acc_arity;
@@ -535,6 +613,8 @@ let lower (k : Physical.kernel) ~(access_fills : float array)
     p_out_rank = List.length k.Physical.output_idxs;
     p_n_acc = n_acc;
     p_micro;
+    p_row;
+    p_last_out = (if n_levels = 0 then None else out_pos_of_level.(n_levels - 1));
     p_desc;
   }
 

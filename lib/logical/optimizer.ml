@@ -459,11 +459,6 @@ let optimize_query_tiered ?deadline ?degrade (cfg : config)
   optimize_expr_tiered ?deadline ?degrade cfg ctx ~fresh ~binder
     ~name:q.Ir.name ~out_order:q.Ir.out_order q.Ir.expr
 
-let optimize_query (cfg : config) (ctx : Galley_stats.Ctx.t)
-    ~(fresh : unit -> string) ~(binder : Ir.idx -> Ir.idx) (q : Ir.query) :
-    result =
-  fst (optimize_query_tiered cfg ctx ~fresh ~binder q)
-
 (* Optimize a whole program: queries are processed in order; each query's
    output is registered as an alias usable by later queries.  [timeout] is
    a per-query wall-clock budget (seconds); the second component records

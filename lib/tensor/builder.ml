@@ -10,19 +10,103 @@
    Each leaf cell tracks (value, count): the count is the number of
    accumulations into the cell, which the engine needs to correct aggregates
    whose map-expression fill is not the aggregate's neutral element
-   (see DESIGN.md "Fill-value propagation"). *)
+   (see DESIGN.md "Fill-value propagation").
+
+   Writes reach a leaf row in two ways.  [accum] descends from the root,
+   but remembers the leaf reached by the previous coordinate prefix, so a
+   run of writes into one row descends once.  [leaf] hands that row to
+   the kernel backend, which writes a whole innermost loop into it
+   ([leaf_accum], or directly into a dense row's arrays). *)
+
+(* Open-addressing int → int table with linear probing: keys are
+   coordinates (≥ 0, so -1 marks an empty slot) and values are positions
+   in the level's own vectors.  Replaces the polymorphic [Hashtbl] on the
+   write path: no boxed bucket per entry and no polymorphic hash or
+   compare per lookup. *)
+module Itab = struct
+  type t = { mutable keys : int array; mutable vals : int array; mutable size : int }
+
+  (* Empty tables allocate no slots: most builder levels hold a handful
+     of entries, and many are never written. *)
+  let create () = { keys = [||]; vals = [||]; size = 0 }
+
+  let slot_of (keys : int array) (k : int) : int =
+    let mask = Array.length keys - 1 in
+    let h = k * 0x2545F4914F6CDD1D in
+    let s = ref ((h lxor (h lsr 29)) land mask) in
+    while
+      let k' = Array.unsafe_get keys !s in
+      k' <> k && k' <> -1
+    do
+      s := (!s + 1) land mask
+    done;
+    !s
+
+  (* Value bound to [k], or -1. *)
+  let find (t : t) (k : int) : int =
+    if t.size = 0 then -1
+    else
+      let s = slot_of t.keys k in
+      if Array.unsafe_get t.keys s = k then Array.unsafe_get t.vals s else -1
+
+  let grow (t : t) : unit =
+    let keys = t.keys and vals = t.vals in
+    let cap = max 8 (2 * Array.length keys) in
+    t.keys <- Array.make cap (-1);
+    t.vals <- Array.make cap 0;
+    Array.iteri
+      (fun s k ->
+        if k <> -1 then begin
+          let s' = slot_of t.keys k in
+          t.keys.(s') <- k;
+          t.vals.(s') <- vals.(s)
+        end)
+      keys
+
+  (* Bind an absent key. *)
+  let add (t : t) (k : int) (v : int) : unit =
+    if 2 * (t.size + 1) > Array.length t.keys then grow t;
+    let s = slot_of t.keys k in
+    t.keys.(s) <- k;
+    t.vals.(s) <- v;
+    t.size <- t.size + 1
+
+  let sorted_keys (t : t) : int array =
+    let out = Array.make t.size 0 in
+    let n = ref 0 in
+    Array.iter
+      (fun k ->
+        if k <> -1 then begin
+          out.(!n) <- k;
+          incr n
+        end)
+      t.keys;
+    Array.sort (fun (a : int) b -> compare a b) out;
+    out
+end
 
 type cell = { mutable v : float; mutable cnt : int }
 
+(* Hash and bytemap levels map a coordinate to its position ([Itab]) in
+   the level's append-only vectors; sparse levels append in order. *)
 type bnode =
   | B_inner_dense of bnode array
   | B_inner_sparse of { crd : Vec.Int.t; children : bnode Vec.Poly.t }
-  | B_inner_hash of (int, bnode) Hashtbl.t
-  | B_inner_bytemap of { mask : Bytes.t; tbl : (int, bnode) Hashtbl.t }
+  | B_inner_hash of { slots : Itab.t; children : bnode Vec.Poly.t }
+  | B_inner_bytemap of {
+      mask : Bytes.t;
+      slots : Itab.t;
+      children : bnode Vec.Poly.t;
+    }
   | B_leaf_dense of { vals : float array; cnts : int array }
-  | B_leaf_sparse of { crd : Vec.Int.t; cells : cell Vec.Poly.t }
-  | B_leaf_hash of (int, cell) Hashtbl.t
-  | B_leaf_bytemap of { mask : Bytes.t; tbl : (int, cell) Hashtbl.t }
+  | B_leaf_sparse of { crd : Vec.Int.t; vals : Vec.Float.t; cnts : Vec.Int.t }
+  | B_leaf_hash of { slots : Itab.t; vals : Vec.Float.t; cnts : Vec.Int.t }
+  | B_leaf_bytemap of {
+      mask : Bytes.t;
+      slots : Itab.t;
+      vals : Vec.Float.t;
+      cnts : Vec.Int.t;
+    }
   | B_scalar of cell
 
 type t = {
@@ -30,9 +114,18 @@ type t = {
   formats : Tensor.format array;
   identity : float; (* initial accumulator value (aggregate identity) *)
   root : bnode;
+  prefix : int array; (* coordinate prefix (all but the last) of [last] *)
+  mutable last : bnode; (* leaf reached by [prefix]; [no_leaf] when none *)
 }
 
-let dummy_bnode = B_scalar { v = 0.0; cnt = 0 }
+(* Sentinel for "no leaf resolved yet", compared physically; also the
+   filler of child vectors. *)
+let no_leaf = B_scalar { v = 0.0; cnt = 0 }
+
+(* Level vectors start at one slot and double as they fill. *)
+let small_ints () = Vec.Int.create ~capacity:1 ()
+let small_floats () = Vec.Float.create ~capacity:1 ()
+let small_children () = Vec.Poly.create ~capacity:1 ~dummy:no_leaf ()
 
 let rec make_node (dims : int array) (formats : Tensor.format array)
     (identity : float) (depth : int) : bnode =
@@ -54,119 +147,159 @@ let rec make_node (dims : int array) (formats : Tensor.format array)
     | Tensor.Sparse_list ->
         if leaf then
           B_leaf_sparse
-            { crd = Vec.Int.create (); cells = Vec.Poly.create ~dummy:{ v = 0.0; cnt = 0 } () }
+            { crd = small_ints (); vals = small_floats (); cnts = small_ints () }
         else
           B_inner_sparse
-            { crd = Vec.Int.create (); children = Vec.Poly.create ~dummy:dummy_bnode () }
+            { crd = small_ints (); children = small_children () }
     | Tensor.Hash ->
-        if leaf then B_leaf_hash (Hashtbl.create 16)
-        else B_inner_hash (Hashtbl.create 16)
+        if leaf then
+          B_leaf_hash
+            { slots = Itab.create (); vals = small_floats (); cnts = small_ints () }
+        else
+          B_inner_hash
+            { slots = Itab.create (); children = small_children () }
     | Tensor.Bytemap ->
         if leaf then
-          B_leaf_bytemap { mask = Bytes.make n '\000'; tbl = Hashtbl.create 16 }
+          B_leaf_bytemap
+            {
+              mask = Bytes.make n '\000';
+              slots = Itab.create ();
+              vals = small_floats ();
+              cnts = small_ints ();
+            }
         else
-          B_inner_bytemap { mask = Bytes.make n '\000'; tbl = Hashtbl.create 16 }
+          B_inner_bytemap
+            {
+              mask = Bytes.make n '\000';
+              slots = Itab.create ();
+              children = small_children ();
+            }
   end
 
 let create ~dims ~formats ~identity () =
   if Array.length formats <> Array.length dims then
     invalid_arg "Builder.create: formats/dims mismatch";
-  { dims; formats; identity; root = make_node dims formats identity 0 }
+  {
+    dims;
+    formats;
+    identity;
+    root = make_node dims formats identity 0;
+    prefix = Array.make (max 0 (Array.length dims - 1)) 0;
+    last = no_leaf;
+  }
 
 let seq_error () =
   invalid_arg "Builder: non-sequential write into a sorted-list level"
+
+(* Child of an inner level at coordinate [i], created on first write. *)
+let child (b : t) (node : bnode) (depth : int) (i : int) : bnode =
+  match node with
+  | B_inner_dense children -> children.(i)
+  | B_inner_sparse { crd; children } ->
+      let len = Vec.Int.length crd in
+      if len = 0 || Vec.Int.last crd < i then begin
+        let c = make_node b.dims b.formats b.identity (depth + 1) in
+        Vec.Int.push crd i;
+        Vec.Poly.push children c;
+        c
+      end
+      else if Vec.Int.last crd = i then Vec.Poly.get children (len - 1)
+      else seq_error ()
+  | B_inner_hash { slots; children } ->
+      let s = Itab.find slots i in
+      if s >= 0 then Vec.Poly.get children s
+      else begin
+        let c = make_node b.dims b.formats b.identity (depth + 1) in
+        Itab.add slots i (Vec.Poly.length children);
+        Vec.Poly.push children c;
+        c
+      end
+  | B_inner_bytemap { mask; slots; children } ->
+      let s = Itab.find slots i in
+      if s >= 0 then Vec.Poly.get children s
+      else begin
+        let c = make_node b.dims b.formats b.identity (depth + 1) in
+        Bytes.set mask i '\001';
+        Itab.add slots i (Vec.Poly.length children);
+        Vec.Poly.push children c;
+        c
+      end
+  | _ -> assert false
+
+(* The leaf row addressed by [coords] (all but its last coordinate; the
+   root cell of a scalar builder), created on first use.  The leaf
+   reached by the previous prefix is cached: the tree only grows, so the
+   same prefix always reaches the same leaf. *)
+let leaf (b : t) (coords : int array) : bnode =
+  let np = Array.length b.prefix in
+  if np = 0 then b.root
+  else begin
+    let hit = ref (b.last != no_leaf) in
+    let d = ref 0 in
+    while !hit && !d < np do
+      if Array.unsafe_get b.prefix !d <> coords.(!d) then hit := false;
+      incr d
+    done;
+    if !hit then b.last
+    else begin
+      let node = ref b.root in
+      for d = 0 to np - 1 do
+        node := child b !node d coords.(d)
+      done;
+      Array.blit coords 0 b.prefix 0 np;
+      b.last <- !node;
+      !node
+    end
+  end
+
+(* Accumulate [value] into cell [i] of the leaf row [leaf] (a scalar
+   builder's root cell ignores [i]). *)
+let leaf_accum (b : t) (leaf : bnode) (i : int) (value : float)
+    ~(combine : float -> float -> float) : unit =
+  match leaf with
+  | B_leaf_dense { vals; cnts } ->
+      vals.(i) <- combine vals.(i) value;
+      cnts.(i) <- cnts.(i) + 1
+  | B_leaf_sparse { crd; vals; cnts } ->
+      let len = Vec.Int.length crd in
+      if len = 0 || Vec.Int.last crd < i then begin
+        Vec.Int.push crd i;
+        Vec.Float.push vals (combine b.identity value);
+        Vec.Int.push cnts 1
+      end
+      else if Vec.Int.last crd = i then begin
+        let p = len - 1 in
+        Vec.Float.set vals p (combine (Vec.Float.get vals p) value);
+        Vec.Int.set cnts p (Vec.Int.get cnts p + 1)
+      end
+      else seq_error ()
+  | B_leaf_hash { slots; vals; cnts } | B_leaf_bytemap { slots; vals; cnts; _ }
+    ->
+      let p = Itab.find slots i in
+      if p >= 0 then begin
+        Vec.Float.set vals p (combine (Vec.Float.get vals p) value);
+        Vec.Int.set cnts p (Vec.Int.get cnts p + 1)
+      end
+      else begin
+        (match leaf with
+        | B_leaf_bytemap { mask; _ } -> Bytes.set mask i '\001'
+        | _ -> ());
+        Itab.add slots i (Vec.Float.length vals);
+        Vec.Float.push vals (combine b.identity value);
+        Vec.Int.push cnts 1
+      end
+  | B_scalar c ->
+      c.v <- combine c.v value;
+      c.cnt <- c.cnt + 1
+  | B_inner_dense _ | B_inner_sparse _ | B_inner_hash _ | B_inner_bytemap _ ->
+      invalid_arg "Builder.leaf_accum: inner level"
 
 (* Accumulate [value] into the cell at [coords] with [combine]. *)
 let accum (b : t) (coords : int array) (value : float)
     ~(combine : float -> float -> float) : unit =
   let nd = Array.length b.dims in
-  let touch_cell (c : cell) =
-    c.v <- combine c.v value;
-    c.cnt <- c.cnt + 1
-  in
-  let rec go node depth =
-    if depth = nd then
-      match node with
-      | B_scalar c -> touch_cell c
-      | _ -> assert false
-    else begin
-      let i = coords.(depth) in
-      let leaf = depth = nd - 1 in
-      if leaf then
-        match node with
-        | B_leaf_dense { vals; cnts } ->
-            vals.(i) <- combine vals.(i) value;
-            cnts.(i) <- cnts.(i) + 1
-        | B_leaf_sparse { crd; cells } ->
-            let len = Vec.Int.length crd in
-            if len = 0 || Vec.Int.last crd < i then begin
-              Vec.Int.push crd i;
-              Vec.Poly.push cells { v = combine b.identity value; cnt = 1 }
-            end
-            else if Vec.Int.last crd = i then
-              touch_cell (Vec.Poly.get cells (len - 1))
-            else seq_error ()
-        | B_leaf_hash tbl -> (
-            match Hashtbl.find_opt tbl i with
-            | Some c -> touch_cell c
-            | None -> Hashtbl.add tbl i { v = combine b.identity value; cnt = 1 })
-        | B_leaf_bytemap { mask; tbl } -> (
-            match Hashtbl.find_opt tbl i with
-            | Some c -> touch_cell c
-            | None ->
-                Bytes.set mask i '\001';
-                Hashtbl.add tbl i { v = combine b.identity value; cnt = 1 })
-        | _ -> assert false
-      else
-        match node with
-        | B_inner_dense children -> go children.(i) (depth + 1)
-        | B_inner_sparse { crd; children } ->
-            let len = Vec.Int.length crd in
-            if len = 0 || Vec.Int.last crd < i then begin
-              let child = make_node b.dims b.formats b.identity (depth + 1) in
-              Vec.Int.push crd i;
-              Vec.Poly.push children child;
-              go child (depth + 1)
-            end
-            else if Vec.Int.last crd = i then
-              go (Vec.Poly.get children (len - 1)) (depth + 1)
-            else seq_error ()
-        | B_inner_hash tbl ->
-            let child =
-              match Hashtbl.find_opt tbl i with
-              | Some c -> c
-              | None ->
-                  let c = make_node b.dims b.formats b.identity (depth + 1) in
-                  Hashtbl.add tbl i c;
-                  c
-            in
-            go child (depth + 1)
-        | B_inner_bytemap { mask; tbl } ->
-            let child =
-              match Hashtbl.find_opt tbl i with
-              | Some c -> c
-              | None ->
-                  Bytes.set mask i '\001';
-                  let c = make_node b.dims b.formats b.identity (depth + 1) in
-                  Hashtbl.add tbl i c;
-                  c
-            in
-            go child (depth + 1)
-        | _ -> assert false
-    end
-  in
-  go b.root 0
-
-let sorted_keys tbl =
-  let keys = Array.make (Hashtbl.length tbl) 0 in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun k _ ->
-      keys.(!i) <- k;
-      incr i)
-    tbl;
-  Array.sort compare keys;
-  keys
+  leaf_accum b (leaf b coords) (if nd = 0 then 0 else coords.(nd - 1)) value
+    ~combine
 
 (* Freeze the builder into an immutable tensor.  [finalize v cnt] maps the
    accumulated value and count of every explicit cell to its final value;
@@ -174,43 +307,33 @@ let sorted_keys tbl =
    query aggregates, so untouched cells are consistent by construction). *)
 let freeze (b : t) ~(finalize : float -> int -> float) ~(fill : float) :
     Tensor.t =
+  let final vals cnts p = finalize (Vec.Float.get vals p) (Vec.Int.get cnts p) in
   let rec go node depth : Tensor.node =
     match node with
     | B_scalar c -> Tensor.Scalar (finalize c.v c.cnt)
     | B_leaf_dense { vals; cnts } ->
         Tensor.Leaf_dense (Array.mapi (fun i v -> finalize v cnts.(i)) vals)
-    | B_leaf_sparse { crd; cells } ->
-        let n = Vec.Int.length crd in
+    | B_leaf_sparse { crd; vals; cnts } ->
         Tensor.Leaf_sparse
           {
             crd = Vec.Int.to_array crd;
-            vals =
-              Array.init n (fun p ->
-                  let c = Vec.Poly.get cells p in
-                  finalize c.v c.cnt);
+            vals = Array.init (Vec.Int.length crd) (final vals cnts);
           }
-    | B_leaf_hash tbl ->
-        let crd = sorted_keys tbl in
+    | B_leaf_hash { slots; vals; cnts } ->
+        let crd = Itab.sorted_keys slots in
         let out = Hashtbl.create (max 4 (2 * Array.length crd)) in
         Array.iter
-          (fun i ->
-            let c = Hashtbl.find tbl i in
-            Hashtbl.replace out i (finalize c.v c.cnt))
+          (fun i -> Hashtbl.replace out i (final vals cnts (Itab.find slots i)))
           crd;
         Tensor.Leaf_hash { tbl = out; sorted = Some crd }
-    | B_leaf_bytemap { mask; tbl } ->
-        let crd = sorted_keys tbl in
+    | B_leaf_bytemap { mask; slots; vals; cnts } ->
+        let crd = Itab.sorted_keys slots in
         Tensor.Leaf_bytemap
           {
             mask;
             words = Bitset.of_sorted crd ~len:(Bytes.length mask);
             crd;
-            vals =
-              Array.map
-                (fun i ->
-                  let c = Hashtbl.find tbl i in
-                  finalize c.v c.cnt)
-                crd;
+            vals = Array.map (fun i -> final vals cnts (Itab.find slots i)) crd;
           }
     | B_inner_dense children ->
         Tensor.Inner_dense (Array.map (fun c -> go c (depth + 1)) children)
@@ -222,21 +345,26 @@ let freeze (b : t) ~(finalize : float -> int -> float) ~(fill : float) :
               Array.init (Vec.Poly.length children) (fun p ->
                   go (Vec.Poly.get children p) (depth + 1));
           }
-    | B_inner_hash tbl ->
-        let crd = sorted_keys tbl in
+    | B_inner_hash { slots; children } ->
+        let crd = Itab.sorted_keys slots in
         let out = Hashtbl.create (max 4 (2 * Array.length crd)) in
         Array.iter
-          (fun i -> Hashtbl.replace out i (go (Hashtbl.find tbl i) (depth + 1)))
+          (fun i ->
+            Hashtbl.replace out i
+              (go (Vec.Poly.get children (Itab.find slots i)) (depth + 1)))
           crd;
         Tensor.Inner_hash { tbl = out; sorted = Some crd }
-    | B_inner_bytemap { mask; tbl } ->
-        let crd = sorted_keys tbl in
+    | B_inner_bytemap { mask; slots; children } ->
+        let crd = Itab.sorted_keys slots in
         Tensor.Inner_bytemap
           {
             mask;
             words = Bitset.of_sorted crd ~len:(Bytes.length mask);
             crd;
-            children = Array.map (fun i -> go (Hashtbl.find tbl i) (depth + 1)) crd;
+            children =
+              Array.map
+                (fun i -> go (Vec.Poly.get children (Itab.find slots i)) (depth + 1))
+                crd;
           }
   in
   { Tensor.dims = b.dims; formats = b.formats; fill; root = go b.root 0; nnz_cache = None }

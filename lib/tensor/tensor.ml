@@ -67,30 +67,23 @@ let dim_space dims = Array.fold_left (fun acc n -> acc * n) 1 dims
 (* Binary search over a sorted coordinate array.                        *)
 (* ------------------------------------------------------------------ *)
 
-let bsearch (crd : int array) (x : int) : int option =
+(* Position of [x] in the sorted array [crd], or -1 when absent.  The
+   loop compares ints only: no option is built and no polymorphic
+   equality is called per step. *)
+let bsearch (crd : int array) (x : int) : int =
   let lo = ref 0 and hi = ref (Array.length crd - 1) in
-  let found = ref None in
-  while !found = None && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let c = crd.(mid) in
-    if c = x then found := Some mid
+  let pos = ref (-1) in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let c = Array.unsafe_get crd mid in
+    if c = x then begin
+      pos := mid;
+      lo := !hi + 1
+    end
     else if c < x then lo := mid + 1
     else hi := mid - 1
   done;
-  !found
-
-(* Option-free membership variant of [bsearch], for probe-heavy loops. *)
-let bsearch_mem (crd : int array) (x : int) : bool =
-  let lo = ref 0 and hi = ref (Array.length crd - 1) in
-  let found = ref false in
-  while (not !found) && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let c = crd.(mid) in
-    if c = x then found := true
-    else if c < x then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !found
+  !pos
 
 let hash_sorted_keys tbl sorted set_sorted =
   match sorted with
@@ -139,27 +132,48 @@ module Node = struct
   let find (n : node) (i : int) : node option =
     match n with
     | Inner_dense cs -> if i >= 0 && i < Array.length cs then Some cs.(i) else None
-    | Inner_sparse { crd; children } -> (
-        match bsearch crd i with Some p -> Some children.(p) | None -> None)
+    | Inner_sparse { crd; children } ->
+        let p = bsearch crd i in
+        if p >= 0 then Some children.(p) else None
     | Inner_bytemap { mask; crd; children; _ } ->
         if i >= 0 && i < Bytes.length mask && Bytes.get mask i <> '\000' then
-          match bsearch crd i with
-          | Some p -> Some children.(p)
-          | None -> None
+          let p = bsearch crd i in
+          if p >= 0 then Some children.(p) else None
         else None
     | Inner_hash { tbl; _ } -> Hashtbl.find_opt tbl i
     | Leaf_dense _ | Leaf_sparse _ | Leaf_bytemap _ | Leaf_hash _ | Scalar _ ->
         invalid_arg "Node.find: leaf level"
 
+  (* Lookup of a value at a leaf level, [fill] when [i] is not stored:
+     the allocation-free form the kernel binders use. *)
+  let find_value_or (n : node) (i : int) (fill : float) : float =
+    match n with
+    | Leaf_dense vs -> if i >= 0 && i < Array.length vs then vs.(i) else fill
+    | Leaf_sparse { crd; vals } ->
+        let p = bsearch crd i in
+        if p >= 0 then vals.(p) else fill
+    | Leaf_bytemap { mask; crd; vals; _ } ->
+        if i >= 0 && i < Bytes.length mask && Bytes.get mask i <> '\000' then
+          let p = bsearch crd i in
+          if p >= 0 then vals.(p) else fill
+        else fill
+    | Leaf_hash { tbl; _ } -> (
+        match Hashtbl.find tbl i with v -> v | exception Not_found -> fill)
+    | Scalar _ | Inner_dense _ | Inner_sparse _ | Inner_bytemap _ | Inner_hash _
+      ->
+        invalid_arg "Node.find_value: inner level"
+
   (* Lookup of a value at a leaf level. *)
   let find_value (n : node) (i : int) : float option =
     match n with
     | Leaf_dense vs -> if i >= 0 && i < Array.length vs then Some vs.(i) else None
-    | Leaf_sparse { crd; vals } -> (
-        match bsearch crd i with Some p -> Some vals.(p) | None -> None)
+    | Leaf_sparse { crd; vals } ->
+        let p = bsearch crd i in
+        if p >= 0 then Some vals.(p) else None
     | Leaf_bytemap { mask; crd; vals; _ } ->
         if i >= 0 && i < Bytes.length mask && Bytes.get mask i <> '\000' then
-          match bsearch crd i with Some p -> Some vals.(p) | None -> None
+          let p = bsearch crd i in
+          if p >= 0 then Some vals.(p) else None
         else None
     | Leaf_hash { tbl; _ } -> Hashtbl.find_opt tbl i
     | Scalar _ | Inner_dense _ | Inner_sparse _ | Inner_bytemap _ | Inner_hash _
@@ -178,7 +192,7 @@ module Node = struct
     match n with
     | Inner_dense cs -> i >= 0 && i < Array.length cs
     | Leaf_dense vs -> i >= 0 && i < Array.length vs
-    | Inner_sparse { crd; _ } | Leaf_sparse { crd; _ } -> bsearch_mem crd i
+    | Inner_sparse { crd; _ } | Leaf_sparse { crd; _ } -> bsearch crd i >= 0
     | Inner_bytemap { mask; _ } | Leaf_bytemap { mask; _ } ->
         i >= 0 && i < Bytes.length mask && Bytes.get mask i <> '\000'
     | Inner_hash { tbl; _ } -> Hashtbl.mem tbl i
@@ -271,65 +285,64 @@ let compare_coords (a : int array) (b : int array) : int =
   in
   go 0
 
-(* Build a fiber tree from sorted, deduplicated COO entries.
-   [entries] is an array of (coords, value); [lo, hi) is the active slice. *)
+(* Build a fiber tree from sorted, deduplicated entries given as columns:
+   [cols.(d).(e)] is entry [e]'s coordinate at depth [d] and [vals.(e)]
+   its value; [lo, hi) is the active slice. *)
 let rec build_node (formats : format array) (dims : int array) (fill : float)
-    (entries : (int array * float) array) (lo : int) (hi : int) (depth : int) :
-    node =
+    (cols : int array array) (vals : float array) (lo : int) (hi : int)
+    (depth : int) : node =
   let leaf = depth = Array.length dims - 1 in
   let n = dims.(depth) in
-  (* Compute runs of equal coordinate at this depth. *)
-  let runs = Vec.Poly.create ~dummy:(0, 0, 0) () in
+  let col = cols.(depth) in
+  (* Runs of equal coordinate at this depth: run [r] is
+     [starts.(r), starts.(r + 1)). *)
+  let starts = Vec.Int.create () in
   let i = ref lo in
   while !i < hi do
-    let c = (fst entries.(!i)).(depth) in
-    let j = ref !i in
-    while !j < hi && (fst entries.(!j)).(depth) = c do
+    Vec.Int.push starts !i;
+    let c = col.(!i) in
+    let j = ref (!i + 1) in
+    while !j < hi && col.(!j) = c do
       incr j
     done;
-    Vec.Poly.push runs (c, !i, !j);
     i := !j
   done;
-  let nruns = Vec.Poly.length runs in
+  let nruns = Vec.Int.length starts in
+  let run_lo r = Vec.Int.get starts r in
+  let run_hi r = if r + 1 < nruns then Vec.Int.get starts (r + 1) else hi in
+  let crd_of r = col.(run_lo r) in
   if leaf then begin
     match formats.(depth) with
     | Dense ->
-        let vals = Array.make n fill in
+        let vs = Array.make n fill in
         for r = 0 to nruns - 1 do
-          let c, rlo, _ = Vec.Poly.get runs r in
-          vals.(c) <- snd entries.(rlo)
+          vs.(crd_of r) <- vals.(run_lo r)
         done;
-        Leaf_dense vals
+        Leaf_dense vs
     | Sparse_list ->
-        let crd = Array.make nruns 0 and vals = Array.make nruns 0.0 in
-        for r = 0 to nruns - 1 do
-          let c, rlo, _ = Vec.Poly.get runs r in
-          crd.(r) <- c;
-          vals.(r) <- snd entries.(rlo)
-        done;
-        Leaf_sparse { crd; vals }
+        let crd = Array.init nruns crd_of in
+        Leaf_sparse { crd; vals = Array.init nruns (fun r -> vals.(run_lo r)) }
     | Bytemap ->
         let mask = Bytes.make n '\000' in
-        let crd = Array.make nruns 0 and vals = Array.make nruns 0.0 in
-        for r = 0 to nruns - 1 do
-          let c, rlo, _ = Vec.Poly.get runs r in
-          Bytes.set mask c '\001';
-          crd.(r) <- c;
-          vals.(r) <- snd entries.(rlo)
-        done;
-        Leaf_bytemap { mask; words = Bitset.of_sorted crd ~len:n; crd; vals }
+        let crd = Array.init nruns crd_of in
+        Array.iter (fun c -> Bytes.set mask c '\001') crd;
+        Leaf_bytemap
+          {
+            mask;
+            words = Bitset.of_sorted crd ~len:n;
+            crd;
+            vals = Array.init nruns (fun r -> vals.(run_lo r));
+          }
     | Hash ->
         let tbl = Hashtbl.create (max 4 (2 * nruns)) in
         for r = 0 to nruns - 1 do
-          let c, rlo, _ = Vec.Poly.get runs r in
-          Hashtbl.replace tbl c (snd entries.(rlo))
+          Hashtbl.replace tbl (crd_of r) vals.(run_lo r)
         done;
         Leaf_hash { tbl; sorted = None }
   end
   else begin
     let child_of r =
-      let _, rlo, rhi = Vec.Poly.get runs r in
-      build_node formats dims fill entries rlo rhi (depth + 1)
+      build_node formats dims fill cols vals (run_lo r) (run_hi r) (depth + 1)
     in
     match formats.(depth) with
     | Dense ->
@@ -337,33 +350,22 @@ let rec build_node (formats : format array) (dims : int array) (fill : float)
         let empty = empty_node formats dims (depth + 1) fill in
         let children = Array.make n empty in
         for r = 0 to nruns - 1 do
-          let c, _, _ = Vec.Poly.get runs r in
-          children.(c) <- child_of r
+          children.(crd_of r) <- child_of r
         done;
         Inner_dense children
     | Sparse_list ->
-        let crd = Array.make nruns 0 in
-        let children = Array.init nruns child_of in
-        for r = 0 to nruns - 1 do
-          let c, _, _ = Vec.Poly.get runs r in
-          crd.(r) <- c
-        done;
-        Inner_sparse { crd; children }
+        let crd = Array.init nruns crd_of in
+        Inner_sparse { crd; children = Array.init nruns child_of }
     | Bytemap ->
         let mask = Bytes.make n '\000' in
-        let crd = Array.make nruns 0 in
+        let crd = Array.init nruns crd_of in
         let children = Array.init nruns child_of in
-        for r = 0 to nruns - 1 do
-          let c, _, _ = Vec.Poly.get runs r in
-          Bytes.set mask c '\001';
-          crd.(r) <- c
-        done;
+        Array.iter (fun c -> Bytes.set mask c '\001') crd;
         Inner_bytemap { mask; words = Bitset.of_sorted crd ~len:n; crd; children }
     | Hash ->
         let tbl = Hashtbl.create (max 4 (2 * nruns)) in
         for r = 0 to nruns - 1 do
-          let c, _, _ = Vec.Poly.get runs r in
-          Hashtbl.replace tbl c (child_of r)
+          Hashtbl.replace tbl (crd_of r) (child_of r)
         done;
         Inner_hash { tbl; sorted = None }
   end
@@ -401,9 +403,12 @@ let of_coo ?(fill = 0.0) ?(combine = ( +. )) ?(prune = true) ~dims ~formats
       i := !j
     done;
     let entries = Vec.Poly.to_array dedup in
+    let m = Array.length entries in
     let root =
-      if Array.length entries = 0 then empty_node formats dims 0 fill
-      else build_node formats dims fill entries 0 (Array.length entries) 0
+      if m = 0 then empty_node formats dims 0 fill
+      else
+        let cols = Array.init nd (fun d -> Array.map (fun (c, _) -> c.(d)) entries) in
+        build_node formats dims fill cols (Array.map snd entries) 0 m 0
     in
     { dims; formats; fill; root; nnz_cache = None }
   end
@@ -501,9 +506,111 @@ let reformat ?fill (t : t) (formats : format array) : t =
   let fill = match fill with Some f -> f | None -> t.fill in
   of_coo ~fill ~dims:t.dims ~formats (to_coo t)
 
+(* Non-fill entries in lexicographic order, as coordinate columns and
+   values: the entries of [to_coo] without a tuple per entry. *)
+let nonfill_columns (t : t) : int array array * float array =
+  let nd = ndims t in
+  let cols = Array.init nd (fun _ -> Vec.Int.create ()) in
+  let vals = Vec.Float.create () in
+  let coords = Array.make nd 0 in
+  let rec go node depth =
+    if depth = nd - 1 then
+      Node.iter_values node (fun i v ->
+          if v <> t.fill then begin
+            coords.(depth) <- i;
+            for d = 0 to nd - 1 do
+              Vec.Int.push cols.(d) coords.(d)
+            done;
+            Vec.Float.push vals v
+          end)
+    else
+      Node.iter_sorted node (fun i child ->
+          coords.(depth) <- i;
+          go child (depth + 1))
+  in
+  go t.root 0;
+  (Array.map Vec.Int.to_array cols, Vec.Float.to_array vals)
+
+(* Sort [keys], all in [0, range), ascending, moving [payload] alongside:
+   least-significant-digit radix passes of 8 bits. *)
+let radix_sort_with (keys : int array) (payload : int array) ~(range : int) :
+    unit =
+  let n = Array.length keys in
+  let start = Array.make 257 0 in
+  let ks = ref keys and ps = ref payload in
+  let kd = ref (Array.make n 0) and pd = ref (Array.make n 0) in
+  let shift = ref 0 in
+  while !shift < Sys.int_size && (range - 1) lsr !shift > 0 do
+    let k_src = !ks and p_src = !ps and k_dst = !kd and p_dst = !pd in
+    let sh = !shift in
+    Array.fill start 0 257 0;
+    for e = 0 to n - 1 do
+      let b = ((k_src.(e) lsr sh) land 255) + 1 in
+      start.(b) <- start.(b) + 1
+    done;
+    for b = 1 to 256 do
+      start.(b) <- start.(b) + start.(b - 1)
+    done;
+    for e = 0 to n - 1 do
+      let k = k_src.(e) in
+      let b = (k lsr sh) land 255 in
+      k_dst.(start.(b)) <- k;
+      p_dst.(start.(b)) <- p_src.(e);
+      start.(b) <- start.(b) + 1
+    done;
+    ks := k_dst;
+    ps := p_dst;
+    kd := k_src;
+    pd := p_src;
+    shift := sh + 8
+  done;
+  if !ks != keys then begin
+    Array.blit !ks 0 keys 0 n;
+    Array.blit !ps 0 payload 0 n
+  end
+
+(* The permutation that sorts entries given as coordinate columns
+   lexicographically: by radix sort of their row-major flat indices when
+   those fit in an [int], else by a column-wise comparison. *)
+let lex_order (cols : int array array) (dims : int array) (m : int) : int array
+    =
+  let order = Array.init m Fun.id in
+  let range =
+    Array.fold_left
+      (fun r d -> if r < 0 || r > max_int / max d 1 then -1 else r * max d 1)
+      1 dims
+  in
+  if range >= 0 then begin
+    let keys = Array.make m 0 in
+    Array.iteri
+      (fun k col ->
+        let d = dims.(k) in
+        for e = 0 to m - 1 do
+          keys.(e) <- (keys.(e) * d) + col.(e)
+        done)
+      cols;
+    radix_sort_with keys order ~range
+  end
+  else begin
+    let nd = Array.length cols in
+    let cmp a b =
+      let rec go k =
+        if k = nd then 0
+        else
+          let c = compare (cols.(k).(a) : int) cols.(k).(b) in
+          if c <> 0 then c else go (k + 1)
+      in
+      go 0
+    in
+    Array.stable_sort cmp order
+  end;
+  order
+
 (* Transpose: [perm.(k)] is the source dimension that lands at position [k]
    of the output, i.e. out_dims.(k) = dims.(perm.(k)) and
-   out[c0..] = in[c_{perm^-1}...]. *)
+   out[c0..] = in[c_{perm^-1}...].  The result is [of_coo] of the permuted
+   [to_coo], built from permuted coordinate columns sorted by packed key
+   instead of from boxed tuples. *)
 let transpose ?formats (t : t) (perm : int array) : t =
   let nd = ndims t in
   if Array.length perm <> nd then invalid_arg "Tensor.transpose: bad perm";
@@ -513,13 +620,22 @@ let transpose ?formats (t : t) (perm : int array) : t =
     | Some fs -> fs
     | None -> Array.map (fun k -> t.formats.(k)) perm
   in
-  let entries = to_coo t in
-  let permuted =
-    Array.map
-      (fun (c, v) -> (Array.map (fun k -> c.(k)) perm, v))
-      entries
-  in
-  of_coo ~fill:t.fill ~dims:out_dims ~formats:out_formats permuted
+  if nd = 0 then of_coo ~fill:t.fill ~dims:out_dims ~formats:out_formats (to_coo t)
+  else begin
+    if Array.length out_formats <> nd then
+      invalid_arg "Tensor.of_coo: formats/dims length mismatch";
+    let src_cols, src_vals = nonfill_columns t in
+    let m = Array.length src_vals in
+    let cols = Array.map (fun k -> src_cols.(k)) perm in
+    let order = lex_order cols out_dims m in
+    let cols = Array.map (fun col -> Array.map (fun e -> col.(e)) order) cols in
+    let vals = Array.map (fun e -> src_vals.(e)) order in
+    let root =
+      if m = 0 then empty_node out_formats out_dims 0 t.fill
+      else build_node out_formats out_dims t.fill cols vals 0 m 0
+    in
+    { dims = out_dims; formats = out_formats; fill = t.fill; root; nnz_cache = None }
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Dense interop, mostly for tests and the reference evaluator.         *)

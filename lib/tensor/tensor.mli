@@ -78,6 +78,10 @@ module Node : sig
   (** Value lookup at a leaf level; [None] = fill. *)
   val find_value : t -> int -> float option
 
+  (** [find_value_or n i fill]: value lookup at a leaf level, [fill] when
+      [i] is not stored.  Allocates nothing. *)
+  val find_value_or : t -> int -> float -> float
+
   val scalar_value : t -> float
 
   (** Membership probe: is index [i] explicitly stored at this level?

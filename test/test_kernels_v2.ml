@@ -420,6 +420,193 @@ let merge_attr_of ~domains inputs plan name =
           | None -> Alcotest.fail "kernel span lost its merge attr"
           | Some m -> m))
 
+(* -------------------------------------------------------------- *)
+(* Row loops: positional walk, in-step lookup, in-place row writes.  *)
+(* -------------------------------------------------------------- *)
+
+(* The oracle check, plus the innermost strategy the plan must name, so
+   each case provably runs the row loop it targets. *)
+let check_row ?popt_config ~needle name inputs (q : LQ.t) =
+  check_vs_oracle ?popt_config name inputs q;
+  let plan = plan_for ?popt_config inputs q in
+  let m = merge_attr_of ~domains:1 inputs plan q.LQ.name in
+  if not (contains ~needle m) then
+    Alcotest.failf "%s: expected %S in the merge strategy, got %S" name needle m
+
+let out_formats fmts =
+  {
+    Popt.default_config with
+    format_override = (fun n -> if n = "out" then Some fmts else None);
+  }
+
+let hadamard_rows =
+  LQ.make ~output_idxs:[ "i"; "j" ] ~name:"out" ~agg_op:Op.Ident ~agg_idxs:[]
+    ~body:(Ir.mul [ Ir.input "A" [ "i"; "j" ]; Ir.input "B" [ "i"; "j" ] ])
+    ()
+
+let test_row_walk_leaders () =
+  let prng = Prng.create 73 in
+  let mk inner density =
+    T.random ~prng ~dims:[| 40; 90 |] ~formats:[| T.Dense; inner |] ~density ()
+  in
+  (* A sparse leader probing a hash row, and a bytemap leader probing a
+     hash row: the walked leaf is read by position, the probed one in
+     step. *)
+  check_row ~needle:"walk(inter(sparse&" "sparse leader, probed hash"
+    [ ("A", mk T.Sparse_list 0.1); ("B", mk T.Hash 0.5) ]
+    hadamard_rows;
+  check_row ~needle:"walk(inter(bytemap&" "bytemap leader, probed hash"
+    [ ("A", mk T.Bytemap 0.1); ("B", mk T.Hash 0.6) ]
+    hadamard_rows;
+  (* A reduction row: no output coordinate at the walked level. *)
+  let rowdot =
+    LQ.make ~output_idxs:[ "i" ] ~name:"out" ~agg_op:Op.Add ~agg_idxs:[ "j" ]
+      ~body:(Ir.mul [ Ir.input "A" [ "i"; "j" ]; Ir.input "B" [ "i"; "j" ] ])
+      ()
+  in
+  check_row ~needle:"walk(inter(sparse&" "sparse leader, reduced row"
+    [ ("A", mk T.Sparse_list 0.1); ("B", mk T.Sparse_list 0.5) ]
+    rowdot
+
+(* One Bellman-Ford step: out[j] = min_i (d[i] + W[i,j]) over (min, +)
+   with +inf fills; the innermost level spans the full range and reads
+   W's sparse rows in step. *)
+let bellman_step =
+  LQ.make ~output_idxs:[ "j" ] ~name:"out" ~agg_op:Op.Min ~agg_idxs:[ "i" ]
+    ~body:(Ir.add [ Ir.input "d" [ "i" ]; Ir.input "W" [ "i"; "j" ] ])
+    ()
+
+let test_row_step_min_plus () =
+  let prng = Prng.create 79 in
+  let w =
+    T.random ~fill:infinity ~prng ~dims:[| 70; 70 |]
+      ~formats:[| T.Dense; T.Sparse_list |]
+      ~density:0.08 ()
+  in
+  let d =
+    T.of_coo ~fill:infinity ~dims:[| 70 |] ~formats:[| T.Dense |]
+      [| ([| 3 |], 0.0); ([| 11 |], 2.5); ([| 40 |], 1.0) |]
+  in
+  check_row ~needle:"step(" "bellman-ford step" [ ("d", d); ("W", w) ] bellman_step
+
+let test_row_step_fill_one_union () =
+  (* Fill-1 operands under (+, +): the sum never annihilates, so the
+     innermost level is a union that covers the full range; W's rows are
+     read in step, absent rows read fill for the whole visit. *)
+  let prng = Prng.create 83 in
+  let w =
+    T.random ~fill:1.0 ~prng ~dims:[| 50; 60 |]
+      ~formats:[| T.Sparse_list; T.Sparse_list |]
+      ~density:0.05 ()
+  in
+  let x =
+    T.random ~fill:1.0 ~prng ~dims:[| 50 |] ~formats:[| T.Dense |] ~density:0.5 ()
+  in
+  let y =
+    T.random ~fill:1.0 ~prng ~dims:[| 60 |] ~formats:[| T.Dense |] ~density:0.5 ()
+  in
+  let q =
+    LQ.make ~output_idxs:[ "j" ] ~name:"out" ~agg_op:Op.Add ~agg_idxs:[ "i" ]
+      ~body:
+        (Ir.add
+           [ Ir.input "x" [ "i" ]; Ir.input "W" [ "i"; "j" ]; Ir.input "y" [ "j" ] ])
+      ()
+  in
+  check_row ~needle:"step(" "fill-1 union" [ ("x", x); ("W", w); ("y", y) ] q
+
+let test_row_absent_subtree () =
+  (* W has a fill of 1 under a product, so it does not constrain the
+     outer level: most visited rows of W are absent, and the in-step
+     loads of those visits read its fill. *)
+  let prng = Prng.create 89 in
+  let w =
+    T.random ~fill:1.0 ~prng ~dims:[| 60; 45 |]
+      ~formats:[| T.Sparse_list; T.Sparse_list |]
+      ~density:0.03 ()
+  in
+  let x =
+    T.random ~prng ~dims:[| 60 |] ~formats:[| T.Dense |] ~density:0.7 ()
+  in
+  let q =
+    LQ.make ~output_idxs:[ "i"; "j" ] ~name:"out" ~agg_op:Op.Ident ~agg_idxs:[]
+      ~body:(Ir.mul [ Ir.input "x" [ "i" ]; Ir.input "W" [ "i"; "j" ] ])
+      ()
+  in
+  check_row ~needle:"step(" "absent rows" [ ("x", x); ("W", w) ] q
+
+let test_row_output_leaves () =
+  (* The walked row written into every output leaf format: dense rows
+     in place, bytemap rows through the leaf, sorted-list and hash rows
+     through the builder's leaf write. *)
+  let prng = Prng.create 97 in
+  let a =
+    T.random ~prng ~dims:[| 30; 80 |] ~formats:[| T.Dense; T.Sparse_list |]
+      ~density:0.15 ()
+  in
+  let b =
+    T.random ~prng ~dims:[| 30; 80 |] ~formats:[| T.Dense; T.Dense |]
+      ~density:0.6 ()
+  in
+  List.iter
+    (fun leaf ->
+      check_row ~popt_config:(out_formats [| T.Dense; leaf |]) ~needle:"walk("
+        ("output leaf " ^ T.format_to_string leaf)
+        [ ("A", a); ("B", b) ]
+        hadamard_rows)
+    [ T.Dense; T.Bytemap; T.Sparse_list; T.Hash ];
+  (* Min-plus into a dense leaf: the in-place write without [Add]. *)
+  let w =
+    T.random ~fill:infinity ~prng ~dims:[| 40; 40 |]
+      ~formats:[| T.Dense; T.Sparse_list |]
+      ~density:0.1 ()
+  in
+  let d =
+    T.random ~fill:infinity ~prng ~dims:[| 40 |] ~formats:[| T.Dense |]
+      ~density:0.3 ()
+  in
+  List.iter
+    (fun leaf ->
+      check_vs_oracle ~popt_config:(out_formats [| leaf |])
+        ("min-plus output " ^ T.format_to_string leaf)
+        [ ("d", d); ("W", w) ]
+        bellman_step)
+    [ T.Dense; T.Bytemap; T.Hash ]
+
+let test_row_deadline () =
+  (* A deadline already past fires at the first clock check, 8192 ticks
+     in — inside the full-range row loop, which holds nearly every tick. *)
+  let n = 300 in
+  let w =
+    T.of_fun ~fill:infinity ~dims:[| n; n |] ~formats:[| T.Dense; T.Sparse_list |]
+      (fun c -> if (c.(0) + c.(1)) mod 7 = 0 then 1.0 else infinity)
+  in
+  let d = T.of_fun ~fill:infinity ~dims:[| n |] ~formats:[| T.Dense |] (fun _ -> 0.5) in
+  let inputs = [ ("d", d); ("W", w) ] in
+  let plan = plan_for inputs bellman_step in
+  let m = merge_attr_of ~domains:1 inputs plan "out" in
+  check_bool "row loop planned" true (contains ~needle:"step(" m);
+  let run_with deadline =
+    let exec = Exec.create () in
+    Fun.protect
+      ~finally:(fun () -> Exec.shutdown exec)
+      (fun () ->
+        List.iter (fun (n, t) -> Exec.bind exec n t) inputs;
+        exec.Exec.deadline <- Some deadline;
+        Exec.run_plan exec plan)
+  in
+  check_bool "timeout raised" true
+    (try
+       run_with (Unix.gettimeofday () -. 1.0);
+       false
+     with Exec.Timeout -> true);
+  (* Tick cadence: one per candidate (n outer, n*n inner) plus one per
+     accumulation (n*n), flushed to the metric in 8192-tick quanta. *)
+  let ticks = Metrics.counter "kernel.deadline_ticks" in
+  let before = Metrics.value ticks in
+  run_with (Unix.gettimeofday () +. 3600.0);
+  check_int "deadline ticks" (8192 * ((n + (2 * n * n)) / 8192))
+    (Metrics.value ticks - before)
+
 let test_surfacing_strategies () =
   let prng = Prng.create 67 in
   let a =
@@ -598,6 +785,17 @@ let () =
             test_bytemap_matrix_levels;
           Alcotest.test_case "morsel vs serial scheduling" `Quick
             test_morsel_vs_serial;
+        ] );
+      ( "row loops",
+        [
+          Alcotest.test_case "walk leaders with probes" `Quick
+            test_row_walk_leaders;
+          Alcotest.test_case "in-step min-plus" `Quick test_row_step_min_plus;
+          Alcotest.test_case "in-step fill-1 union" `Quick
+            test_row_step_fill_one_union;
+          Alcotest.test_case "absent subtrees" `Quick test_row_absent_subtree;
+          Alcotest.test_case "output leaf formats" `Quick test_row_output_leaves;
+          Alcotest.test_case "deadline in a row loop" `Quick test_row_deadline;
         ] );
       ( "surfacing",
         [

@@ -344,6 +344,203 @@ let prop_reformat_identity =
       let t = T.random ~prng ~dims ~formats ~density:0.5 () in
       T.equal_approx t (T.reformat t formats2))
 
+(* Bit-level image of a tensor: dims, formats, fill and every node —
+   format, explicit coordinates in order, values as bits — so two tensors
+   compare equal only when they are built alike. *)
+let dump (t : T.t) : string =
+  let b = Buffer.create 256 in
+  let bits v = Printf.bprintf b "%Lx," (Int64.bits_of_float v) in
+  Array.iter (Printf.bprintf b "%d,") (T.dims t);
+  Array.iter (fun f -> Buffer.add_string b (T.format_to_string f)) (T.formats t);
+  bits (T.fill t);
+  let rec go (n : T.node) =
+    match n with
+    | T.Scalar v -> bits v
+    | T.Leaf_dense _ | T.Leaf_sparse _ | T.Leaf_bytemap _ | T.Leaf_hash _ ->
+        Buffer.add_string b
+          (match n with
+          | T.Leaf_dense _ -> "[D"
+          | T.Leaf_sparse _ -> "[S"
+          | T.Leaf_bytemap _ -> "[B"
+          | _ -> "[H");
+        T.Node.iter_values n (fun i v ->
+            Printf.bprintf b "%d:" i;
+            bits v);
+        Buffer.add_char b ']'
+    | _ ->
+        Buffer.add_string b
+          (match n with
+          | T.Inner_dense _ -> "(D"
+          | T.Inner_sparse _ -> "(S"
+          | T.Inner_bytemap _ -> "(B"
+          | _ -> "(H");
+        T.Node.iter_sorted n (fun i c ->
+            Printf.bprintf b "%d:" i;
+            go c);
+        Buffer.add_char b ')'
+  in
+  go (T.root t);
+  Buffer.contents b
+
+(* Transpose through boxed COO tuples, as it was built before the
+   columnar path: the reference the columnar transpose must match. *)
+let transpose_via_coo ?formats (t : T.t) (perm : int array) : T.t =
+  let out_dims = Array.map (fun k -> (T.dims t).(k)) perm in
+  let out_formats =
+    match formats with
+    | Some fs -> fs
+    | None -> Array.map (fun k -> (T.formats t).(k)) perm
+  in
+  let permuted =
+    Array.map (fun (c, v) -> (Array.map (fun k -> c.(k)) perm, v)) (T.to_coo t)
+  in
+  T.of_coo ~fill:(T.fill t) ~dims:out_dims ~formats:out_formats permuted
+
+let prop_transpose_matches_coo =
+  QCheck.Test.make ~name:"transpose = of_coo of permuted to_coo" ~count:150
+    (QCheck.int_range 0 100_000)
+    (fun seed ->
+      let prng = Prng.create seed in
+      let nd = 1 + Prng.int prng 4 in
+      let fill =
+        match Prng.int prng 4 with 0 | 1 -> 0.0 | 2 -> 1.0 | _ -> infinity
+      in
+      let perm = Array.init nd Fun.id in
+      Prng.shuffle prng perm;
+      let huge = nd >= 2 && Prng.int prng 6 = 0 in
+      let t =
+        if huge then
+          (* Dimensions whose product passes [max_int]: the packed-key sort
+             cannot apply, so the column-wise comparison sort runs. *)
+          let dims = Array.init nd (fun _ -> 1 lsl (62 / nd + 1)) in
+          let formats =
+            Array.init nd (fun _ -> if Prng.bool prng then T.Sparse_list else T.Hash)
+          in
+          let entries =
+            Array.init (Prng.int prng 30) (fun _ ->
+                ( Array.map (fun d -> Prng.int prng (min d 1_000_000)) dims,
+                  Prng.float_range prng (-2.0) 2.0 ))
+          in
+          T.of_coo ~fill ~dims ~formats entries
+        else
+          let dims = Array.init nd (fun _ -> 1 + Prng.int prng 6) in
+          let formats = Array.init nd (fun _ -> random_format prng) in
+          T.random ~fill ~prng ~dims ~formats
+            ~density:(Prng.float_range prng 0.0 0.8)
+            ()
+      in
+      let formats =
+        (* Dense and bytemap levels over a huge dimension would allocate it. *)
+        if huge || Prng.bool prng then None
+        else Some (Array.init nd (fun _ -> random_format prng))
+      in
+      dump (T.transpose ?formats t perm) = dump (transpose_via_coo ?formats t perm))
+
+(* Builder against a naive association-list accumulator.  Writes are
+   random cells, reordered only as far as sorted-list levels require:
+   stably by the coordinates at the sorted-list positions, so dense, hash
+   and bytemap levels see their prefixes revisited out of order.  Each
+   write goes through [accum], through a fresh [leaf] row, or through a
+   row handle resolved earlier for the same prefix.  [finalize] is not
+   neutral, so counts show in the frozen values. *)
+let prop_builder_vs_naive =
+  QCheck.Test.make ~name:"builder = naive accumulator" ~count:300
+    (QCheck.int_range 0 100_000)
+    (fun seed ->
+      let prng = Prng.create seed in
+      let nd = Prng.int prng 4 in
+      let dims = Array.init nd (fun _ -> 1 + Prng.int prng 5) in
+      let formats = Array.init nd (fun _ -> random_format prng) in
+      let op, combine, identity =
+        match Prng.int prng 3 with
+        | 0 -> ("add", ( +. ), 0.0)
+        | 1 -> ("min", Float.min, infinity)
+        | _ -> ("max", Float.max, neg_infinity)
+      in
+      let writes =
+        Array.init (Prng.int prng 40) (fun _ ->
+            ( Array.map (fun d -> Prng.int prng d) dims,
+              Prng.float_range prng (-3.0) 3.0 ))
+      in
+      let sorted_pos =
+        List.filter (fun d -> formats.(d) = T.Sparse_list) (List.init nd Fun.id)
+      in
+      let key c = List.map (fun d -> c.(d)) sorted_pos in
+      Array.stable_sort (fun (a, _) (b, _) -> compare (key a) (key b)) writes;
+      let b = B.create ~dims ~formats ~identity () in
+      let naive = Hashtbl.create 16 in
+      let rows = Hashtbl.create 16 in
+      let last c = if nd = 0 then 0 else c.(nd - 1) in
+      let prefix c = Array.to_list (Array.sub c 0 (max 0 (nd - 1))) in
+      Array.iter
+        (fun (c, v) ->
+          (match Prng.int prng 3 with
+          | 0 -> B.accum b c v ~combine
+          | 1 ->
+              let row = B.leaf b c in
+              Hashtbl.replace rows (prefix c) row;
+              B.leaf_accum b row (last c) v ~combine
+          | _ ->
+              let row =
+                match Hashtbl.find_opt rows (prefix c) with
+                | Some row -> row
+                | None -> B.leaf b c
+              in
+              B.leaf_accum b row (last c) v ~combine);
+          let k = Array.to_list c in
+          let acc, cnt =
+            match Hashtbl.find_opt naive k with
+            | Some (acc, cnt) -> (acc, cnt)
+            | None -> (identity, 0)
+          in
+          Hashtbl.replace naive k (combine acc v, cnt + 1))
+        writes;
+      let finalize v cnt = (v *. 3.0) +. float_of_int cnt in
+      let fill = finalize identity 0 in
+      let t = B.freeze b ~finalize ~fill in
+      (* A cell is stored when written, or when it lies in a dense leaf
+         whose row exists (dense inner levels exist eagerly, the others
+         once written under); a scalar always is. *)
+      let row_exists c =
+        List.for_all
+          (fun d ->
+            formats.(d) = T.Dense
+            || Array.exists
+                 (fun (w, _) -> Array.sub w 0 (d + 1) = Array.sub c 0 (d + 1))
+                 writes)
+          (List.init (max 0 (nd - 1)) Fun.id)
+      in
+      let stored = Hashtbl.create 16 in
+      T.iter_explicit t (fun c v -> Hashtbl.replace stored (Array.to_list c) v);
+      let ok = ref true in
+      for flat = 0 to T.dim_space dims - 1 do
+        let c = T.unflatten dims flat in
+        let want =
+          match Hashtbl.find_opt naive (Array.to_list c) with
+          | Some (acc, cnt) -> Some (finalize acc cnt)
+          | None ->
+              if nd = 0 || (formats.(nd - 1) = T.Dense && row_exists c) then
+                Some fill
+              else None
+        in
+        let got = Hashtbl.find_opt stored (Array.to_list c) in
+        let same =
+          match (want, got) with
+          | Some w, Some g -> Int64.bits_of_float w = Int64.bits_of_float g
+          | None, None -> true
+          | _ -> false
+        in
+        if not same then begin
+          ok := false;
+          QCheck.Test.fail_reportf "%s, formats %s: cell %s wants %s, holds %s" op
+            (String.concat "," (Array.to_list (Array.map T.format_to_string formats)))
+            (String.concat "," (Array.to_list (Array.map string_of_int c)))
+            (match want with Some w -> string_of_float w | None -> "none")
+            (match got with Some g -> string_of_float g | None -> "none")
+        end
+      done;
+      !ok)
+
 let () =
   Alcotest.run "tensor"
     [
@@ -387,5 +584,11 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_get_matches_flat; prop_transpose_preserves; prop_reformat_identity ] );
+          [
+            prop_get_matches_flat;
+            prop_transpose_preserves;
+            prop_reformat_identity;
+            prop_transpose_matches_coo;
+            prop_builder_vs_naive;
+          ] );
     ]
