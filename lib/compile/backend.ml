@@ -146,18 +146,19 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
        visit of the innermost level, before its first [put].
 
        The innermost level runs, when the plan allows, as one of two
-       fused loops; either re-checks its shape per visit and otherwise
-       runs the generic walker, so the execution trace is bit-identical.
+       fused loops that produce the generic walker's execution trace bit
+       for bit; a visit whose sources do not have the planned shape runs
+       the generic walker instead.
 
        - A dense microkernel ([p_micro]): each source is resolved once per
          level visit to its unboxed [Leaf_dense] value array and the inner
          loop reads floats straight out of those arrays — no per-element
          binder-closure dispatch, no [find_value] option allocation.
        - A row loop ([p_row]): the positional walk reads the driving
-         sparse leaf by position, the in-step lookup runs a [G_full] visit
-         over the whole range, and every other load reads through a
-         reader resolved once per visit (a forward pointer into a sparse
-         leaf, a dense array, or [find_value_or]).
+         sparse leaf by position, the in-step lookup runs the level's own
+         candidates, and every other load reads through a reader resolved
+         once per visit (a forward pointer into a sparse leaf, a dense
+         array, or [find_value_or]).
 
        The tick cadence is the generic level's: one [check] per candidate
        plus one per accumulation. *)
@@ -273,10 +274,9 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
         end
         else generic level
       and generic (level : int) : unit =
-        run_gen level (levels.(level).Lowering.lv_gen st)
-      and run_gen (level : int) (g : Lowering.gen) : unit =
-        let bind = levels.(level).Lowering.lv_bind in
-        match g with
+        let lv = levels.(level) in
+        let bind = lv.Lowering.lv_bind in
+        match lv.Lowering.lv_gen st with
         | Lowering.G_full ->
             let n = loop_dims.(level) in
             for i = 0 to n - 1 do
@@ -342,17 +342,29 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
                     done)
             | Some _ -> generic last)
         | None -> (
-            match levels.(last).Lowering.lv_gen st with
+            let g = levels.(last).Lowering.lv_gen st in
+            resolve_loads ();
+            let emit i =
+              check ();
+              load_all i;
+              if row_out >= 0 then coords.(row_out) <- i;
+              check ();
+              put (body values)
+            in
+            match g with
             | Lowering.G_full ->
-                resolve_loads ();
                 for i = 0 to loop_dims.(last) - 1 do
-                  check ();
-                  load_all i;
-                  if row_out >= 0 then coords.(row_out) <- i;
-                  check ();
-                  put (body values)
+                  emit i
                 done
-            | g -> run_gen last g)
+            | Lowering.G_arr arr -> Array.iter emit arr
+            | Lowering.G_filter (arr, probe) ->
+                Array.iter (fun i -> if probe i then emit i) arr
+            | Lowering.G_bits w -> Bitset.iter_set w emit
+            | Lowering.G_cur c ->
+                while c.Cursors.key <> Cursors.exhausted do
+                  emit c.Cursors.key;
+                  c.Cursors.next ()
+                done)
       and try_micro () : bool =
         let n = loop_dims.(last) in
         let ok = ref true in

@@ -96,15 +96,14 @@ type micro = {
      intersection whose other members probe); the backend walks that
      leaf's [crd]/[vals] by position, so the leader's value load is
      [vals.(p)] — no binary search, no option;
-   - in-step lookup: a level whose tree can yield [G_full], on a visit
-     whose generator does; candidates then ascend through the whole
-     range and every sparse leaf is read through a forward pointer that
-     advances with the index.
+   - in-step lookup: any other such level; the level's own generator
+     yields the candidates (the whole range for [G_full]), and since
+     they ascend, every sparse leaf is read through a forward pointer
+     that advances with the index.
 
-   The remaining loads ([rw_loads]) read in step in both cases.  A visit
-   whose leader is not a sparse leaf, or (in-step) whose generator is not
-   [G_full], runs the generic level, so candidate and accumulation
-   sequences stay those of the interpreter. *)
+   The remaining loads ([rw_loads]) read in step in both cases.  A walk
+   visit whose leader is not a sparse leaf runs the generic level, so
+   candidate and accumulation sequences stay those of the interpreter. *)
 type row = {
   rw_walk : (int * int * (state -> int -> bool) option) option;
       (* (access, slot) of the walked leaf, and the probe of the
@@ -570,17 +569,7 @@ let lower (k : Physical.kernel) ~(access_fills : float array)
               Some (s, probe)
           | _ -> None
       in
-      (* Can a visit's generator yield [G_full]? (mirrors [gen_of_base]) *)
-      let rec may_full = function
-        | L_all | L_access { s_fmt = T.Dense; _ } -> true
-        | L_access _ | L_empty -> false
-        | L_and ms -> List.for_all may_full ms
-        | L_or ms -> List.exists may_full ms
-      in
-      if
-        List.for_all (fun (_, _, is_last) -> is_last) bs
-        && (Option.is_some walk || may_full ltrees.(l))
-      then
+      if List.for_all (fun (_, _, is_last) -> is_last) bs then
         let loads =
           List.filter_map
             (fun (a, j, _) ->

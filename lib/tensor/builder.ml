@@ -127,7 +127,7 @@ let small_ints () = Vec.Int.create ~capacity:1 ()
 let small_floats () = Vec.Float.create ~capacity:1 ()
 let small_children () = Vec.Poly.create ~capacity:1 ~dummy:no_leaf ()
 
-let rec make_node (dims : int array) (formats : Tensor.format array)
+let make_node (dims : int array) (formats : Tensor.format array)
     (identity : float) (depth : int) : bnode =
   let nd = Array.length dims in
   if nd = 0 then B_scalar { v = identity; cnt = 0 }
@@ -139,11 +139,10 @@ let rec make_node (dims : int array) (formats : Tensor.format array)
         if leaf then
           B_leaf_dense { vals = Array.make n identity; cnts = Array.make n 0 }
         else
-          (* Dense levels materialize every child eagerly: this is the real
-             cost of choosing a dense intermediate, and the optimizer's
-             format decision trades it against iteration speed. *)
-          B_inner_dense
-            (Array.init n (fun _ -> make_node dims formats identity (depth + 1)))
+          (* Children are made on first write ([no_leaf] until then);
+             [freeze] gives every untouched position one shared frozen
+             empty subtree. *)
+          B_inner_dense (Array.make n no_leaf)
     | Tensor.Sparse_list ->
         if leaf then
           B_leaf_sparse
@@ -194,7 +193,14 @@ let seq_error () =
 (* Child of an inner level at coordinate [i], created on first write. *)
 let child (b : t) (node : bnode) (depth : int) (i : int) : bnode =
   match node with
-  | B_inner_dense children -> children.(i)
+  | B_inner_dense children ->
+      let c = children.(i) in
+      if c != no_leaf then c
+      else begin
+        let c = make_node b.dims b.formats b.identity (depth + 1) in
+        children.(i) <- c;
+        c
+      end
   | B_inner_sparse { crd; children } ->
       let len = Vec.Int.length crd in
       if len = 0 || Vec.Int.last crd < i then begin
@@ -308,7 +314,17 @@ let accum (b : t) (coords : int array) (value : float)
 let freeze (b : t) ~(finalize : float -> int -> float) ~(fill : float) :
     Tensor.t =
   let final vals cnts p = finalize (Vec.Float.get vals p) (Vec.Int.get cnts p) in
-  let rec go node depth : Tensor.node =
+  (* The frozen image of an untouched subtree at each depth, made once
+     and shared (tensors are immutable once built). *)
+  let empty = Array.make (Array.length b.dims + 1) None in
+  let rec empty_at depth =
+    match empty.(depth) with
+    | Some e -> e
+    | None ->
+        let e = go (make_node b.dims b.formats b.identity depth) depth in
+        empty.(depth) <- Some e;
+        e
+  and go node depth : Tensor.node =
     match node with
     | B_scalar c -> Tensor.Scalar (finalize c.v c.cnt)
     | B_leaf_dense { vals; cnts } ->
@@ -336,7 +352,10 @@ let freeze (b : t) ~(finalize : float -> int -> float) ~(fill : float) :
             vals = Array.map (fun i -> final vals cnts (Itab.find slots i)) crd;
           }
     | B_inner_dense children ->
-        Tensor.Inner_dense (Array.map (fun c -> go c (depth + 1)) children)
+        Tensor.Inner_dense
+          (Array.map
+             (fun c -> if c == no_leaf then empty_at (depth + 1) else go c (depth + 1))
+             children)
     | B_inner_sparse { crd; children } ->
         Tensor.Inner_sparse
           {

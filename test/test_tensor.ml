@@ -499,7 +499,7 @@ let prop_builder_vs_naive =
       let fill = finalize identity 0 in
       let t = B.freeze b ~finalize ~fill in
       (* A cell is stored when written, or when it lies in a dense leaf
-         whose row exists (dense inner levels exist eagerly, the others
+         whose row exists (dense inner levels hold every position, the others
          once written under); a scalar always is. *)
       let row_exists c =
         List.for_all
