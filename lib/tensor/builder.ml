@@ -44,7 +44,7 @@ module Itab = struct
 
   (* Value bound to [k], or -1. *)
   let find (t : t) (k : int) : int =
-    if t.size = 0 then -1
+    if t.size = 0 || k < 0 then -1
     else
       let s = slot_of t.keys k in
       if Array.unsafe_get t.keys s = k then Array.unsafe_get t.vals s else -1
@@ -65,6 +65,7 @@ module Itab = struct
 
   (* Bind an absent key. *)
   let add (t : t) (k : int) (v : int) : unit =
+    if k < 0 then invalid_arg "Builder: negative coordinate";
     if 2 * (t.size + 1) > Array.length t.keys then grow t;
     let s = slot_of t.keys k in
     t.keys.(s) <- k;

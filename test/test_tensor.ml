@@ -203,6 +203,13 @@ let test_builder_sequential_violation () =
     (Invalid_argument "Builder: non-sequential write into a sorted-list level")
     (fun () -> B.accum b [| 1 |] 1.0 ~combine:( +. ))
 
+let test_builder_negative_coordinate () =
+  (* Hash levels key an int table whose empty slots are -1. *)
+  let b = B.create ~dims:[| 4 |] ~formats:[| T.Hash |] ~identity:0.0 () in
+  Alcotest.check_raises "negative coordinate rejected"
+    (Invalid_argument "Builder: negative coordinate")
+    (fun () -> B.accum b [| -1 |] 1.0 ~combine:( +. ))
+
 let test_builder_random_writes () =
   List.iter
     (fun fmt ->
@@ -574,6 +581,8 @@ let () =
           Alcotest.test_case "random writes" `Quick test_builder_random_writes;
           Alcotest.test_case "nested" `Quick test_builder_nested;
           Alcotest.test_case "scalar" `Quick test_builder_scalar;
+          Alcotest.test_case "negative coordinate" `Quick
+            test_builder_negative_coordinate;
         ] );
       ("node", [ Alcotest.test_case "find/explicit" `Quick test_node_find ]);
       ( "prng",
