@@ -324,8 +324,9 @@ let print_operator_analysis ~(estimator : string)
       in
       Format.printf
         "== per-operator attribution (predicted vs. measured) ==@.";
-      Format.printf "%-14s %-8s %12s %10s %10s %10s %7s %7s@." "kernel"
-        "tier" "pred-cost" "pred-nnz" "meas-ms" "meas-nnz" "nnz-q" "cost-q";
+      Format.printf "%-14s %-8s %12s %10s %10s %10s %7s %7s  %s@." "kernel"
+        "tier" "pred-cost" "pred-nnz" "meas-ms" "meas-nnz" "nnz-q" "cost-q"
+        "merge";
       List.iter
         (fun ev ->
           let fmt_f = function
@@ -369,12 +370,13 @@ let print_operator_analysis ~(estimator : string)
                      ~actual:(float_of_int k.k_excl_us))
             | _ -> None
           in
-          Format.printf "%-14s %-8s %12s %10s %10s %10s %7s %7s@."
+          Format.printf "%-14s %-8s %12s %10s %10s %10s %7s %7s  %s@."
             ev.pv_label tier
             (fmt_f
                (if Float.is_finite ev.pv_cost then Some ev.pv_cost else None))
             (fmt_f pred_nnz) meas_ms (fmt_f meas_nnz) (fmt_f nnz_q)
-            (fmt_f cost_q))
+            (fmt_f cost_q)
+            (match meas with Some k -> k.k_merge | None -> "-"))
         ops;
       if Float.is_finite scale then
         Format.printf
