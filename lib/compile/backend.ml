@@ -56,11 +56,12 @@ let m_cancel_latency = Obs.Metrics.gauge "kernel.cancel_latency_ticks"
 let m_morsels = Obs.Metrics.counter "kernel.morsels"
 let m_steals = Obs.Metrics.counter "kernel.steals"
 
-(* Reader kinds of a row loop's loads (see [make_go]). *)
-let k_fill = 0 (* absent subtree: the load reads fill all visit *)
-let k_dense = 1 (* [Leaf_dense]: read by index *)
-let k_step = 2 (* sparse or bytemap leaf: forward pointer *)
-let k_find = 3 (* anything else: [find_value_or] *)
+(* How a row loop reads one load during a visit (see [make_go]). *)
+type reader =
+  | R_fill  (* absent subtree: the load reads fill all visit *)
+  | R_dense  (* [Leaf_dense]: read by index *)
+  | R_step  (* sparse or bytemap leaf: forward pointer *)
+  | R_find  (* anything else: [find_value_or] *)
 
 let domain_counter prefix =
   Obs.Metrics.counter
@@ -187,7 +188,7 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
       let n_loads = Array.length loads in
       let ld_acc = Array.map fst loads in
       let ld_fill = Array.map (fun a -> plan.Lowering.p_fills.(a)) ld_acc in
-      let ld_kind = Array.make n_loads 0 in
+      let ld_kind = Array.make n_loads R_fill in
       let ld_crd = Array.make n_loads [||] in
       let ld_vals = Array.make n_loads [||] in
       let ld_ptr = Array.make n_loads 0 in
@@ -199,18 +200,18 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
           match Lowering.prev st a j with
           | None ->
               (* An absent subtree reads fill for the whole visit. *)
-              ld_kind.(s) <- k_fill;
+              ld_kind.(s) <- R_fill;
               values.(a) <- ld_fill.(s)
           | Some (T.Leaf_dense vs) ->
-              ld_kind.(s) <- k_dense;
+              ld_kind.(s) <- R_dense;
               ld_vals.(s) <- vs
           | Some (T.Leaf_sparse { crd; vals } | T.Leaf_bytemap { crd; vals; _ })
             ->
-              ld_kind.(s) <- k_step;
+              ld_kind.(s) <- R_step;
               ld_crd.(s) <- crd;
               ld_vals.(s) <- vals
           | Some nd ->
-              ld_kind.(s) <- k_find;
+              ld_kind.(s) <- R_find;
               ld_node.(s) <- nd
         done
       in
@@ -220,43 +221,44 @@ let compile (k : Physical.kernel) ~(access_fills : float array)
          case), else galloping and bisecting (a walk that skips ahead). *)
       let load_all i =
         for s = 0 to n_loads - 1 do
-          let k = Array.unsafe_get ld_kind s in
-          if k = k_step then begin
-            let crd = Array.unsafe_get ld_crd s in
-            let n = Array.length crd in
-            let p = Array.unsafe_get ld_ptr s in
-            let p =
-              if p < n && Array.unsafe_get crd p < i then begin
-                let lo = ref p and stride = ref 1 in
-                while
-                  !lo + !stride < n && Array.unsafe_get crd (!lo + !stride) < i
-                do
-                  lo := !lo + !stride;
-                  stride := 2 * !stride
-                done;
-                let hi = ref (min (!lo + !stride) n) in
-                while !hi - !lo > 1 do
-                  let mid = (!lo + !hi) lsr 1 in
-                  if Array.unsafe_get crd mid < i then lo := mid else hi := mid
-                done;
-                Array.unsafe_set ld_ptr s !hi;
-                !hi
-              end
-              else p
-            in
-            values.(ld_acc.(s)) <-
-              (if p < n && Array.unsafe_get crd p = i then
-                 Array.unsafe_get (Array.unsafe_get ld_vals s) p
-               else Array.unsafe_get ld_fill s)
-          end
-          else if k = k_dense then begin
-            let vs = Array.unsafe_get ld_vals s in
-            values.(ld_acc.(s)) <-
-              (if i < Array.length vs then Array.unsafe_get vs i
-               else ld_fill.(s))
-          end
-          else if k = k_find then
-            values.(ld_acc.(s)) <- T.Node.find_value_or ld_node.(s) i ld_fill.(s)
+          match Array.unsafe_get ld_kind s with
+          | R_step ->
+              let crd = Array.unsafe_get ld_crd s in
+              let n = Array.length crd in
+              let p = Array.unsafe_get ld_ptr s in
+              let p =
+                if p < n && Array.unsafe_get crd p < i then begin
+                  let lo = ref p and stride = ref 1 in
+                  while
+                    !lo + !stride < n
+                    && Array.unsafe_get crd (!lo + !stride) < i
+                  do
+                    lo := !lo + !stride;
+                    stride := 2 * !stride
+                  done;
+                  let hi = ref (min (!lo + !stride) n) in
+                  while !hi - !lo > 1 do
+                    let mid = (!lo + !hi) lsr 1 in
+                    if Array.unsafe_get crd mid < i then lo := mid else hi := mid
+                  done;
+                  Array.unsafe_set ld_ptr s !hi;
+                  !hi
+                end
+                else p
+              in
+              values.(ld_acc.(s)) <-
+                (if p < n && Array.unsafe_get crd p = i then
+                   Array.unsafe_get (Array.unsafe_get ld_vals s) p
+                 else Array.unsafe_get ld_fill s)
+          | R_dense ->
+              let vs = Array.unsafe_get ld_vals s in
+              values.(ld_acc.(s)) <-
+                (if i < Array.length vs then Array.unsafe_get vs i
+                 else ld_fill.(s))
+          | R_find ->
+              values.(ld_acc.(s)) <-
+                T.Node.find_value_or ld_node.(s) i ld_fill.(s)
+          | R_fill -> ()
         done
       in
       let rec go (level : int) : unit =
