@@ -1,5 +1,5 @@
-(* Robust trial statistics and regression verdicts, shared by the bench
-   harness and the profiler.
+(* Robust trial statistics and regression verdicts for the bench
+   harness's --compare gate (bench/main.ml).
 
    A measurement series is a list of wall-clock samples in seconds, with
    [nan] encoding a timed-out trial.  Summaries are median-based: the
