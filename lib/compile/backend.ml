@@ -77,8 +77,9 @@ type compiled = {
 }
 
 let compile (k : Physical.kernel) ~(access_fills : float array)
+    ~(facts : int -> Galley_tensor.Facts.t)
     ~(access_formats : T.format array array) : compiled =
-  let plan = Lowering.lower k ~access_fills ~access_formats in
+  let plan = Lowering.lower k ~access_fills ~facts ~access_formats in
   let describe =
     String.concat " "
       (List.mapi

@@ -398,6 +398,7 @@ and probe_of (t : ltree) : state -> int -> bool =
       fun st i -> Array.exists (fun p -> p st i) ps
 
 let lower (k : Physical.kernel) ~(access_fills : float array)
+    ~(facts : int -> Galley_tensor.Facts.t)
     ~(access_formats : T.format array array) : plan =
   let n_acc = Array.length k.Physical.accesses in
   let loop_order = Array.of_list k.Physical.loop_order in
@@ -511,7 +512,7 @@ let lower (k : Physical.kernel) ~(access_fills : float array)
         convert l
           (C.derive ~accesses:k.Physical.accesses
              ~fills:(fun a -> access_fills.(a))
-             ~idx:loop_order.(l) k.Physical.body))
+             ~facts ~idx:loop_order.(l) k.Physical.body))
   in
   let levels =
     Array.init n_levels (fun l ->

@@ -188,16 +188,11 @@ let refresh_alias_stats ?(refreshed = Hashtbl.create 16) (ctx : Ctx.t)
    inferred (estimated) alias statistics.  Shared by [run_logical_plan],
    [Session.register_query], and the audit's shadow contexts. *)
 let register_query_estimated (ctx : Ctx.t) (q : Logical_query.t) : unit =
-  let full = (Logical_query.to_query q).Ir.expr in
-  let dims = Schema.index_dims ctx.Ctx.schema full in
-  let out_dims =
-    Array.of_list
-      (List.map (fun i -> Schema.dim_of_idx dims i) q.Logical_query.output_idxs)
-  in
-  let fill = Schema.expr_fill ctx.Ctx.schema dims full in
-  Schema.declare ctx.Ctx.schema q.Logical_query.name ~dims:out_dims ~fill;
+  let query = Logical_query.to_query q in
+  Schema.declare_query_output ctx.Ctx.schema query
+    ~output_idxs:q.Logical_query.output_idxs;
   ctx.Ctx.register_alias_estimated q.Logical_query.name
-    ~output_idxs:q.Logical_query.output_idxs full
+    ~output_idxs:q.Logical_query.output_idxs query.Ir.expr
 
 (* Estimator audit (config.audit): predict each logical query's output nnz
    under *both* estimator kinds from purely inferred statistics — two

@@ -237,6 +237,7 @@ let run_kernel (t : t) (k : Physical.kernel) : T.t =
         let access_formats = Array.map T.formats tensors in
         let signature =
           Kernel_exec.cache_signature k ~access_formats ~access_fills
+            ~facts:(fun a -> T.facts tensors.(a))
         in
         let cse_key = cse_key_kernel_unlocked t k ~signature in
         let cse_hit =
@@ -268,10 +269,16 @@ let run_kernel (t : t) (k : Physical.kernel) : T.t =
                   @@ fun () ->
                   match t.backend with
                   | Interp ->
-                      { (Kernel_exec.compile k ~access_fills) with signature }
+                      {
+                        (Kernel_exec.compile k ~access_fills
+                           ~facts:(fun a -> T.facts tensors.(a)))
+                        with
+                        signature;
+                      }
                   | Staged ->
                       let staged =
                         Galley_compile.Backend.compile k ~access_fills
+                          ~facts:(fun a -> T.facts tensors.(a))
                           ~access_formats
                       in
                       let pool = t.pool in

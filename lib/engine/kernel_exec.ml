@@ -33,13 +33,18 @@ type compiled = {
    protocols are baked in. *)
 
 (* Full cache signature of a kernel invocation: the structural signature
-   ([Physical.signature]) extended with the access fills, which determine
-   the constraint trees and so are part of what [compile] bakes in.  This
-   key is rebuilt on *every* invocation, cache hits included, so it is
-   assembled in one [Buffer] rather than by string concatenation. *)
+   ([Physical.signature]) extended with the access fills and the AND
+   membership the bound tensors' value facts give every Map node
+   ([Constraints.and_key]).  Together they determine the constraint trees
+   and so are part of what [compile] bakes in: a kernel compiled as an
+   intersection is never replayed on inputs whose values break the
+   annihilation.  [facts] is consulted only for Map children whose fill is
+   an annihilator candidate.  This key is rebuilt on *every* invocation,
+   cache hits included, so it is assembled in one [Buffer] rather than by
+   string concatenation. *)
 let cache_signature (k : Physical.kernel)
-    ~(access_formats : T.format array array) ~(access_fills : float array) :
-    string =
+    ~(access_formats : T.format array array) ~(access_fills : float array)
+    ~(facts : int -> Galley_tensor.Facts.t) : string =
   let buf = Buffer.create 192 in
   Buffer.add_string buf (Physical.signature k ~access_formats);
   Buffer.add_string buf "|fills:";
@@ -48,6 +53,11 @@ let cache_signature (k : Physical.kernel)
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf (Printf.sprintf "%h" f))
     access_fills;
+  Buffer.add_string buf "|and:";
+  Buffer.add_string buf
+    (Galley_physical.Constraints.and_key
+       ~fills:(fun a -> access_fills.(a))
+       ~facts k.Physical.body);
   Buffer.contents buf
 
 (* Merge of sorted candidate arrays (union). *)
@@ -85,10 +95,11 @@ let merge_sorted (arrays : int array list) : int array =
       done;
       Array.sub out 0 !n
 
-(* Compile one kernel into an executable closure.  [access_fills] are the
-   fill values of the bound tensors (part of the cache key, since they
-   determine the constraint trees). *)
-let compile (k : Physical.kernel) ~(access_fills : float array) : compiled =
+(* Compile one kernel into an executable closure.  [access_fills] and
+   [facts] describe the bound tensors (the cache key carries both, since
+   they determine the constraint trees). *)
+let compile (k : Physical.kernel) ~(access_fills : float array)
+    ~(facts : int -> Galley_tensor.Facts.t) : compiled =
   let n_acc = Array.length k.Physical.accesses in
   let loop_order = Array.of_list k.Physical.loop_order in
   let n_levels = Array.length loop_order in
@@ -141,7 +152,7 @@ let compile (k : Physical.kernel) ~(access_fills : float array) : compiled =
         let tree =
           Galley_physical.Constraints.derive ~accesses:k.Physical.accesses
             ~fills:(fun a -> access_fills.(a))
-            ~idx:x k.Physical.body
+            ~facts ~idx:x k.Physical.body
         in
         (* Reorder AND members: leader first. *)
         let rec reorder (t : Galley_physical.Constraints.t) : Galley_physical.Constraints.t =

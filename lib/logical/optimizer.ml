@@ -51,19 +51,14 @@ let query_cost (cfg : config) (ctx : Galley_stats.Ctx.t) (q : Logical_query.t)
        ~nnz_out ())
 
 (* Register a committed logical query's output as an alias for subsequent
-   estimation: schema entry (dims in output order + fill) and statistics. *)
+   estimation: schema entry (dims in output order, fill, facts) and
+   statistics. *)
 let register_alias (ctx : Galley_stats.Ctx.t) (q : Logical_query.t) : unit =
-  let full = (Logical_query.to_query q).Ir.expr in
-  let dims = Schema.index_dims ctx.Galley_stats.Ctx.schema full in
-  let out_dims =
-    Array.of_list
-      (List.map (fun i -> Schema.dim_of_idx dims i) q.Logical_query.output_idxs)
-  in
-  let fill = Schema.expr_fill ctx.Galley_stats.Ctx.schema dims full in
-  Schema.declare ctx.Galley_stats.Ctx.schema q.Logical_query.name
-    ~dims:out_dims ~fill;
+  let query = Logical_query.to_query q in
+  Schema.declare_query_output ctx.Galley_stats.Ctx.schema query
+    ~output_idxs:q.Logical_query.output_idxs;
   ctx.Galley_stats.Ctx.register_alias_estimated q.Logical_query.name
-    ~output_idxs:q.Logical_query.output_idxs full
+    ~output_idxs:q.Logical_query.output_idxs query.Ir.expr
 
 (* Wrap up: the remaining aggregate-free expression becomes the final
    logical query (or, when it is exactly the alias of the last emitted

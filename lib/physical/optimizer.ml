@@ -47,10 +47,11 @@ type flat = {
   accesses : Physical.access array; (* protocols not yet assigned *)
   pexpr : Physical.pexpr;
   fills : float array; (* fill of each access *)
+  facts : Galley_tensor.Facts.t array; (* value facts of each access *)
 }
 
 let flatten (schema : Schema.t) (body : Ir.expr) : flat =
-  let accs = ref [] and fills = ref [] and n = ref 0 in
+  let accs = ref [] and fills = ref [] and facts = ref [] and n = ref 0 in
   let add tensor kind idxs =
     let id = !n in
     incr n;
@@ -58,6 +59,7 @@ let flatten (schema : Schema.t) (body : Ir.expr) : flat =
       { Physical.tensor; kind; idxs; protocols = List.map (fun _ -> Physical.Lookup) idxs }
       :: !accs;
     fills := Schema.fill_of schema tensor :: !fills;
+    facts := Schema.facts_of schema tensor :: !facts;
     id
   in
   let rec go (e : Ir.expr) : Physical.pexpr =
@@ -73,6 +75,7 @@ let flatten (schema : Schema.t) (body : Ir.expr) : flat =
     accesses = Array.of_list (List.rev !accs);
     pexpr;
     fills = Array.of_list (List.rev !fills);
+    facts = Array.of_list (List.rev !facts);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -328,6 +331,7 @@ let assign_protocols ?(estimate = true) (ctx : Ctx.t) (flat : flat)
       let tree =
         Constraints.derive ~accesses:flat.accesses
           ~fills:(fun a -> flat.fills.(a))
+          ~facts:(fun a -> flat.facts.(a))
           ~idx:x flat.pexpr
       in
       let binding =
@@ -485,7 +489,7 @@ let plan_query_rung ~(tier : Tier.t) ?(budget : Tier.budget option)
                    it the source's statistics under the permuted order. *)
                 Schema.declare schema name
                   ~dims:(Array.map (fun k -> src_info.Schema.dims.(k)) perm)
-                  ~fill:src_info.Schema.fill;
+                  ~fill:src_info.Schema.fill ~facts:src_info.Schema.facts;
                 ctx.Ctx.register_alias_estimated name ~output_idxs:sorted_idxs
                   (Ir.Alias (a.Physical.tensor, a.Physical.idxs));
                 name
@@ -537,7 +541,12 @@ let plan_query_rung ~(tier : Tier.t) ?(budget : Tier.budget option)
   let accesses =
     assign_protocols ~estimate:(tier <> Tier.Naive) ctx flat loop_order
   in
-  let body_fill = Constraints.pexpr_fill (fun a -> flat.fills.(a)) flat.pexpr in
+  let body_fill, body_facts =
+    Constraints.pexpr_info
+      ~fills:(fun a -> flat.fills.(a))
+      ~facts:(fun a -> flat.facts.(a))
+      flat.pexpr
+  in
   let agg_space = Schema.space dims q.Logical_query.agg_idxs in
   let output_fill =
     if q.Logical_query.agg_op = Op.Ident then body_fill
@@ -585,7 +594,10 @@ let plan_query_rung ~(tier : Tier.t) ?(budget : Tier.budget option)
       ();
   let final_steps =
     if needs_final_transpose then begin
-      Schema.declare schema kernel_name ~dims:output_dims ~fill:output_fill;
+      Schema.declare schema kernel_name ~dims:output_dims ~fill:output_fill
+        ~facts:
+          (Op.agg_facts q.Logical_query.agg_op agg_space
+             (Lazy.force body_facts));
       let perm =
         Array.of_list
           (List.map

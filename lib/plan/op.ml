@@ -2,9 +2,16 @@
 
    Galley supports arbitrary functions for both pointwise operations and
    aggregates; what the optimizer needs from each operator is a small set of
-   algebraic facts: identity, annihilator, commutativity, distributivity over
-   aggregate operators, idempotence, and the repeated-application function
+   algebraic facts: identity, commutativity, distributivity over aggregate
+   operators, idempotence, and the repeated-application function
    [g(x, n) = f(x, ..., x)] used to fold fill values into aggregates.
+
+   Annihilation is not a constant of the operator: whether a fill [a]
+   forces [f(..., a, ...) = a] depends on what the other operands can hold
+   (0 * inf is NaN, +inf + -inf is NaN).  [absorbs] decides it from the
+   operands' value facts ([Galley_tensor.Facts]), and [map_facts] /
+   [agg_facts] carry those facts through Map and Agg nodes by sound
+   interval arithmetic.
 
    Booleans are encoded as floats with truthiness [x <> 0]; comparison and
    logical operators return 0.0 / 1.0. *)
@@ -103,19 +110,6 @@ let identity = function
   | Ident -> None
   | Eq | Neq | Lt | Leq | Gt | Geq -> None
   | Sigmoid | Relu | Exp | Log | Sqrt | Abs | Neg | Sign | Square -> None
-
-(* Annihilator: [f(..., a, ...) = a].  A Map node is *annihilating* when all
-   of its children's fill values equal the annihilator of its operator
-   (paper Sec. 7.2): then any fill input forces a fill output, and iteration
-   is an intersection. *)
-let annihilator = function
-  | Mul | And -> Some 0.0
-  | Or -> Some 1.0
-  | Max -> Some infinity
-  | Min -> Some neg_infinity
-  | Add | Sub | Div | Pow | Eq | Neq | Lt | Leq | Gt | Geq | Sigmoid | Relu
-  | Exp | Log | Sqrt | Abs | Neg | Sign | Square | Ident ->
-      None
 
 let truthy x = x <> 0.0
 let bool_float b = if b then 1.0 else 0.0
@@ -246,3 +240,185 @@ let aggregates_commute a b =
 let is_monotone_unary = function
   | Sigmoid | Relu | Exp | Sqrt | Ident -> true
   | _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* Value facts: annihilation and interval arithmetic.                  *)
+(* ------------------------------------------------------------------ *)
+
+module F = Galley_tensor.Facts
+
+(* Does [a] annihilate [op] against every value [x] can hold, i.e.
+   [f(a, v) = f(v, a) = a] for all such [v]?  This is the one annihilation
+   rule (paper Sec. 7.2, made exact): a Map child whose fill absorbs the
+   others joins the Map's intersection.  Against no values ([F.bottom])
+   it answers whether [a] is an annihilator candidate of [op] at all. *)
+let absorbs (op : t) (a : float) (x : F.t) : bool =
+  match op with
+  | Mul -> a = 0.0 && F.is_finite x
+  | Add ->
+      (a = infinity && not (x.F.nan || F.may_neg_inf x))
+      || (a = neg_infinity && not (x.F.nan || F.may_pos_inf x))
+  | Min -> a = neg_infinity && not x.F.nan
+  | Max -> a = infinity && not x.F.nan
+  | And -> a = 0.0
+  | Or -> a = 1.0
+  | Sub | Div | Pow | Eq | Neq | Lt | Leq | Gt | Geq | Sigmoid | Relu | Exp
+  | Log | Sqrt | Abs | Neg | Sign | Square | Ident ->
+      false
+
+(* Facts of [f(x, y)] for [x], [y] drawn from [a], [b], for operators whose
+   extremes over a box lie at its corners (monotone in each argument, or
+   bilinear).  Infinities only occur at interval ends, so a NaN made from
+   two infinities shows up at a corner too. *)
+let corners f (a : F.t) (b : F.t) : F.t =
+  let nan = a.F.nan || b.F.nan in
+  if F.is_empty a || F.is_empty b then { F.bottom with F.nan }
+  else
+    let c1 = f a.F.lo b.F.lo and c2 = f a.F.lo b.F.hi in
+    let c3 = f a.F.hi b.F.lo and c4 = f a.F.hi b.F.hi in
+    (* Float.min/max would keep a NaN corner: drop it by hand. *)
+    let lo = ref infinity and hi = ref neg_infinity and nan = ref nan in
+    let see c =
+      if Float.is_nan c then nan := true
+      else begin
+        if c < !lo then lo := c;
+        if c > !hi then hi := c
+      end
+    in
+    see c1;
+    see c2;
+    see c3;
+    see c4;
+    { F.lo = !lo; hi = !hi; nan = !nan }
+
+let zero_one = { F.lo = 0.0; hi = 1.0; nan = false }
+
+let facts2 (op : t) (a : F.t) (b : F.t) : F.t =
+  match op with
+  | Add | Sub | Max | Min -> corners (apply2 op) a b
+  | Mul ->
+      (* 0 inside one interval meets an infinity of the other away from
+         the corners. *)
+      let r = corners ( *. ) a b in
+      let inf f = F.may_pos_inf f || F.may_neg_inf f in
+      if (F.contains_zero a && inf b) || (F.contains_zero b && inf a) then
+        { r with F.nan = true }
+      else r
+  | Div ->
+      if F.contains_zero b then F.top else corners ( /. ) a b
+  | Or | And | Eq | Neq | Lt | Leq | Gt | Geq -> zero_one
+  | Pow -> F.top
+  | Sigmoid | Relu | Exp | Log | Sqrt | Abs | Neg | Sign | Square | Ident ->
+      invalid_arg ("Op.facts2: unary operator " ^ to_string op)
+
+let facts1 (op : t) (a : F.t) : F.t =
+  (* [mono f]: image under a non-decreasing [f] defined everywhere. *)
+  let mono f =
+    if F.is_empty a then a else { a with F.lo = f a.F.lo; hi = f a.F.hi }
+  in
+  (* Non-decreasing on [0, inf], NaN below 0. *)
+  let nonneg f =
+    let nan = a.F.nan || a.F.lo < 0.0 in
+    if F.is_empty a || a.F.hi < 0.0 then { F.bottom with F.nan }
+    else { F.lo = f (Float.max a.F.lo 0.0); hi = f a.F.hi; nan }
+  in
+  let abs_itv () =
+    if F.is_empty a || a.F.lo >= 0.0 then a
+    else if a.F.hi <= 0.0 then { a with F.lo = -.a.F.hi; hi = -.a.F.lo }
+    else { a with F.lo = 0.0; hi = Float.max (-.a.F.lo) a.F.hi }
+  in
+  match op with
+  | Sigmoid | Relu | Exp | Ident | Add | Mul | Max | Min | Or | And ->
+      mono (apply1 op)
+  | Sqrt -> nonneg sqrt
+  | Log -> nonneg log
+  | Neg -> if F.is_empty a then a else { a with F.lo = -.a.F.hi; hi = -.a.F.lo }
+  | Abs -> abs_itv ()
+  | Square ->
+      let m = abs_itv () in
+      if F.is_empty m then m else { m with F.lo = m.F.lo *. m.F.lo; hi = m.F.hi *. m.F.hi }
+  | Sign ->
+      (* sign(NaN) = 0 *)
+      let s = mono (apply1 Sign) in
+      if a.F.nan then F.join { s with F.nan = false } (F.of_value 0.0) else s
+  | Sub | Div | Pow | Eq | Neq | Lt | Leq | Gt | Geq ->
+      invalid_arg ("Op.facts1: binary operator " ^ to_string op)
+
+(* Facts of a Map node from its children's facts: [apply]'s left fold,
+   one interval step per application. *)
+let map_facts (op : t) (args : F.t list) : F.t =
+  match (arity op, args) with
+  | Unary, [ a ] -> facts1 op a
+  | Binary, [ a; b ] -> facts2 op a b
+  | Variadic, [] -> (
+      match identity op with Some e -> F.of_value e | None -> F.top)
+  | Variadic, [ a ] -> facts1 op a
+  | Variadic, a :: rest -> List.fold_left (facts2 op) a rest
+  | _ -> F.top
+
+(* Facts of an aggregate of [n] values each described by [f].  A sum's
+   bounds scale by [n] and widen by the worst-case rounding of an n-term
+   float sum; a bound past [max_float] can overflow and becomes infinite. *)
+let agg_facts (op : t) (n : float) (f : F.t) : F.t =
+  if n <= 0.0 then
+    match identity op with Some e -> F.of_value e | None -> f
+  else
+    match op with
+    | Max | Min | Ident -> f
+    | Or | And -> zero_one
+    | Add ->
+        if F.is_empty f then f
+        else
+          let finite_mag x = if Float.is_finite x then Float.abs x else 0.0 in
+          let m = Float.max (finite_mag f.F.lo) (finite_mag f.F.hi) in
+          let err = 2.0 *. n *. n *. epsilon_float *. m in
+          let clamp x =
+            if x > max_float then infinity
+            else if x < -.max_float then neg_infinity
+            else x
+          in
+          let lo =
+            if f.F.lo >= 0.0 then Float.max 0.0 ((n *. f.F.lo) -. err)
+            else clamp ((n *. f.F.lo) -. err)
+          in
+          let hi =
+            if f.F.hi <= 0.0 then Float.min 0.0 ((n *. f.F.hi) +. err)
+            else clamp ((n *. f.F.hi) +. err)
+          in
+          { F.lo; hi; nan = f.F.nan || (lo = neg_infinity && hi = infinity) }
+    | Mul ->
+        if n <= 1.0 then f
+        else if F.is_empty f then f
+        else if f.F.lo >= 0.0 && f.F.hi <= 1.0 then { f with F.lo = 0.0 }
+        else if f.F.lo >= -1.0 && f.F.hi <= 1.0 then { f with F.lo = -1.0; hi = 1.0 }
+        else F.top
+    | Sub | Div | Pow | Eq | Neq | Lt | Leq | Gt | Geq | Sigmoid | Relu | Exp
+    | Log | Sqrt | Abs | Neg | Sign | Square ->
+        invalid_arg ("Op.agg_facts: not an aggregate: " ^ to_string op)
+
+(* Which children of a Map node join its intersection, given each child's
+   fill and facts.  Child [k] joins when its fill absorbs what [apply]'s
+   left fold meets around it: the fold of the children before it, and each
+   child after it.  Facts are forced only behind a candidate fill. *)
+let absorbing_children (op : t) (children : (float * F.t Lazy.t) list) :
+    bool list =
+  let rec go prefix = function
+    | [] -> []
+    | (fill, facts) :: rest ->
+        let joins =
+          absorbs op fill F.bottom
+          && (match prefix with
+             | None -> true
+             | Some p -> absorbs op fill (Lazy.force p))
+          && List.for_all (fun (_, f) -> absorbs op fill (Lazy.force f)) rest
+        in
+        let prefix =
+          match prefix with
+          | None -> facts
+          | Some p -> lazy (facts2 op (Lazy.force p) (Lazy.force facts))
+        in
+        joins :: go (Some prefix) rest
+  in
+  match arity op with
+  | Variadic -> go None children
+  | Unary | Binary -> List.map (fun _ -> false) children

@@ -1,24 +1,30 @@
 (* Schema environment: what the optimizer knows about every named tensor
-   (inputs and aliases) — dimension sizes and fill values — plus the
-   per-index dimension sizes inferred from how tensors are accessed.
+   (inputs and aliases) — dimension sizes, fill values and value facts —
+   plus the per-index dimension sizes inferred from how tensors are
+   accessed.  Facts are measured for materialized tensors and inferred
+   through the defining expression for estimated aliases.
 
    The same tensor may be accessed with different index variables at
    different places (e.g. [E[i,j]] and [E[j,k]] in triangle counting); the
    index environment checks that every variable is bound to a single
    consistent size. *)
 
-type info = { dims : int array; fill : float }
+module Facts = Galley_tensor.Facts
+
+type info = { dims : int array; fill : float; facts : Facts.t }
 
 type t = { tensors : (string, info) Hashtbl.t }
 
 let create () = { tensors = Hashtbl.create 16 }
 
-let declare t name ~dims ~fill =
-  Hashtbl.replace t.tensors name { dims; fill }
+(* Without [facts] the tensor may hold any value. *)
+let declare ?(facts = Facts.top) t name ~dims ~fill =
+  Hashtbl.replace t.tensors name { dims; fill; facts }
 
 let declare_tensor t name (tensor : Galley_tensor.Tensor.t) =
   declare t name ~dims:(Galley_tensor.Tensor.dims tensor)
     ~fill:(Galley_tensor.Tensor.fill tensor)
+    ~facts:(Galley_tensor.Tensor.facts tensor)
 
 let find t name = Hashtbl.find_opt t.tensors name
 
@@ -28,6 +34,7 @@ let info_exn t name =
   | None -> invalid_arg ("Schema: unknown tensor " ^ name)
 
 let fill_of t name = (info_exn t name).fill
+let facts_of t name = (info_exn t name).facts
 let dims_of t name = (info_exn t name).dims
 
 let copy t = { tensors = Hashtbl.copy t.tensors }
@@ -84,14 +91,25 @@ let expr_fill (t : t) (dims : int Ir.Idx_map.t) (e : Ir.expr) : float =
   in
   go e
 
-(* Register the alias produced by a query: its output dims follow from the
-   free indices of its expression (sorted index-name order for a bare
-   expression; callers that fix an output order should use [declare]). *)
+(* Value facts of the tensor denoted by [e], by interval arithmetic
+   through every Map and Agg node. *)
+let expr_facts (t : t) (dims : int Ir.Idx_map.t) (e : Ir.expr) : Facts.t =
+  let rec go (e : Ir.expr) : Facts.t =
+    match e with
+    | Ir.Input (name, _) | Ir.Alias (name, _) -> facts_of t name
+    | Ir.Literal v -> Facts.of_value v
+    | Ir.Map (op, args) -> Op.map_facts op (List.map go args)
+    | Ir.Agg (op, idxs, body) -> Op.agg_facts op (space dims idxs) (go body)
+  in
+  go e
+
+(* Register the alias produced by a query: dims in [output_idxs] order,
+   plus the fill and facts its expression implies. *)
 let declare_query_output (t : t) (q : Ir.query) ~(output_idxs : Ir.idx list) :
     unit =
   let dims = index_dims t q.expr in
   let out_dims =
     Array.of_list (List.map (fun i -> dim_of_idx dims i) output_idxs)
   in
-  let fill = expr_fill t dims q.expr in
-  declare t q.name ~dims:out_dims ~fill
+  declare t q.name ~dims:out_dims ~fill:(expr_fill t dims q.expr)
+    ~facts:(expr_facts t dims q.expr)

@@ -4,8 +4,9 @@
    The context annotates expressions bottom-up with statistics objects
    (paper Sec. 7.2): Input/Alias leaves look up cached per-tensor statistics
    (renamed to the access's index variables), Map nodes dispatch to the
-   annihilating or non-annihilating merge depending on the operator's
-   annihilator and the children's fill values, and Agg nodes project.
+   annihilating merge when every child's fill absorbs the others' values
+   ([Op.absorbing_children] over fills and value facts) and to the
+   non-annihilating merge otherwise, and Agg nodes project.
 
    Alias statistics can come from two sources: *inferred* (annotating the
    defining expression, used during logical optimization) or *measured*
@@ -92,32 +93,38 @@ module Build (E : Estimator_sig.S) = struct
         E.rename stats (fun i ->
             match Hashtbl.find_opt subst i with Some j -> j | None -> i)
 
-  (* Annotate an expression, returning its statistics and its fill value. *)
+  (* Annotate an expression, returning its statistics, fill value and
+     value facts.  Facts are forced only where an annihilation decision
+     reads them. *)
   let rec annotate (st : state) (dims : int Ir.Idx_map.t) (e : Ir.expr) :
-      E.t * float =
+      E.t * float * Galley_tensor.Facts.t Lazy.t =
     match e with
     | Ir.Input (name, idxs) | Ir.Alias (name, idxs) ->
-        (lookup st name idxs, Schema.fill_of st.schema name)
-    | Ir.Literal v -> (E.of_literal v, v)
+        let info = Schema.info_exn st.schema name in
+        (lookup st name idxs, info.Schema.fill, Lazy.from_val info.Schema.facts)
+    | Ir.Literal v ->
+        (E.of_literal v, v, Lazy.from_val (Galley_tensor.Facts.of_value v))
     | Ir.Map (op, args) ->
         let annotated = List.map (annotate st dims) args in
-        let stats = List.map fst annotated in
-        let fills = List.map snd annotated in
+        let stats = List.map (fun (s, _, _) -> s) annotated in
+        let fills = List.map (fun (_, f, _) -> f) annotated in
+        let facts = List.map (fun (_, _, f) -> f) annotated in
         let fill = Op.apply op (Array.of_list fills) in
         let annihilating =
-          match Op.annihilator op with
-          | Some a -> List.for_all (fun f -> f = a) fills
-          | None -> false
+          List.for_all Fun.id
+            (Op.absorbing_children op (List.combine fills facts))
         in
         let merged =
           if annihilating then E.map_annihilating ~dims stats
           else E.map_non_annihilating ~dims stats
         in
-        (merged, fill)
+        (merged, fill, lazy (Op.map_facts op (List.map Lazy.force facts)))
     | Ir.Agg (op, idxs, body) ->
-        let body_stats, body_fill = annotate st dims body in
-        let n = int_of_float (Schema.space dims idxs) in
-        (E.aggregate ~dims body_stats ~over:idxs, Op.repeat op body_fill n)
+        let body_stats, body_fill, body_facts = annotate st dims body in
+        let space = Schema.space dims idxs in
+        ( E.aggregate ~dims body_stats ~over:idxs,
+          Op.repeat op body_fill (int_of_float space),
+          lazy (Op.agg_facts op space (Lazy.force body_facts)) )
 
   let rec make_with (st : state) (kind : kind) : t =
     let register_tensor ?cheap name tensor =
@@ -144,7 +151,7 @@ module Build (E : Estimator_sig.S) = struct
             | Some stats -> stats
             | None ->
                 let dims = Schema.index_dims schema e in
-                let stats, _fill = annotate st dims e in
+                let stats, _, _ = annotate st dims e in
                 (* Store under canonical positional names following the
                    alias's output dimension order. *)
                 let subst = Hashtbl.create 8 in
@@ -172,7 +179,7 @@ module Build (E : Estimator_sig.S) = struct
           | Some v -> v
           | None ->
               let dims = Schema.index_dims schema e in
-              let stats, _ = annotate st dims e in
+              let stats, _, _ = annotate st dims e in
               let v = E.estimate stats in
               Hashtbl.replace st.memo key v;
               v);

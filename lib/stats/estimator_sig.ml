@@ -27,8 +27,9 @@ module type S = sig
   (* Statistics of a scalar literal: zero deviation from its own fill. *)
   val of_literal : float -> t
 
-  (* (2) Children's fill values are the annihilator of the Map operator:
-     the output's non-fill set is the intersection of the children's. *)
+  (* (2) Every child's fill annihilates the Map operator against the
+     other children's values ([Op.absorbing_children]): the output's
+     non-fill set is the intersection of the children's. *)
   val map_annihilating : dims:int Ir.Idx_map.t -> t list -> t
 
   (* (3) Otherwise: the output's non-fill set is bounded by the (cylindrical

@@ -387,4 +387,4 @@ let freeze (b : t) ~(finalize : float -> int -> float) ~(fill : float) :
                 crd;
           }
   in
-  { Tensor.dims = b.dims; formats = b.formats; fill; root = go b.root 0; nnz_cache = None }
+  { Tensor.dims = b.dims; formats = b.formats; fill; root = go b.root 0; nnz_cache = None; facts_cache = None }

@@ -53,6 +53,7 @@ type t = {
   mutable nnz_cache : int option;
       (* lazily computed non-fill count: tensors are immutable after
          construction, so one traversal serves every caller *)
+  mutable facts_cache : Facts.t option; (* likewise, for [facts] *)
 }
 
 let ndims t = Array.length t.dims
@@ -239,7 +240,7 @@ end
 (* ------------------------------------------------------------------ *)
 
 let scalar v =
-  { dims = [||]; formats = [||]; fill = 0.0; root = Scalar v; nnz_cache = None }
+  { dims = [||]; formats = [||]; fill = 0.0; root = Scalar v; nnz_cache = None; facts_cache = None }
 
 let scalar_value t =
   match t.root with
@@ -382,7 +383,7 @@ let of_coo ?(fill = 0.0) ?(combine = ( +. )) ?(prune = true) ~dims ~formats
   if nd = 0 then begin
     let v = Array.fold_left (fun acc (_, x) -> combine acc x) fill entries in
     let v = if Array.length entries = 0 then fill else v in
-    { dims = [||]; formats = [||]; fill; root = Scalar v; nnz_cache = None }
+    { dims = [||]; formats = [||]; fill; root = Scalar v; nnz_cache = None; facts_cache = None }
   end
   else begin
     let entries = Array.copy entries in
@@ -410,7 +411,7 @@ let of_coo ?(fill = 0.0) ?(combine = ( +. )) ?(prune = true) ~dims ~formats
         let cols = Array.init nd (fun d -> Array.map (fun (c, _) -> c.(d)) entries) in
         build_node formats dims fill cols (Array.map snd entries) 0 m 0
     in
-    { dims; formats; fill; root; nnz_cache = None }
+    { dims; formats; fill; root; nnz_cache = None; facts_cache = None }
   end
 
 let get (t : t) (coords : int array) : float =
@@ -483,8 +484,55 @@ let nnz (t : t) : int =
       t.nnz_cache <- Some !n;
       !n
 
-(* Force every lazily computed cache — hash levels' sorted key arrays and
-   the nnz count — so a tensor shared read-only across domains is truly
+(* Fold stored values into [acc] = [| lo; hi; nan |] (nan = 1.0 once a
+   NaN is seen).  A float array and a plain loop keep the scan free of
+   float boxing. *)
+let see_values (acc : float array) (vs : float array) : unit =
+  for p = 0 to Array.length vs - 1 do
+    let v = Array.unsafe_get vs p in
+    if v < Array.unsafe_get acc 0 then Array.unsafe_set acc 0 v;
+    if v > Array.unsafe_get acc 1 then Array.unsafe_set acc 1 v;
+    if v <> v then Array.unsafe_set acc 2 1.0
+  done
+
+(* Value facts of every entry, fill included (cached): one pass over the
+   leaves' stored values.  The fill joins even when every position is
+   stored, which keeps the facts a sound superset. *)
+let facts (t : t) : Facts.t =
+  match t.facts_cache with
+  | Some f -> f
+  | None ->
+      let acc = [| infinity; neg_infinity; 0.0 |] in
+      let rec go (n : node) : unit =
+        match n with
+        | Scalar v -> see_values acc [| v |]
+        | Leaf_dense vs | Leaf_sparse { vals = vs; _ } | Leaf_bytemap { vals = vs; _ }
+          ->
+            see_values acc vs
+        | Leaf_hash { tbl; _ } ->
+            if Hashtbl.length tbl > 0 then Hashtbl.iter see_entry tbl
+        | Inner_dense children
+        | Inner_sparse { children; _ }
+        | Inner_bytemap { children; _ } ->
+            Array.iter go children
+        | Inner_hash { tbl; _ } ->
+            (* Dense parents hold many empty hash levels: skip them
+               without a per-node closure. *)
+            if Hashtbl.length tbl > 0 then Hashtbl.iter go_child tbl
+      and go_child _ child = go child
+      and see_entry _ v =
+        if v < acc.(0) then acc.(0) <- v;
+        if v > acc.(1) then acc.(1) <- v;
+        if v <> v then acc.(2) <- 1.0
+      in
+      see_values acc [| t.fill |];
+      go t.root;
+      let f = { Facts.lo = acc.(0); hi = acc.(1); nan = acc.(2) = 1.0 } in
+      t.facts_cache <- Some f;
+      f
+
+(* Force every lazily computed cache — hash levels' sorted key arrays,
+   the nnz count and the value facts — so a tensor shared read-only across domains is truly
    immutable during parallel execution (the parallel backend presorts its
    operands instead of racing on first-use cache fills). *)
 let presort (t : t) : unit =
@@ -500,7 +548,8 @@ let presort (t : t) : unit =
         Array.iter go children
   in
   go t.root;
-  ignore (nnz t)
+  ignore (nnz t);
+  ignore (facts t)
 
 let reformat ?fill (t : t) (formats : format array) : t =
   let fill = match fill with Some f -> f | None -> t.fill in
@@ -634,7 +683,7 @@ let transpose ?formats (t : t) (perm : int array) : t =
       if m = 0 then empty_node out_formats out_dims 0 t.fill
       else build_node out_formats out_dims t.fill cols vals 0 m 0
     in
-    { dims = out_dims; formats = out_formats; fill = t.fill; root; nnz_cache = None }
+    { dims = out_dims; formats = out_formats; fill = t.fill; root; nnz_cache = None; facts_cache = None }
   end
 
 (* ------------------------------------------------------------------ *)

@@ -54,6 +54,7 @@ type t = {
   fill : float;  (** value of entries not explicitly stored *)
   root : node;
   mutable nnz_cache : int option;  (** lazily cached non-fill count *)
+  mutable facts_cache : Facts.t option;  (** lazily cached {!facts} *)
 }
 
 val ndims : t -> int
@@ -163,8 +164,13 @@ val explicit_count : t -> int
 (** Number of entries whose value differs from the fill (cached). *)
 val nnz : t -> int
 
+(** Value facts of every entry, fill included: the interval of non-NaN
+    values and whether NaN occurs.  One pass over the stored values, cached
+    on the tensor. *)
+val facts : t -> Facts.t
+
 (** Force every lazily computed cache (hash levels' sorted key arrays, the
-    nnz count) so the tensor is truly immutable afterwards — required
+    nnz count, the value facts) so the tensor is truly immutable afterwards — required
     before sharing it read-only across domains. *)
 val presort : t -> unit
 

@@ -332,6 +332,63 @@ let test_timings_populated () =
      >= t.D.compile_seconds +. t.D.execute_seconds)
 
 (* -------------------------------------------------------------- *)
+(* Value facts: a fill annihilates only what its facts allow.        *)
+(* -------------------------------------------------------------- *)
+
+(* Run [expr] as query "C" through the pipeline at both backends and
+   compare every cell with the reference under [Float.equal] (NaN equals
+   NaN); return the pipeline's result. *)
+let check_special name inputs expr =
+  let program =
+    { Ir.queries = [ Ir.query ~out_order:[ "i"; "j" ] "C" expr ]; outputs = [ "C" ] }
+  in
+  let want = List.assoc "C" (Galley.Reference.eval_program inputs program) in
+  List.iter
+    (fun backend ->
+      let config = { D.default_config with kernel_backend = backend } in
+      let got = D.output_of (D.run ~config ~inputs program) "C" in
+      if
+        not
+          (Array.for_all2 Float.equal (T.to_flat_dense got)
+             (T.to_flat_dense want))
+      then
+        Alcotest.failf "%s:\ngot  %s\nwant %s" name (T.to_string got)
+          (T.to_string want))
+    [ Galley_engine.Exec.Staged; Galley_engine.Exec.Interp ];
+  want
+
+let mat ?(fill = 0.0) entries =
+  T.of_coo ~fill ~dims:[| 3; 3 |] ~formats:[| T.Dense; T.Sparse_list |]
+    (Array.of_list entries)
+
+(* A stores +inf where B stores nothing (fill 0): 0 does not annihilate
+   * against inf, so C[0,0] is NaN, not 0. *)
+let test_mul_zero_fill_inf () =
+  let a = mat [ ([| 0; 0 |], infinity); ([| 1; 1 |], 2.0) ] in
+  let b = mat [ ([| 1; 1 |], 3.0); ([| 2; 2 |], 1.0) ] in
+  let c =
+    check_special "A*B" [ ("A", a); ("B", b) ]
+      Ir.(mul [ input "A" [ "i"; "j" ]; input "B" [ "i"; "j" ] ])
+  in
+  check_bool "C[0,0] is NaN" true (Float.is_nan (T.get c [| 0; 0 |]));
+  check_float "C[1,1]" 6.0 (T.get c [| 1; 1 |])
+
+(* min with a -inf fill against a stored NaN, and max with a +inf fill
+   against one: the NaN wins where A sits at its fill. *)
+let test_min_max_fill_nan () =
+  let b = mat [ ([| 0; 1 |], Float.nan); ([| 2; 0 |], 4.0) ] in
+  List.iter
+    (fun (op, fill) ->
+      let a = mat ~fill [ ([| 2; 0 |], 1.0); ([| 1; 2 |], 5.0) ] in
+      let c =
+        check_special (Op.to_string op) [ ("A", a); ("B", b) ]
+          (Ir.Map (op, [ Ir.input "A" [ "i"; "j" ]; Ir.input "B" [ "i"; "j" ] ]))
+      in
+      check_bool (Op.to_string op ^ " NaN at (0,1)") true
+        (Float.is_nan (T.get c [| 0; 1 |])))
+    [ (Op.Min, neg_infinity); (Op.Max, infinity) ]
+
+(* -------------------------------------------------------------- *)
 (* Randomized whole-pipeline property.                              *)
 (* -------------------------------------------------------------- *)
 
@@ -416,4 +473,11 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_random_programs ] );
+      ( "value facts",
+        [
+          Alcotest.test_case "0 fill against stored inf" `Quick
+            test_mul_zero_fill_inf;
+          Alcotest.test_case "min/max fill vs stored NaN" `Quick
+            test_min_max_fill_nan;
+        ] );
     ]

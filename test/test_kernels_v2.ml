@@ -215,6 +215,13 @@ let bits_equal (a : T.t) (b : T.t) : bool =
     (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
     fa fb
 
+(* Cell-by-cell equality of the dense images under [Float.equal]: NaN
+   equals NaN.  Signed zeros compare equal, as they do for the engine's
+   fill test. *)
+let values_equal (a : T.t) (b : T.t) : bool =
+  T.dims a = T.dims b
+  && Array.for_all2 Float.equal (T.to_flat_dense a) (T.to_flat_dense b)
+
 let reference inputs (q : LQ.t) =
   List.assoc q.LQ.name
     (Galley.Reference.eval_program inputs
@@ -483,11 +490,66 @@ let test_row_step_min_plus () =
       ~formats:[| T.Dense; T.Sparse_list |]
       ~density:0.08 ()
   in
+  (* The stored -inf keeps d's +inf fill from absorbing W's values
+     (-inf + inf is NaN), so the union over the full range is the exact
+     plan. *)
+  let d =
+    T.of_coo ~fill:infinity ~dims:[| 70 |] ~formats:[| T.Dense |]
+      [| ([| 3 |], 0.0); ([| 11 |], 2.5); ([| 40 |], 1.0); ([| 57 |], neg_infinity) |]
+  in
+  check_row ~needle:"step(" "bellman-ford step" [ ("d", d); ("W", w) ] bellman_step
+
+(* The same step on inputs that hold no -inf or NaN: +inf absorbs + on
+   both sides, so the outer level intersects and the innermost one walks
+   W's stored row instead of the full range. *)
+let test_row_walk_min_plus () =
+  let prng = Prng.create 79 in
+  let w =
+    T.random ~fill:infinity ~prng ~dims:[| 70; 70 |]
+      ~formats:[| T.Dense; T.Sparse_list |]
+      ~density:0.08 ()
+  in
   let d =
     T.of_coo ~fill:infinity ~dims:[| 70 |] ~formats:[| T.Dense |]
       [| ([| 3 |], 0.0); ([| 11 |], 2.5); ([| 40 |], 1.0) |]
   in
-  check_row ~needle:"step(" "bellman-ford step" [ ("d", d); ("W", w) ] bellman_step
+  let inputs = [ ("d", d); ("W", w) ] in
+  check_row ~needle:"walk(" "bellman-ford walk" inputs bellman_step;
+  let m = merge_attr_of ~domains:1 inputs (plan_for inputs bellman_step) "out" in
+  check_bool ("intersection in " ^ m) true (contains ~needle:"inter(" m)
+
+(* One kernel structure run twice on one engine: first on finite inputs,
+   where it compiles as an intersection, then with a -inf stored in d.
+   The kernel cache must not replay the intersection: the second result
+   has to match the reference, NaN included. *)
+let test_kernel_cache_facts () =
+  let prng = Prng.create 101 in
+  let w =
+    T.random ~fill:infinity ~prng ~dims:[| 30; 30 |]
+      ~formats:[| T.Dense; T.Sparse_list |]
+      ~density:0.1 ()
+  in
+  let d_of entries =
+    T.of_coo ~fill:infinity ~dims:[| 30 |] ~formats:[| T.Dense |] entries
+  in
+  let finite = d_of [| ([| 2 |], 0.0); ([| 9 |], 1.5) |] in
+  let with_neg_inf = d_of [| ([| 2 |], 0.0); ([| 9 |], neg_infinity) |] in
+  let plan = plan_for [ ("d", finite); ("W", w) ] bellman_step in
+  let exec = Exec.create () in
+  Fun.protect
+    ~finally:(fun () -> Exec.shutdown exec)
+    (fun () ->
+      Exec.bind exec "W" w;
+      List.iter
+        (fun d ->
+          Exec.bind exec "d" d;
+          Exec.run_plan exec plan;
+          let got = Exec.lookup exec "out" in
+          let want = reference [ ("d", d); ("W", w) ] bellman_step in
+          if not (values_equal got want) then
+            Alcotest.failf "cached kernel replayed on new facts:\n%s\nvs\n%s"
+              (T.to_string got) (T.to_string want))
+        [ finite; with_neg_inf ])
 
 let test_row_step_fill_one_union () =
   (* Fill-1 operands under (+, +): the sum never annihilates, so the
@@ -580,7 +642,12 @@ let test_row_deadline () =
     T.of_fun ~fill:infinity ~dims:[| n; n |] ~formats:[| T.Dense; T.Sparse_list |]
       (fun c -> if (c.(0) + c.(1)) mod 7 = 0 then 1.0 else infinity)
   in
-  let d = T.of_fun ~fill:infinity ~dims:[| n |] ~formats:[| T.Dense |] (fun _ -> 0.5) in
+  (* d's one -inf keeps the plan a full-range union (see "in-step
+     min-plus"). *)
+  let d =
+    T.of_fun ~fill:infinity ~dims:[| n |] ~formats:[| T.Dense |] (fun c ->
+        if c.(0) = 0 then neg_infinity else 0.5)
+  in
   let inputs = [ ("d", d); ("W", w) ] in
   let plan = plan_for inputs bellman_step in
   let m = merge_attr_of ~domains:1 inputs plan "out" in
@@ -751,6 +818,73 @@ let prop_vs_oracle =
       check_vs_oracle ~popt_config "random kernel" inputs q;
       true)
 
+(* Small tensors storing ±inf and NaN, fills in {0, 1, +inf, -inf},
+   bodies over + * min max: every backend at domains {1, 4} must give the
+   reference's values exactly.  Stored values are small integers, so
+   sums are exact in any order. *)
+let prop_special_values =
+  QCheck.Test.make ~name:"inf and NaN match the reference" ~count:120
+    (QCheck.int_range 0 1_000_000)
+    (fun seed ->
+      let prng = Prng.create seed in
+      let pick a = a.(Prng.int prng (Array.length a)) in
+      let values =
+        [| -2.0; -1.0; 0.0; 1.0; 3.0; infinity; neg_infinity; Float.nan |]
+      in
+      let fills = [| 0.0; 1.0; infinity; neg_infinity |] in
+      let formats = [| T.Dense; T.Sparse_list; T.Bytemap; T.Hash |] in
+      let n1 = 1 + Prng.int prng 4 and n2 = 1 + Prng.int prng 4 in
+      let special dims =
+        let entries = ref [] in
+        for flat = 0 to T.dim_space dims - 1 do
+          if Prng.int prng 2 = 0 then
+            entries := (T.unflatten dims flat, pick values) :: !entries
+        done;
+        T.of_coo ~fill:(pick fills) ~dims
+          ~formats:(Array.map (fun _ -> pick formats) dims)
+          (Array.of_list !entries)
+      in
+      let inputs =
+        [
+          ("A", special [| n1; n2 |]);
+          ("B", special [| n1; n2 |]);
+          ("u", special [| n1 |]);
+          ("v", special [| n2 |]);
+        ]
+      in
+      let leaf () =
+        match Prng.int prng 4 with
+        | 0 -> Ir.input "A" [ "i"; "j" ]
+        | 1 -> Ir.input "B" [ "i"; "j" ]
+        | 2 -> Ir.input "u" [ "i" ]
+        | _ -> Ir.input "v" [ "j" ]
+      in
+      let rec gen depth =
+        if depth = 0 then leaf ()
+        else
+          let op = pick [| Op.Add; Op.Mul; Op.Min; Op.Max |] in
+          let arg () = if Prng.int prng 3 = 0 then leaf () else gen (depth - 1) in
+          Ir.Map (op, [ arg (); arg () ])
+      in
+      let body = gen 2 in
+      let free = Ir.Idx_set.elements (Ir.free_indices body) in
+      let agg_idxs = List.filter (fun _ -> Prng.bool prng) free in
+      let output_idxs = List.filter (fun i -> not (List.mem i agg_idxs)) free in
+      let agg_op =
+        if agg_idxs = [] then Op.Ident else pick [| Op.Add; Op.Min; Op.Max |]
+      in
+      let q = LQ.make ~output_idxs ~name:"out" ~agg_op ~agg_idxs ~body () in
+      let plan = plan_for inputs q in
+      let want = reference inputs q in
+      List.for_all
+        (fun (backend, domains) ->
+          let got = run_plan_with backend domains inputs plan "out" in
+          values_equal got want
+          || QCheck.Test.fail_reportf "%s at domains %d on %s:\n%s\nvs\n%s"
+               (match backend with Exec.Staged -> "staged" | Exec.Interp -> "interp")
+               domains (LQ.to_string q) (T.to_string got) (T.to_string want))
+        [ (Exec.Staged, 1); (Exec.Staged, 4); (Exec.Interp, 1); (Exec.Interp, 4) ])
+
 let () =
   Alcotest.run "kernels_v2"
     [
@@ -796,6 +930,9 @@ let () =
           Alcotest.test_case "absent subtrees" `Quick test_row_absent_subtree;
           Alcotest.test_case "output leaf formats" `Quick test_row_output_leaves;
           Alcotest.test_case "deadline in a row loop" `Quick test_row_deadline;
+          Alcotest.test_case "walked min-plus" `Quick test_row_walk_min_plus;
+          Alcotest.test_case "kernel cache keys on facts" `Quick
+            test_kernel_cache_facts;
         ] );
       ( "surfacing",
         [
@@ -808,5 +945,6 @@ let () =
           Alcotest.test_case "sparse-weight gcn" `Quick test_gcn_sparse_weights;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_vs_oracle ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_vs_oracle; prop_special_values ] );
     ]

@@ -1,8 +1,10 @@
-(* Tests for the operator algebra: evaluation, identities, annihilators,
-   the repeated-application function g, distributivity facts, and algebraic
-   property checks over random values. *)
+(* Tests for the operator algebra: evaluation, identities, annihilation
+   under value facts, the repeated-application function g, distributivity
+   facts, interval arithmetic over facts, and algebraic property checks
+   over random values. *)
 
 module Op = Galley_plan.Op
+module Facts = Galley_tensor.Facts
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_bool = Alcotest.(check bool)
@@ -61,19 +63,58 @@ let test_identity_law () =
       | None -> ())
     variadic_ops
 
+(* On single values the facts rule is exact: [a] absorbs [x] iff
+   f(a, x) = f(x, a) = a, NaN and the infinities included. *)
 let test_annihilator_law () =
+  let values =
+    [ -2.5; -0.0; 0.0; 0.5; 1.0; 3.0; infinity; neg_infinity; Float.nan ]
+  in
   List.iter
     (fun op ->
-      match Op.annihilator op with
-      | Some a ->
-          List.iter
-            (fun x ->
-              check_float
-                (Op.to_string op ^ " annihilator")
-                a (Op.apply2 op x a))
-            [ -2.5; 0.5; 3.0 ]
-      | None -> ())
-    variadic_ops
+      List.iter
+        (fun a ->
+          if Op.absorbs op a Facts.bottom then
+            List.iter
+              (fun x ->
+                let law = Op.apply2 op a x = a && Op.apply2 op x a = a in
+                check_bool
+                  (Printf.sprintf "%s absorbs %g against %g" (Op.to_string op)
+                     a x)
+                  law
+                  (Op.absorbs op a (Facts.of_value x)))
+              values)
+        [ 0.0; 1.0; infinity; neg_infinity ])
+    variadic_ops;
+  (* The candidates themselves. *)
+  check_bool "0 for *" true (Op.absorbs Op.Mul 0.0 Facts.bottom);
+  check_bool "+inf for +" true (Op.absorbs Op.Add infinity Facts.bottom);
+  check_bool "-inf for +" true (Op.absorbs Op.Add neg_infinity Facts.bottom);
+  check_bool "1 for *" false (Op.absorbs Op.Mul 1.0 Facts.bottom);
+  check_bool "none for -" false (Op.absorbs Op.Sub 0.0 Facts.bottom)
+
+(* A product folds left, so a 0 fill behind two operands must absorb
+   their product: finite operands can still overflow to inf first. *)
+let test_absorbing_children_prefix () =
+  let absorbing_children op children =
+    Op.absorbing_children op
+      (List.map (fun (fill, f) -> (fill, Lazy.from_val f)) children)
+  in
+  let big = { Facts.lo = 1.0; hi = 1e300; nan = false } in
+  let zero = Facts.of_value 0.0 in
+  Alcotest.(check (list bool))
+    "overflowing prefix" [ false; false; false ]
+    (absorbing_children Op.Mul [ (1.0, big); (1.0, big); (0.0, zero) ]);
+  Alcotest.(check (list bool))
+    "leading zero" [ true; false; false ]
+    (absorbing_children Op.Mul [ (0.0, zero); (1.0, big); (1.0, big) ]);
+  let dist = { Facts.lo = 0.0; hi = infinity; nan = false } in
+  Alcotest.(check (list bool))
+    "(min,+) operands" [ true; true ]
+    (absorbing_children Op.Add [ (infinity, dist); (infinity, dist) ]);
+  Alcotest.(check (list bool))
+    "a stored -inf keeps the other operand out" [ false; true ]
+    (absorbing_children Op.Add
+       [ (infinity, dist); (infinity, { dist with Facts.lo = neg_infinity }) ])
 
 let test_repeat_matches_fold () =
   (* g(x, n) must equal folding n copies of x into the identity, which is
@@ -185,6 +226,73 @@ let test_is_aggregate () =
   check_bool "sigmoid" false (Op.is_aggregate Op.Sigmoid);
   check_bool "sub" false (Op.is_aggregate Op.Sub)
 
+(* Interval arithmetic is sound: for operands drawn from random facts,
+   every Map and Agg result lies in the facts [map_facts] / [agg_facts]
+   give, NaN included. *)
+let prop_facts_sound =
+  let points = [| neg_infinity; -3.0; -1.0; -0.5; 0.0; 0.5; 1.0; 2.0; 1e300; infinity |] in
+  let gen_facts =
+    QCheck.Gen.(
+      map3
+        (fun a b nan ->
+          let lo = Float.min points.(a) points.(b)
+          and hi = Float.max points.(a) points.(b) in
+          { Facts.lo; hi; nan })
+        (int_bound 9) (int_bound 9) bool)
+  in
+  let ops =
+    [| Op.Add; Op.Mul; Op.Max; Op.Min; Op.Sub; Op.Div; Op.Pow; Op.Lt; Op.Or;
+       Op.Sigmoid; Op.Relu; Op.Exp; Op.Log; Op.Sqrt; Op.Abs; Op.Neg; Op.Sign;
+       Op.Square |]
+  in
+  QCheck.Test.make ~name:"facts cover every result" ~count:2000
+    (QCheck.make
+       ~print:(fun (k, fa, fb) ->
+         Printf.sprintf "%s %s %s" (Op.to_string ops.(k)) (Facts.to_string fa)
+           (Facts.to_string fb))
+       QCheck.Gen.(triple (int_bound (Array.length ops - 1)) gen_facts gen_facts))
+    (fun (k, fa, fb) ->
+      let op = ops.(k) in
+      (* The ends, the midpoint (0 between two infinities) and NaN when
+         allowed. *)
+      let samples (f : Facts.t) =
+        let mid = (f.Facts.lo /. 2.0) +. (f.Facts.hi /. 2.0) in
+        (if Facts.is_empty f then []
+         else [ f.Facts.lo; f.Facts.hi; (if Float.is_nan mid then 0.0 else mid) ])
+        @ if f.Facts.nan then [ Float.nan ] else []
+      in
+      let covers (f : Facts.t) v =
+        if Float.is_nan v then f.Facts.nan else f.Facts.lo <= v && v <= f.Facts.hi
+      in
+      let xs = samples fa and ys = samples fb in
+      match Op.arity op with
+      | Op.Unary ->
+          List.for_all (fun x -> covers (Op.map_facts op [ fa ]) (Op.apply1 op x)) xs
+      | Op.Binary | Op.Variadic ->
+          let r = Op.map_facts op [ fa; fb ] in
+          let map_ok =
+            List.for_all
+              (fun x -> List.for_all (fun y -> covers r (Op.apply2 op x y)) ys)
+              xs
+          in
+          (* An aggregate folds its n values into the identity. *)
+          let fold vs =
+            Array.fold_left (Op.apply2 op) (Option.get (Op.identity op)) vs
+          in
+          let agg_ok n =
+            let r = Op.agg_facts op (float_of_int n) fa in
+            List.for_all
+              (fun x ->
+                List.for_all
+                  (fun y ->
+                    covers r
+                      (fold (Array.init n (fun i -> if i = 0 then y else x))))
+                  xs)
+              xs
+          in
+          map_ok
+          && ((not (Op.is_aggregate op)) || List.for_all agg_ok [ 1; 2; 7 ]))
+
 let () =
   Alcotest.run "op"
     [
@@ -198,6 +306,8 @@ let () =
         [
           Alcotest.test_case "identity law" `Quick test_identity_law;
           Alcotest.test_case "annihilator law" `Quick test_annihilator_law;
+          Alcotest.test_case "absorption reads the fold prefix" `Quick
+            test_absorbing_children_prefix;
           Alcotest.test_case "repeat = fold" `Quick test_repeat_matches_fold;
           Alcotest.test_case "repeat idempotent" `Quick test_repeat_idempotent;
           Alcotest.test_case "distributivity table" `Quick test_distributivity_facts;
@@ -211,5 +321,6 @@ let () =
             prop_commutative;
             prop_associative;
             prop_aggregates_commute_sound;
+            prop_facts_sound;
           ] );
     ]

@@ -40,13 +40,16 @@ let transposes_of (plan : Phys.plan) =
 (* Constraint trees.                                                *)
 (* -------------------------------------------------------------- *)
 
+(* Facts of finite operands holding values in [0, 2]. *)
+let finite _ = { Galley_tensor.Facts.lo = 0.0; hi = 2.0; nan = false }
+
 let access tensor idxs =
   { Phys.tensor; kind = `Input; idxs; protocols = List.map (fun _ -> Phys.Lookup) idxs }
 
 let test_constraint_mul_is_and () =
   let accesses = [| access "A" [ "i"; "j" ]; access "B" [ "j" ] |] in
   let body = Phys.P_map (Op.Mul, [ Phys.P_access 0; Phys.P_access 1 ]) in
-  let tree = Cons.derive ~accesses ~fills:(fun _ -> 0.0) ~idx:"j" body in
+  let tree = Cons.derive ~accesses ~fills:(fun _ -> 0.0) ~facts:finite ~idx:"j" body in
   match tree with
   | Cons.C_and members ->
       check_int "two members" 2 (List.length members)
@@ -55,7 +58,7 @@ let test_constraint_mul_is_and () =
 let test_constraint_add_is_or () =
   let accesses = [| access "A" [ "i" ]; access "B" [ "i" ] |] in
   let body = Phys.P_map (Op.Add, [ Phys.P_access 0; Phys.P_access 1 ]) in
-  match Cons.derive ~accesses ~fills:(fun _ -> 0.0) ~idx:"i" body with
+  match Cons.derive ~accesses ~fills:(fun _ -> 0.0) ~facts:finite ~idx:"i" body with
   | Cons.C_or members -> check_int "two members" 2 (List.length members)
   | t -> Alcotest.failf "expected or, got %s" (Format.asprintf "%a" Cons.pp t)
 
@@ -66,7 +69,7 @@ let test_constraint_nonzero_fill_breaks_and () =
   match
     Cons.derive ~accesses
       ~fills:(fun a -> if a = 0 then 0.0 else 1.0)
-      ~idx:"i" body
+      ~facts:finite ~idx:"i" body
   with
   | Cons.C_access 0 -> ()
   | t -> Alcotest.failf "expected access 0, got %s" (Format.asprintf "%a" Cons.pp t)
@@ -75,13 +78,13 @@ let test_constraint_literal_zero_annihilates () =
   let accesses = [| access "A" [ "i" ] |] in
   let body = Phys.P_map (Op.Mul, [ Phys.P_access 0; Phys.P_literal 0.0 ]) in
   check_bool "constant zero" true
-    (Cons.derive ~accesses ~fills:(fun _ -> 0.0) ~idx:"i" body = Cons.C_empty)
+    (Cons.derive ~accesses ~fills:(fun _ -> 0.0) ~facts:finite ~idx:"i" body = Cons.C_empty)
 
 let test_constraint_unmentioned_index () =
   let accesses = [| access "A" [ "i" ] |] in
   let body = Phys.P_access 0 in
   check_bool "cylindrical" true
-    (Cons.derive ~accesses ~fills:(fun _ -> 0.0) ~idx:"z" body = Cons.C_all)
+    (Cons.derive ~accesses ~fills:(fun _ -> 0.0) ~facts:finite ~idx:"z" body = Cons.C_all)
 
 let test_constraint_mixed_tree () =
   (* (A_i * B_i) + C_i -> or(and(A,B), C) *)
@@ -91,7 +94,7 @@ let test_constraint_mixed_tree () =
       (Op.Add,
        [ Phys.P_map (Op.Mul, [ Phys.P_access 0; Phys.P_access 1 ]); Phys.P_access 2 ])
   in
-  match Cons.derive ~accesses ~fills:(fun _ -> 0.0) ~idx:"i" body with
+  match Cons.derive ~accesses ~fills:(fun _ -> 0.0) ~facts:finite ~idx:"i" body with
   | Cons.C_or [ Cons.C_and _; Cons.C_access 2 ] -> ()
   | t -> Alcotest.failf "unexpected tree %s" (Format.asprintf "%a" Cons.pp t)
 
