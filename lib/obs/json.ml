@@ -16,23 +16,31 @@ type t =
 
 exception Parse_error of string * int  (* message, byte offset *)
 
+(* Integer tokens of at most this many digits are exact in a float and
+   read without [float_of_string]. *)
+let max_int_digits = 15
+
 let parse (s : string) : (t, string) result =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Parse_error (msg, !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  (* The byte at [pos], or '\000' past the end: callers that accept a
+     NUL check [!pos < n] before acting on it. *)
+  let peek () = if !pos < n then String.unsafe_get s !pos else '\000' in
   let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
+  let skip_ws () =
+    while
+      !pos < n
+      && match String.unsafe_get s !pos with
+         | ' ' | '\t' | '\n' | '\r' -> true
+         | _ -> false
+    do
+      advance ()
+    done
   in
   let expect c =
-    match peek () with
-    | Some x when x = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
+    if !pos < n && String.unsafe_get s !pos = c then advance ()
+    else fail (Printf.sprintf "expected '%c'" c)
   in
   let literal word value =
     let l = String.length word in
@@ -42,9 +50,7 @@ let parse (s : string) : (t, string) result =
     end
     else fail ("bad literal, expected " ^ word)
   in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
+  let parse_escaped b =
     let rec go () =
       if !pos >= n then fail "unterminated string"
       else
@@ -88,33 +94,69 @@ let parse (s : string) : (t, string) result =
     go ();
     Buffer.contents b
   in
+  (* A string without escapes is one [String.sub]; the first backslash
+     hands the rest to [parse_escaped]. *)
+  let parse_string () =
+    expect '"';
+    let start = !pos in
+    while
+      !pos < n
+      && match String.unsafe_get s !pos with '"' | '\\' -> false | _ -> true
+    do
+      advance ()
+    done;
+    if !pos < n && String.unsafe_get s !pos = '"' then begin
+      advance ();
+      String.sub s start (!pos - start - 1)
+    end
+    else begin
+      let b = Buffer.create (max 16 (2 * (!pos - start))) in
+      Buffer.add_substring b s start (!pos - start);
+      parse_escaped b
+    end
+  in
   let parse_number () =
     let start = !pos in
     let num_char = function
       | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
       | _ -> false
     in
-    while !pos < n && num_char s.[!pos] do
+    while !pos < n && num_char (String.unsafe_get s !pos) do
       advance ()
     done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
+    (* Fast path: an optional '-' and 1 to [max_int_digits] digits. *)
+    let neg = String.unsafe_get s start = '-' in
+    let first = if neg then start + 1 else start in
+    let digits = !pos - first in
+    let value = ref 0 and plain = ref (digits >= 1 && digits <= max_int_digits) in
+    let i = ref first in
+    while !plain && !i < !pos do
+      (match String.unsafe_get s !i with
+      | '0' .. '9' as c -> value := (!value * 10) + Char.code c - 48
+      | _ -> plain := false);
+      incr i
+    done;
+    if !plain then
+      if neg then -.float_of_int !value else float_of_int !value
+    else
+      match float_of_string_opt (String.sub s start (!pos - start)) with
+      | Some f -> f
+      | None -> fail "bad number"
   in
   let rec parse_value () =
     skip_ws ();
+    if !pos >= n then fail "unexpected end of input";
     match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
+    | '{' ->
         advance ();
         skip_ws ();
-        if peek () = Some '}' then begin
+        if peek () = '}' then begin
           advance ();
           Obj []
         end
         else begin
-          let members = ref [] in
-          let rec members_loop () =
+          let members = ref [] and more = ref true in
+          while !more do
             skip_ws ();
             let key = parse_string () in
             skip_ws ();
@@ -123,43 +165,40 @@ let parse (s : string) : (t, string) result =
             members := (key, v) :: !members;
             skip_ws ();
             match peek () with
-            | Some ',' ->
+            | ',' -> advance ()
+            | '}' ->
                 advance ();
-                members_loop ()
-            | Some '}' -> advance ()
+                more := false
             | _ -> fail "expected ',' or '}'"
-          in
-          members_loop ();
+          done;
           Obj (List.rev !members)
         end
-    | Some '[' ->
+    | '[' ->
         advance ();
         skip_ws ();
-        if peek () = Some ']' then begin
+        if peek () = ']' then begin
           advance ();
           Arr []
         end
         else begin
-          let items = ref [] in
-          let rec items_loop () =
-            let v = parse_value () in
-            items := v :: !items;
+          let items = ref [] and more = ref true in
+          while !more do
+            items := parse_value () :: !items;
             skip_ws ();
             match peek () with
-            | Some ',' ->
+            | ',' -> advance ()
+            | ']' ->
                 advance ();
-                items_loop ()
-            | Some ']' -> advance ()
+                more := false
             | _ -> fail "expected ',' or ']'"
-          in
-          items_loop ();
+          done;
           Arr (List.rev !items)
         end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | _ -> Num (parse_number ())
   in
   match
     let v = parse_value () in

@@ -292,20 +292,36 @@ let corners f (a : F.t) (b : F.t) : F.t =
     { F.lo = !lo; hi = !hi; nan = !nan }
 
 let zero_one = { F.lo = 0.0; hi = 1.0; nan = false }
+let may_inf (f : F.t) : bool = F.may_pos_inf f || F.may_neg_inf f
+
+(* Whether the interval holds a finite value. *)
+let has_finite (f : F.t) : bool = f.F.lo < infinity && f.F.hi > neg_infinity
 
 let facts2 (op : t) (a : F.t) (b : F.t) : F.t =
   match op with
   | Add | Sub | Max | Min -> corners (apply2 op) a b
   | Mul ->
       (* 0 inside one interval meets an infinity of the other away from
-         the corners. *)
+         the corners, and a finite value of the other gives 0 even where
+         every corner is 0 * inf: [0, 0] times [-inf, inf] holds 0. *)
       let r = corners ( *. ) a b in
-      let inf f = F.may_pos_inf f || F.may_neg_inf f in
-      if (F.contains_zero a && inf b) || (F.contains_zero b && inf a) then
+      let r =
+        if
+          (F.contains_zero a && has_finite b)
+          || (F.contains_zero b && has_finite a)
+        then F.join r (F.of_value 0.0)
+        else r
+      in
+      if (F.contains_zero a && may_inf b) || (F.contains_zero b && may_inf a) then
         { r with F.nan = true }
       else r
   | Div ->
-      if F.contains_zero b then F.top else corners ( /. ) a b
+      if F.contains_zero b then F.top
+      else
+        (* A finite value over an infinity gives 0, which the corners
+           miss where each is inf / inf. *)
+        let r = corners ( /. ) a b in
+        if has_finite a && may_inf b then F.join r (F.of_value 0.0) else r
   | Or | And | Eq | Neq | Lt | Leq | Gt | Geq -> zero_one
   | Pow -> F.top
   | Sigmoid | Relu | Exp | Log | Sqrt | Abs | Neg | Sign | Square | Ident ->

@@ -5,13 +5,16 @@
    The protocol reuses the repo's dependency-free JSON reader
    ([Galley_obs.Json]) for decoding and hand-built writers (via
    [Metrics.json_escape]) for encoding, mirroring every other
-   serialization seam in the tree.  Output entry values print with
-   [%.17g] so they round-trip bit-identically through the socket: the
-   soak test compares served results against batch [Driver.run] outputs
-   for float equality, not approximate equality.  JSON has no number
-   for inf or NaN, so non-finite values travel as the strings "inf",
-   "-inf" and "nan" (a NaN other than [Float.nan] as "nan:0x<64-bit
-   pattern>"); entry values and fills accept them.
+   serialization seam in the tree.  Floats print with
+   [Galley_tensor.Float_text], a Grisu2 printer whose text reads back
+   to the same double, so values round-trip bit-identically through the
+   socket: the soak test compares served results against batch
+   [Driver.run] outputs for float equality, not approximate equality.
+   JSON has no number for inf or NaN, so non-finite values travel as the
+   strings "inf", "-inf" and "nan" (a NaN other than [Float.nan] as
+   "nan:0x<64-bit pattern>"); entry values and fills accept them.
+   Result entries are written straight from the output tensor, one
+   scratch line per entry, with no coordinate/value pair built.
 
    Requests:
      {"op":"query","src":"<program>","id"?,"budget_ms"?,"values"?,
@@ -34,6 +37,7 @@ module Metrics = Galley_obs.Metrics
 module T = Galley_tensor.Tensor
 module D = Galley.Driver
 module Fix = Galley_fixpoint.Fixpoint
+module Float_text = Galley_tensor.Float_text
 
 type bind_spec =
   | From_file of string
@@ -85,14 +89,7 @@ let ( let* ) = Result.bind
 let float_of_json (v : Json.t) : float option =
   match v with
   | Json.Num f -> Some f
-  | Json.Str "inf" -> Some infinity
-  | Json.Str "-inf" -> Some neg_infinity
-  | Json.Str "nan" -> Some Float.nan
-  | Json.Str s when String.starts_with ~prefix:"nan:0x" s -> (
-      match Int64.of_string_opt (String.sub s 4 (String.length s - 4)) with
-      | Some bits when Float.is_nan (Int64.float_of_bits bits) ->
-          Some (Int64.float_of_bits bits)
-      | _ -> None)
+  | Json.Str s -> Float_text.special_of_string s
   | _ -> None
 
 (* Rows [coord, ..., coord, value], in one pass over each row. *)
@@ -250,17 +247,62 @@ let buf_str b s =
   Buffer.add_string b (Metrics.json_escape s);
   Buffer.add_char b '"'
 
-(* %.17g round-trips every finite float; the rest are strings that
-   [float_of_json] reads back bit for bit. *)
+(* A float at [pos] of [buf]: a JSON number when finite, else the
+   quoted string that [float_of_json] reads back bit for bit. *)
+let write_float (buf : Bytes.t) (pos : int) (v : float) : int =
+  if Float.is_finite v then Float_text.write buf pos v
+  else begin
+    Bytes.set buf pos '"';
+    let p = Float_text.write buf (pos + 1) v in
+    Bytes.set buf p '"';
+    p + 1
+  end
+
 let buf_float b f =
-  if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.17g" f)
-  else if f = infinity then Buffer.add_string b "\"inf\""
-  else if f = neg_infinity then Buffer.add_string b "\"-inf\""
-  else
-    let bits = Int64.bits_of_float f in
-    if Int64.equal bits (Int64.bits_of_float Float.nan) then
-      Buffer.add_string b "\"nan\""
-    else Buffer.add_string b (Printf.sprintf "\"nan:0x%016Lx\"" bits)
+  let scratch = Bytes.create (Float_text.max_length + 2) in
+  Buffer.add_subbytes b scratch 0 (write_float scratch 0 f)
+
+(* Entry rows [c0,...,v] joined by commas, each laid out in one scratch
+   line and appended at once. *)
+type entry_writer = { b : Buffer.t; line : Bytes.t; mutable count : int }
+
+(* Longest row of [ndims] coordinates: 20 characters and a comma per
+   coordinate, the float, brackets and the separating comma. *)
+let line_length ndims = (ndims * 21) + Float_text.max_length + 8
+
+let entry_writer b ~ndims =
+  { b; line = Bytes.create (line_length ndims); count = 0 }
+
+let add_entry (w : entry_writer) (coords : int array) (v : float) : unit =
+  let line = w.line in
+  let p = ref 0 in
+  if w.count > 0 then begin
+    Bytes.set line 0 ',';
+    p := 1
+  end;
+  Bytes.set line !p '[';
+  incr p;
+  for d = 0 to Array.length coords - 1 do
+    p := Float_text.write_int line !p (Array.unsafe_get coords d);
+    Bytes.set line !p ',';
+    incr p
+  done;
+  let p = write_float line !p v in
+  Bytes.set line p ']';
+  Buffer.add_subbytes w.b line 0 (p + 1);
+  w.count <- w.count + 1
+
+exception Entries_full
+
+(* The first [max_entries] non-fill entries of [t], in [T.iter_nonfill]
+   order. *)
+let buf_entries b (t : T.t) ~max_entries : unit =
+  let w = entry_writer b ~ndims:(T.ndims t) in
+  (try
+     T.iter_nonfill_in_place t (fun coords v ->
+         if w.count >= max_entries then raise_notrace Entries_full;
+         add_entry w coords v)
+   with Entries_full -> ())
 
 let add_id b id =
   match id with
@@ -384,24 +426,10 @@ let result_json ?(id = None) ~want_values ~max_entries ?qos_tier ?fixpoints
       Buffer.add_string b (Printf.sprintf "],\"nnz\":%d,\"fill\":" (T.nnz t));
       buf_float b (T.fill t);
       if want_values then begin
-        let coo = T.to_coo t in
-        let total = Array.length coo in
-        let shown = min total max_entries in
         Buffer.add_string b ",\"entries\":[";
-        for k = 0 to shown - 1 do
-          if k > 0 then Buffer.add_char b ',';
-          let coords, v = coo.(k) in
-          Buffer.add_char b '[';
-          Array.iter
-            (fun c ->
-              Buffer.add_string b (string_of_int c);
-              Buffer.add_char b ',')
-            coords;
-          buf_float b v;
-          Buffer.add_char b ']'
-        done;
+        buf_entries b t ~max_entries;
         Buffer.add_string b
-          (Printf.sprintf "],\"truncated\":%b" (shown < total))
+          (Printf.sprintf "],\"truncated\":%b" (max_entries < T.nnz t))
       end;
       Buffer.add_char b '}')
     r.D.outputs;
@@ -545,18 +573,15 @@ let encode_bind_entries ?id ~name ~dims ?(fill = 0.0)
     buf_float b fill
   end;
   Buffer.add_string b ",\"entries\":[";
-  Array.iteri
-    (fun k (coords, v) ->
-      if k > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '[';
-      Array.iter
-        (fun c ->
-          Buffer.add_string b (string_of_int c);
-          Buffer.add_char b ',')
-        coords;
-      buf_float b v;
-      Buffer.add_char b ']')
-    entries;
+  (* Sized for the widest row: a row of the wrong arity is the
+     server's to reject. *)
+  let ndims =
+    Array.fold_left
+      (fun m (coords, _) -> max m (Array.length coords))
+      (Array.length dims) entries
+  in
+  let w = entry_writer b ~ndims in
+  Array.iter (fun (coords, v) -> add_entry w coords v) entries;
   Buffer.add_string b "]}";
   Buffer.contents b
 

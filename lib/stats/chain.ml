@@ -316,7 +316,7 @@ let of_tensor ?(cheap = false) tensor ~idxs:idx_list =
   let cols = Array.map (fun _ -> Array.make n_entries 0) dims_arr in
   let e = ref 0 in
   if pairs <> [] then
-    Galley_tensor.Tensor.iter_nonfill tensor (fun coords _ ->
+    Galley_tensor.Tensor.iter_nonfill_in_place tensor (fun coords _ ->
         Array.iteri (fun k c -> cols.(k).(!e) <- c) coords;
         incr e);
   let keys = Array.make n_entries 0 and ykeys = Array.make n_entries 0 in

@@ -432,8 +432,9 @@ let get (t : t) (coords : int array) : float =
     go t.root 0
   end
 
-(* Iterate all explicit entries with their full coordinates. *)
-let iter_explicit (t : t) (f : int array -> float -> unit) : unit =
+(* Iterate all explicit entries with their full coordinates, reusing one
+   coordinate array: [f] reads it and must not keep it. *)
+let iter_explicit_in_place (t : t) (f : int array -> float -> unit) : unit =
   let nd = ndims t in
   if nd = 0 then f [||] (scalar_value t)
   else begin
@@ -442,7 +443,7 @@ let iter_explicit (t : t) (f : int array -> float -> unit) : unit =
       if depth = nd - 1 then
         Node.iter_values node (fun i v ->
             coords.(depth) <- i;
-            f (Array.copy coords) v)
+            f coords v)
       else
         Node.iter_sorted node (fun i child ->
             coords.(depth) <- i;
@@ -451,9 +452,15 @@ let iter_explicit (t : t) (f : int array -> float -> unit) : unit =
     go t.root 0
   end
 
+let iter_explicit (t : t) (f : int array -> float -> unit) : unit =
+  iter_explicit_in_place t (fun c v -> f (Array.copy c) v)
+
 (* Like [iter_explicit] but skips entries whose value equals the fill. *)
+let iter_nonfill_in_place (t : t) (f : int array -> float -> unit) : unit =
+  iter_explicit_in_place t (fun c v -> if v <> t.fill then f c v)
+
 let iter_nonfill (t : t) (f : int array -> float -> unit) : unit =
-  iter_explicit t (fun c v -> if v <> t.fill then f c v)
+  iter_nonfill_in_place t (fun c v -> f (Array.copy c) v)
 
 let to_coo (t : t) : (int array * float) array =
   let acc = Vec.Poly.create ~dummy:([||], 0.0) () in
@@ -480,7 +487,7 @@ let nnz (t : t) : int =
   | Some n -> n
   | None ->
       let n = ref 0 in
-      iter_nonfill t (fun _ _ -> incr n);
+      iter_nonfill_in_place t (fun _ _ -> incr n);
       t.nnz_cache <- Some !n;
       !n
 
@@ -714,7 +721,7 @@ let to_flat_dense (t : t) : float array =
   if nd = 0 then [| scalar_value t |]
   else begin
     let out = Array.make (dim_space t.dims) t.fill in
-    iter_explicit t (fun c v -> out.(flat_index t.dims c) <- v);
+    iter_explicit_in_place t (fun c v -> out.(flat_index t.dims c) <- v);
     out
   end
 

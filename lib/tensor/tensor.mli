@@ -155,6 +155,10 @@ val iter_explicit : t -> (int array -> float -> unit) -> unit
 (** Like {!iter_explicit}, skipping entries equal to the fill. *)
 val iter_nonfill : t -> (int array -> float -> unit) -> unit
 
+(** {!iter_nonfill} without a coordinate array per entry: one array is
+    reused, so the callback reads it and must not keep it. *)
+val iter_nonfill_in_place : t -> (int array -> float -> unit) -> unit
+
 (** Non-fill entries as coordinate/value pairs. *)
 val to_coo : t -> (int array * float) array
 

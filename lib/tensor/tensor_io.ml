@@ -7,7 +7,9 @@
      0 1 2.5
      2 3 1
    Lines starting with '#' carry metadata; every other non-empty line is a
-   coordinate tuple followed by the value. *)
+   coordinate tuple followed by the value.  Values are written by
+   [Float_text] and read back bit for bit, non-finite ones included
+   ("inf", "-inf", "nan", "nan:0x<bits>"). *)
 
 let format_of_string = function
   | "dense" -> Tensor.Dense
@@ -39,7 +41,7 @@ let load (path : string) : Tensor.t =
               | "dims" ->
                   dims :=
                     Some (Array.of_list (List.map int_of_string (split_ws value)))
-              | "fill" -> fill := float_of_string value
+              | "fill" -> fill := Float_text.of_string value
               | "formats" ->
                   formats :=
                     Some
@@ -53,7 +55,7 @@ let load (path : string) : Tensor.t =
               let coords =
                 Array.of_list (List.rev_map int_of_string coords_rev)
               in
-              Vec.Poly.push entries (coords, float_of_string v)
+              Vec.Poly.push entries (coords, Float_text.of_string v)
           | [] -> ());
        loop ()
      in
@@ -77,14 +79,27 @@ let load (path : string) : Tensor.t =
 let save (path : string) (t : Tensor.t) : unit =
   let oc = open_out path in
   let dims = Tensor.dims t in
+  (* One line at a time: each coordinate, a space, the value. *)
+  let line = Bytes.create ((Array.length dims * 21) + Float_text.max_length + 1) in
+  let output_value p v =
+    let p = Float_text.write line p v in
+    Bytes.set line p '\n';
+    output oc line 0 (p + 1)
+  in
   Printf.fprintf oc "# dims: %s\n"
     (String.concat " " (Array.to_list (Array.map string_of_int dims)));
-  Printf.fprintf oc "# fill: %.17g\n" (Tensor.fill t);
+  output_string oc "# fill: ";
+  output_value 0 (Tensor.fill t);
   Printf.fprintf oc "# formats: %s\n"
     (String.concat " "
        (Array.to_list (Array.map Tensor.format_to_string (Tensor.formats t))));
-  Tensor.iter_nonfill t (fun coords v ->
-      Printf.fprintf oc "%s %.17g\n"
-        (String.concat " " (Array.to_list (Array.map string_of_int coords)))
-        v);
+  Tensor.iter_nonfill_in_place t (fun coords v ->
+      let p = ref 0 in
+      Array.iter
+        (fun c ->
+          p := Float_text.write_int line !p c;
+          Bytes.set line !p ' ';
+          incr p)
+        coords;
+      output_value !p v);
   close_out oc

@@ -48,6 +48,50 @@ let test_io_nonzero_fill () =
       check_float "entry" 1.5 (T.get t2 [| 2 |]);
       check_float "background" 0.5 (T.get t2 [| 0 |]))
 
+(* Values come back with the same bits: random finite values, signed
+   zeros, subnormals, ±inf and NaNs (canonical and with a payload), as
+   entries and as fills. *)
+let test_io_bit_exact () =
+  let bits = Int64.bits_of_float in
+  let prng = Prng.create 7 in
+  let specials =
+    [| 0.0; -0.0; 5e-324; -2.2250738585072009e-308; Float.max_float;
+       infinity; neg_infinity; Float.nan;
+       Int64.float_of_bits 0xfff8_0000_0000_0000L;
+       Int64.float_of_bits 0x7ff0_0000_0000_0abcL |]
+  in
+  let random_finite () =
+    let rec go () =
+      let v = Int64.float_of_bits (Prng.next_int64 prng) in
+      if Float.is_finite v then v else go ()
+    in
+    go ()
+  in
+  let n = 64 in
+  let values =
+    Array.init n (fun k ->
+        if k < Array.length specials then specials.(k) else random_finite ())
+  in
+  List.iter
+    (fun fill ->
+      with_temp_file (fun path ->
+          let t =
+            T.of_coo ~fill ~prune:false ~dims:[| n |] ~formats:[| T.Sparse_list |]
+              (Array.mapi (fun k v -> ([| k |], v)) values)
+          in
+          Io.save path t;
+          let t2 = Io.load path in
+          check_bool (Printf.sprintf "fill %h" fill) true
+            (bits (T.fill t2) = bits fill);
+          (* An entry equal to the fill (0 and -0 alike) is not stored. *)
+          Array.iteri
+            (fun k v ->
+              if v <> fill then
+                check_bool (Printf.sprintf "entry %d: %h" k v) true
+                  (bits (T.get t2 [| k |]) = bits v))
+            values))
+    [ 0.0; -0.0; infinity; Float.nan; 0.1 ]
+
 let test_io_missing_dims () =
   with_temp_file (fun path ->
       let oc = open_out path in
@@ -267,6 +311,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
           Alcotest.test_case "nonzero fill" `Quick test_io_nonzero_fill;
+          Alcotest.test_case "values round-trip bit-exactly" `Quick
+            test_io_bit_exact;
           Alcotest.test_case "missing dims" `Quick test_io_missing_dims;
           Alcotest.test_case "comments" `Quick test_io_comments_and_blank_lines;
         ] );

@@ -116,6 +116,18 @@ let test_absorbing_children_prefix () =
     (absorbing_children Op.Add
        [ (infinity, dist); (infinity, { dist with Facts.lo = neg_infinity }) ])
 
+(* Where every corner of the product or quotient is NaN (0 * inf,
+   inf / inf), the 0 that a finite operand gives must still be covered. *)
+let test_facts_zero_between_corners () =
+  let all = { Facts.lo = neg_infinity; hi = infinity; nan = true } in
+  let zero = { (Facts.of_value 0.0) with Facts.nan = true } in
+  let covers_zero op args = Facts.contains_zero (Op.map_facts op args) in
+  check_bool "[0, 0] * [-inf, inf] holds 0" true (covers_zero Op.Mul [ zero; all ]);
+  check_bool "[-inf, inf] / {-inf} holds 0" true
+    (covers_zero Op.Div [ all; Facts.of_value neg_infinity ]);
+  check_bool "{inf} / {inf} holds no 0" false
+    (covers_zero Op.Div [ Facts.of_value infinity; Facts.of_value infinity ])
+
 let test_repeat_matches_fold () =
   (* g(x, n) must equal folding n copies of x into the identity, which is
      exactly how the engine accumulates. *)
@@ -308,6 +320,8 @@ let () =
           Alcotest.test_case "annihilator law" `Quick test_annihilator_law;
           Alcotest.test_case "absorption reads the fold prefix" `Quick
             test_absorbing_children_prefix;
+          Alcotest.test_case "facts cover 0 between NaN corners" `Quick
+            test_facts_zero_between_corners;
           Alcotest.test_case "repeat = fold" `Quick test_repeat_matches_fold;
           Alcotest.test_case "repeat idempotent" `Quick test_repeat_idempotent;
           Alcotest.test_case "distributivity table" `Quick test_distributivity_facts;

@@ -89,6 +89,191 @@ let test_protocol_roundtrip () =
 
 let bits = Int64.bits_of_float
 
+let float_text v =
+  let b = Buffer.create 26 in
+  P.buf_float b v;
+  Buffer.contents b
+
+(* The JSON number grammar: an optional '-', 0 or digits without a
+   leading zero, an optional '.' and digits, an optional e/E, sign and
+   digits. *)
+let is_json_number (s : string) : bool =
+  let n = String.length s in
+  let i = ref 0 in
+  let digits () =
+    let start = !i in
+    while !i < n && s.[!i] >= '0' && s.[!i] <= '9' do
+      incr i
+    done;
+    !i > start
+  in
+  if !i < n && s.[!i] = '-' then incr i;
+  let int_ok =
+    if !i < n && s.[!i] = '0' then (incr i; true) else digits ()
+  in
+  let frac_ok =
+    if !i < n && s.[!i] = '.' then (incr i; digits ()) else true
+  in
+  let exp_ok =
+    if !i < n && (s.[!i] = 'e' || s.[!i] = 'E') then begin
+      incr i;
+      if !i < n && (s.[!i] = '+' || s.[!i] = '-') then incr i;
+      digits ()
+    end
+    else true
+  in
+  int_ok && frac_ok && exp_ok && !i = n
+
+(* Random 64-bit patterns (every class of double, NaN payloads
+   included) plus the boundaries: each prints as a JSON number when
+   finite and comes back with the same bits through [Json.parse] and
+   [float_of_json], and through [float_of_string]. *)
+let prop_float_text_roundtrip =
+  let boundaries =
+    List.map Int64.float_of_bits
+      [ 0L; Int64.min_int; 1L; 0x000f_ffff_ffff_ffffL; 0x0010_0000_0000_0000L;
+        0x7fef_ffff_ffff_ffffL; 0x7ff0_0000_0000_0000L; 0xfff0_0000_0000_0000L;
+        0x7ff8_0000_0000_0001L; 0x7ff0_0000_0000_0abcL; 0xfff8_0000_0000_0000L;
+        0x3ff0_0000_0000_0000L; 0x4340_0000_0000_0001L ]
+    @ [ 0.1; 1e23; 5e-324; 2.2250738585072009e-308; 9007199254740993.0;
+        123456789012345.0; 1e15; 1e16; 1e21; 1e-4; 1e-5 ]
+  in
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [ (8, map Int64.float_of_bits ui64); (1, oneofl boundaries);
+          (1, map float_of_int (int_range (-1_000_000) 1_000_000)) ])
+  in
+  QCheck.Test.make ~name:"floats round-trip bit-exactly as JSON numbers"
+    ~count:100_000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun v ->
+      let text = float_text v in
+      let via_json =
+        match Json.parse text with
+        | Ok j -> Option.map bits (P.float_of_json j)
+        | Error _ -> None
+      in
+      via_json = Some (bits v)
+      && ((not (Float.is_finite v))
+         || is_json_number text
+            && bits (float_of_string text) = bits v))
+
+(* The result encoder before entries were written straight from the
+   tensor: [T.to_coo] and [%.17g].  Kept as the oracle for the entry
+   set, order and truncation of [P.result_json]. *)
+let oracle_output_json (t : T.t) ~max_entries : string =
+  let old_float b f =
+    if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.17g" f)
+    else if f = infinity then Buffer.add_string b {|"inf"|}
+    else if f = neg_infinity then Buffer.add_string b {|"-inf"|}
+    else if bits f = bits Float.nan then Buffer.add_string b {|"nan"|}
+    else Buffer.add_string b (Printf.sprintf {|"nan:0x%016Lx"|} (bits f))
+  in
+  let b = Buffer.create 256 in
+  Buffer.add_string b (Printf.sprintf {|{"nnz":%d,"fill":|} (T.nnz t));
+  old_float b (T.fill t);
+  let coo = T.to_coo t in
+  let total = Array.length coo in
+  let shown = min total max_entries in
+  Buffer.add_string b {|,"entries":[|};
+  for k = 0 to shown - 1 do
+    if k > 0 then Buffer.add_char b ',';
+    let coords, v = coo.(k) in
+    Buffer.add_char b '[';
+    Array.iter (fun c -> Buffer.add_string b (string_of_int c ^ ",")) coords;
+    old_float b v;
+    Buffer.add_char b ']'
+  done;
+  Buffer.add_string b (Printf.sprintf {|],"truncated":%b}|} (shown < total));
+  Buffer.contents b
+
+(* [P.result_json] against the oracle, both parsed: the same entries in
+   the same order (coordinates equal, value bits equal), and the same
+   nnz, fill and truncation, over arities 0-3, every level format, fills
+   {0, 1, +inf, NaN} and max_entries {0, 1, nnz-1, nnz, max_int}. *)
+let test_result_encoder_differential () =
+  let base =
+    D.run
+      ~inputs:
+        [ ("E", T.of_coo ~dims:[| 3 |] ~formats:[| T.Dense |] [| ([| 1 |], 2.0) |]) ]
+      (Galley_lang.Parser.parse_program "s = sum[i](E[i])")
+  in
+  let prng = Galley_tensor.Prng.create 23 in
+  let specials =
+    [| infinity; neg_infinity; Float.nan; Int64.float_of_bits 0xfff8_0000_0000_0000L;
+       -0.0; 0.0; 1.0; 5e-324; 0.1; 1e23 |]
+  in
+  let value () =
+    if Galley_tensor.Prng.int prng 3 = 0 then
+      specials.(Galley_tensor.Prng.int prng (Array.length specials))
+    else Galley_tensor.Prng.float_range prng (-1e3) 1e3
+  in
+  let all_formats = [ T.Dense; T.Sparse_list; T.Bytemap; T.Hash ] in
+  let rec stacks k =
+    if k = 0 then [ [] ]
+    else
+      List.concat_map
+        (fun f -> List.map (fun s -> f :: s) (stacks (k - 1)))
+        all_formats
+  in
+  let parse s = match Json.parse s with Ok j -> j | Error e -> Alcotest.fail e in
+  let float_bits j = Option.map bits (P.float_of_json j) in
+  let fields j =
+    ( Json.member "nnz" j,
+      Option.bind (Json.member "fill" j) float_bits,
+      Json.member "truncated" j,
+      match Option.bind (Json.member "entries" j) Json.to_list with
+      | None -> Alcotest.fail "no entries"
+      | Some rows ->
+          List.map
+            (fun row ->
+              match List.rev (Option.get (Json.to_list row)) with
+              | v :: coords -> (List.rev coords, float_bits v)
+              | [] -> Alcotest.fail "empty entry row")
+            rows )
+  in
+  let cases = ref 0 in
+  List.iter
+    (fun arity ->
+      let dims = Array.sub [| 5; 4; 3 |] 0 arity in
+      List.iter
+        (fun formats ->
+          List.iter
+            (fun fill ->
+              let entries = ref [] in
+              for flat = 0 to T.dim_space dims - 1 do
+                if Galley_tensor.Prng.int prng 5 < 2 || arity = 0 then
+                  entries := (T.unflatten dims flat, value ()) :: !entries
+              done;
+              let t =
+                T.of_coo ~fill ~dims ~formats:(Array.of_list formats)
+                  (Array.of_list !entries)
+              in
+              let nnz = T.nnz t in
+              List.iter
+                (fun max_entries ->
+                  incr cases;
+                  let idxs = List.init arity (Printf.sprintf "i%d") in
+                  let r = { base with D.outputs = [ ("o", idxs, t) ] } in
+                  let got =
+                    let j = parse (P.result_json ~want_values:true ~max_entries r) in
+                    match Option.bind (Json.member "outputs" j) Json.to_list with
+                    | Some [ o ] -> fields o
+                    | _ -> Alcotest.fail "one output expected"
+                  in
+                  let want = fields (parse (oracle_output_json t ~max_entries)) in
+                  if got <> want then
+                    Alcotest.failf "arity %d, formats [%s], fill %h, max_entries %d"
+                      arity
+                      (String.concat " " (List.map T.format_to_string formats))
+                      fill max_entries)
+                [ 0; 1; nnz - 1; nnz; max_int ])
+            [ 0.0; 1.0; infinity; Float.nan ])
+        (stacks arity))
+    [ 0; 1; 2; 3 ];
+  check_int "cases" (85 * 4 * 5) !cases
+
 (* Every float the wire carries comes back with the same bits: NaNs
    (including a payload and a negative one), infinities, signed zeros,
    subnormals, and the largest finite values; the fill too. *)
@@ -135,10 +320,22 @@ let test_float_wire_roundtrip () =
       | Ok _ -> Alcotest.fail "bind decoded to the wrong request"
       | Error e -> Alcotest.fail e)
     [ 0.0; -0.0; infinity; neg_infinity; Float.nan; 5e-324 ];
-  check_bool "finite values keep %.17g" true
-    (let b = Buffer.create 16 in
-     P.buf_float b 0.1;
-     Buffer.contents b = "0.10000000000000001");
+  (* Grisu2 text: shortest digits in nearly every case; 1e23 sits on a
+     rounding boundary, which Grisu2 keeps off, so it takes 16 digits. *)
+  List.iter
+    (fun (v, text) -> check_string (Printf.sprintf "%h prints" v) text (float_text v))
+    [
+      (0.1, "0.1");
+      (5e-324, "5e-324");
+      (1e23, "9.999999999999999e22");
+      (-0.0, "-0");
+      (Float.max_float, "1.7976931348623157e308");
+      (Float.ldexp 1.0 53 +. 2.0, "9007199254740994");
+      (1e-5, "1e-5");
+      (0.0001, "0.0001");
+      (1e17, "1e17");
+      (infinity, {|"inf"|});
+    ];
   check_bool "a string cell that is not a float is rejected" true
     (Result.is_error
        (P.decode_request
@@ -831,6 +1028,9 @@ let () =
             test_protocol_roundtrip;
           Alcotest.test_case "non-finite and subnormal floats round-trip"
             `Quick test_float_wire_roundtrip;
+          QCheck_alcotest.to_alcotest prop_float_text_roundtrip;
+          Alcotest.test_case "result entries match the to_coo encoder" `Quick
+            test_result_encoder_differential;
         ] );
       ( "daemon",
         [
