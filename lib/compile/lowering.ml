@@ -5,9 +5,9 @@
    The result mirrors the interpreter in [lib/engine/kernel_exec.ml]
    decision for decision (the interpreter is the differential oracle), but
    the runtime loop nest walks no trees, scans no binding lists, and
-   materializes no candidate arrays: each level is a pair of staged
-   closures, a candidate *generator* and a *binder*, over a flat mutable
-   [state] record.
+   materializes no candidate arrays: each level is a staged candidate
+   *generator* closure plus its resolved bindings, which [bind] applies
+   over a flat mutable [state] record with no closure call.
 
    Candidate generation follows the constraint tree's superset contract:
 
@@ -37,12 +37,19 @@ module C = Galley_physical.Constraints
 (* Flat runtime state of one kernel invocation. *)
 type state = {
   st_roots : T.node array;  (* root node per access *)
-  st_nodes : T.node option array array;
+  st_nodes : T.node array array;
       (* st_nodes.(a).(j): node of access [a] after binding its j-th index
-         (None = subtree at fill) *)
-  st_values : float array;  (* current scalar per access *)
+         ([absent] = subtree at fill) *)
+  st_values : float array;
+      (* the body's slots: current scalar per access, then its
+         temporaries and literals ([Body_fuse]) *)
   st_coords : int array;  (* output coordinate under construction *)
 }
+
+(* The node of a subtree at fill, compared physically: binding through it
+   stores it again, so a row loop finds an absent operand with one
+   pointer test and no option is allocated per bound node. *)
+let absent : T.node = T.Scalar (Sys.opaque_identity Float.nan)
 
 (* Candidates of one level visit. *)
 type gen =
@@ -69,27 +76,26 @@ type ltree =
   | L_and of ltree list  (* leaders first, as reordered below *)
   | L_or of ltree list
 
+(* One binding of a level's index: descend access [b_acc] at its
+   [b_slot]-th index, or load its value when that index is its last. *)
+type binding = { b_acc : int; b_slot : int; b_last : bool; b_fill : float }
+
 type level = {
   lv_gen : state -> gen;
-  lv_bind : state -> int -> unit;
+  lv_binds : binding array;  (* in access order, so A[i,i] descends twice *)
+  lv_out : int;  (* output-coordinate position bound here, or -1 *)
 }
 
-(* Dense microkernel: compile-time shape of an innermost level whose
-   bindings are all last-index [Dense] accesses under an all-dense
-   constraint tree (statically [G_full] whenever every operand subtree
-   is present).  The backend may then run an unboxed float-array inner
-   loop over the level instead of per-element binder dispatch; the
-   runtime re-checks that each source resolves to a [Leaf_dense] of
-   sufficient length and otherwise runs the generic level, so candidate
-   and accumulation sequences stay bit-identical to the interpreter. *)
-type micro = {
-  mi_srcs : (int * int) array;
-      (* (access, slot) of every innermost value binding *)
-}
+(* How a row loop's walk tests the members it does not walk. *)
+type probe =
+  | P_none
+  | P_dense of int * int
+      (* (access, slot) of one dense member: an inline bounds check *)
+  | P_fn of (state -> int -> bool)
 
 (* Row loop: compile-time shape of an innermost level whose bindings are
-   all last-index value loads, run without per-element binder dispatch
-   (DESIGN.md §14 "row loops").  Two input cases:
+   all last-index value loads, run as one fused loop (DESIGN.md §14 "row
+   loops").  Two input cases:
 
    - positional walk ([rw_walk]): the level is driven by one bare
      [Sparse_list]/[Bytemap] leaf access (alone, or leading an
@@ -99,13 +105,15 @@ type micro = {
    - in-step lookup: any other such level; the level's own generator
      yields the candidates (the whole range for [G_full]), and since
      they ascend, every sparse leaf is read through a forward pointer
-     that advances with the index.
+     that advances with the index.  A level whose constraint tree and
+     loads are all dense (a dense microkernel, named "micro") is this
+     case with every load read by index.
 
    The remaining loads ([rw_loads]) read in step in both cases.  A walk
    visit whose leader is not a sparse leaf runs the generic level, so
    candidate and accumulation sequences stay those of the interpreter. *)
 type row = {
-  rw_walk : (int * int * (state -> int -> bool) option) option;
+  rw_walk : (int * int * probe) option;
       (* (access, slot) of the walked leaf, and the probe of the
          intersection's other members *)
   rw_loads : (int * int) array;  (* (access, slot) of every other load *)
@@ -113,12 +121,12 @@ type row = {
 
 type plan = {
   p_levels : level array;
+  p_body : Body_fuse.prog;
   p_acc_arity : int array;
   p_fills : float array;  (* fill value per access *)
   p_out_rank : int;
   p_n_acc : int;
-  p_micro : micro option;  (* innermost dense microkernel, if eligible *)
-  p_row : row option;  (* innermost row loop, if eligible (and not micro) *)
+  p_row : row option;  (* innermost row loop, if eligible *)
   p_last_out : int option;
       (* output-coordinate position bound by the innermost level, if any *)
   p_desc : string array;
@@ -165,8 +173,16 @@ let rec describe_ltree (t : ltree) : string =
       | None ->
           "union(" ^ String.concat "|" (List.map describe_ltree members) ^ ")")
 
-let prev (st : state) (a : int) (j : int) : T.node option =
-  if j = 0 then Some st.st_roots.(a) else st.st_nodes.(a).(j - 1)
+let prev (st : state) (a : int) (j : int) : T.node =
+  if j = 0 then Array.unsafe_get st.st_roots a
+  else Array.unsafe_get (Array.unsafe_get st.st_nodes a) (j - 1)
+
+(* [T.Node.mem] with the dense cases inline; false on [absent]. *)
+let mem (nd : T.node) (i : int) : bool =
+  match nd with
+  | T.Inner_dense cs -> i >= 0 && i < Array.length cs
+  | T.Leaf_dense vs -> i >= 0 && i < Array.length vs
+  | _ -> nd != absent && T.Node.mem nd i
 
 (* Compile an ltree into its candidate generator and membership probe.
    [gen_of] first tries the word-level bytemap merge ([bits_gen_of]);
@@ -182,12 +198,16 @@ and gen_of_base (t : ltree) : state -> gen =
   | L_empty -> fun _ -> G_arr [||]
   | L_access { s_acc = a; s_slot = j; _ } -> (
       fun st ->
-        match prev st a j with
-        | None -> G_arr [||]
-        | Some nd -> (
-            match T.Node.explicit_indices nd with
-            | None -> G_full
-            | Some arr -> G_arr arr))
+        let nd = prev st a j in
+        match nd with
+        | T.Inner_dense _ | T.Leaf_dense _ -> G_full
+        | T.Inner_sparse { crd; _ } | T.Leaf_sparse { crd; _ } -> G_arr crd
+        | _ -> (
+            if nd == absent then G_arr [||]
+            else
+              match T.Node.explicit_indices nd with
+              | None -> G_full
+              | Some arr -> G_arr arr))
   | L_and [ m1; m2 ] ->
       (* The dominant intersection shape, specialized so a level visit
          classifies its members with one match instead of the generic
@@ -322,19 +342,11 @@ and bits_gen_of (t : ltree) : (state -> gen) option =
           Some
             (fun st ->
               let nds = Array.map (fun s -> prev st s.s_acc s.s_slot) srcs in
-              if Array.exists (function None -> true | Some _ -> false) nds
-              then G_arr [||] (* an absent member empties the intersection *)
+              (* An absent member empties the intersection. *)
+              if Array.exists (fun nd -> nd == absent) nds then G_arr [||]
               else
-                let words_of k =
-                  match nds.(k) with
-                  | Some nd -> T.Node.bitmap_words nd
-                  | None -> None
-                in
-                let count_of k =
-                  match nds.(k) with
-                  | Some nd -> T.Node.explicit_count nd
-                  | None -> 0
-                in
+                let words_of k = T.Node.bitmap_words nds.(k) in
+                let count_of k = T.Node.explicit_count nds.(k) in
                 match words_of 0 with
                 | Some w0 when count_of 0 >= Array.length w0 ->
                     let out = Array.copy w0 in
@@ -359,17 +371,17 @@ and bits_gen_of (t : ltree) : (state -> gen) option =
               let n_present = ref 0 in
               let total = ref 0 and nw = ref (-1) and ok = ref true in
               for k = 0 to n_src - 1 do
-                match prev st srcs.(k).s_acc srcs.(k).s_slot with
-                | None -> () (* absent members drop out of the union *)
-                | Some nd -> (
-                    match T.Node.bitmap_words nd with
-                    | None -> ok := false
-                    | Some w ->
-                        if !nw = -1 then nw := Array.length w
-                        else if Array.length w <> !nw then ok := false;
-                        total := !total + T.Node.explicit_count nd;
-                        ws.(!n_present) <- w;
-                        incr n_present)
+                let nd = prev st srcs.(k).s_acc srcs.(k).s_slot in
+                (* Absent members drop out of the union. *)
+                if nd != absent then
+                  match T.Node.bitmap_words nd with
+                  | None -> ok := false
+                  | Some w ->
+                      if !nw = -1 then nw := Array.length w
+                      else if Array.length w <> !nw then ok := false;
+                      total := !total + T.Node.explicit_count nd;
+                      ws.(!n_present) <- w;
+                      incr n_present
               done;
               if not !ok then fallback st
               else if !n_present = 0 then G_arr [||]
@@ -387,9 +399,7 @@ and probe_of (t : ltree) : state -> int -> bool =
   match t with
   | L_all -> fun _ _ -> true
   | L_empty -> fun _ _ -> false
-  | L_access { s_acc = a; s_slot = j; _ } -> (
-      fun st i ->
-        match prev st a j with None -> false | Some nd -> T.Node.mem nd i)
+  | L_access { s_acc = a; s_slot = j; _ } -> fun st i -> mem (prev st a j) i
   | L_and members ->
       let ps = Array.of_list (List.map probe_of members) in
       fun st i -> Array.for_all (fun p -> p st i) ps
@@ -470,43 +480,6 @@ let lower (k : Physical.kernel) ~(access_fills : float array)
         find 0 k.Physical.output_idxs)
       loop_order
   in
-  (* Fuse a level's bindings (fiber-tree descents, value loads, output
-     coordinate write) into one closure. *)
-  let bind_of (level : int) : state -> int -> unit =
-    let binders =
-      List.rev_map
-        (fun (a, j, is_last) ->
-          if is_last then
-            let fill = access_fills.(a) in
-            fun st i ->
-              st.st_values.(a) <-
-                (match prev st a j with
-                | None -> fill
-                | Some nd -> T.Node.find_value_or nd i fill)
-          else
-            fun st i ->
-              st.st_nodes.(a).(j) <-
-                (match prev st a j with
-                | None -> None
-                | Some nd -> T.Node.find nd i))
-        bindings_per_level.(level)
-    in
-    let binders =
-      match out_pos_of_level.(level) with
-      | None -> binders
-      | Some p -> (fun st i -> st.st_coords.(p) <- i) :: binders
-    in
-    match binders with
-    | [] -> fun _ _ -> ()
-    | [ f ] -> f
-    | [ f; g ] ->
-        fun st i ->
-          f st i;
-          g st i
-    | fs ->
-        let arr = Array.of_list fs in
-        fun st i -> Array.iter (fun f -> f st i) arr
-  in
   let ltrees =
     Array.init n_levels (fun l ->
         convert l
@@ -516,11 +489,20 @@ let lower (k : Physical.kernel) ~(access_fills : float array)
   in
   let levels =
     Array.init n_levels (fun l ->
-        { lv_gen = gen_of ltrees.(l); lv_bind = bind_of l })
+        {
+          lv_gen = gen_of ltrees.(l);
+          lv_binds =
+            Array.of_list
+              (List.rev_map
+                 (fun (a, j, is_last) ->
+                   { b_acc = a; b_slot = j; b_last = is_last; b_fill = access_fills.(a) })
+                 bindings_per_level.(l));
+          lv_out = Option.value ~default:(-1) out_pos_of_level.(l);
+        })
   in
-  let p_micro =
-    if n_levels = 0 then None
-    else begin
+  let micro =
+    n_levels > 0
+    && begin
       let l = n_levels - 1 in
       let rec all_dense = function
         | L_all -> true
@@ -531,24 +513,14 @@ let lower (k : Physical.kernel) ~(access_fills : float array)
       (* Every binding must be a last-index Dense access: a non-last
          binding (a repeated index, e.g. A[i,i]) descends the fiber tree
          instead of loading a value and disqualifies the level. *)
-      if
-        all_dense ltrees.(l)
-        && List.for_all
-             (fun (a, j, is_last) ->
-               is_last && access_formats.(a).(j) = T.Dense)
-             bindings_per_level.(l)
-      then
-        Some
-          {
-            mi_srcs =
-              Array.of_list
-                (List.map (fun (a, j, _) -> (a, j)) bindings_per_level.(l));
-          }
-      else None
+      all_dense ltrees.(l)
+      && List.for_all
+           (fun (a, j, is_last) -> is_last && access_formats.(a).(j) = T.Dense)
+           bindings_per_level.(l)
     end
   in
   let p_row =
-    if n_levels = 0 || Option.is_some p_micro then None
+    if n_levels = 0 then None
     else begin
       let l = n_levels - 1 in
       let bs = bindings_per_level.(l) in
@@ -558,14 +530,16 @@ let lower (k : Physical.kernel) ~(access_fills : float array)
         else
           match ltrees.(l) with
           | L_access ({ s_fmt = T.Sparse_list | T.Bytemap; _ } as s) ->
-              Some (s, None)
+              Some (s, P_none)
           | L_and (L_access ({ s_fmt = T.Sparse_list | T.Bytemap; _ } as s) :: rest)
             ->
               let probe =
                 match rest with
-                | [] -> None
-                | [ m2 ] -> Some (probe_of m2)
-                | _ -> Some (probe_of (L_and rest))
+                | [] -> P_none
+                | [ L_access { s_acc; s_slot; s_fmt = T.Dense } ] ->
+                    P_dense (s_acc, s_slot)
+                | [ m2 ] -> P_fn (probe_of m2)
+                | _ -> P_fn (probe_of (L_and rest))
               in
               Some (s, probe)
           | _ -> None
@@ -591,31 +565,35 @@ let lower (k : Physical.kernel) ~(access_fills : float array)
   let name_last tag =
     p_desc.(n_levels - 1) <- tag ^ "(" ^ p_desc.(n_levels - 1) ^ ")"
   in
-  (match (p_micro, p_row) with
-  | Some _, _ -> name_last "micro"
-  | None, Some { rw_walk = Some _; _ } -> name_last "walk"
-  | None, Some { rw_walk = None; _ } -> name_last "step"
-  | None, None -> ());
+  (match p_row with
+  | Some _ when micro -> name_last "micro"
+  | Some { rw_walk = Some _; _ } -> name_last "walk"
+  | Some { rw_walk = None; _ } -> name_last "step"
+  | None -> ());
   {
     p_levels = levels;
+    p_body = Body_fuse.compile ~n_acc k.Physical.body;
     p_acc_arity = acc_arity;
     p_fills = access_fills;
     p_out_rank = List.length k.Physical.output_idxs;
     p_n_acc = n_acc;
-    p_micro;
     p_row;
     p_last_out = (if n_levels = 0 then None else out_pos_of_level.(n_levels - 1));
     p_desc;
   }
 
 let fresh_state (p : plan) (tensors : T.t array) : state =
+  let values = Array.make p.p_body.Body_fuse.n_slots 0.0 in
+  for a = 0 to p.p_n_acc - 1 do
+    values.(a) <-
+      (if p.p_acc_arity.(a) = 0 then T.scalar_value tensors.(a)
+       else p.p_fills.(a))
+  done;
+  Body_fuse.init p.p_body values;
   {
     st_roots = Array.map T.root tensors;
     st_nodes =
-      Array.init p.p_n_acc (fun a -> Array.make (max 1 p.p_acc_arity.(a)) None);
-    st_values =
-      Array.init p.p_n_acc (fun a ->
-          if p.p_acc_arity.(a) = 0 then T.scalar_value tensors.(a)
-          else p.p_fills.(a));
+      Array.init p.p_n_acc (fun a -> Array.make (max 1 p.p_acc_arity.(a)) absent);
+    st_values = values;
     st_coords = Array.make p.p_out_rank 0;
   }

@@ -5,8 +5,9 @@
    each Map node, and carve out the smallest sub-expressions that must be
    aggregated together.  The traversal rules:
 
-   - *Distributive* functions (e.g. * over Σ): children not containing [v]
-     factor out; with one containing child we keep descending; with several
+   - *Distributive* functions (e.g. * over Σ, for the values [facts] says
+     the children can hold; see [Op.distributes_over]): children not
+     containing [v] factor out; with one containing child we keep descending; with several
      we stop and wrap just those children (the operator being commutative
      and associative lets us exclude the rest).
    - *Commutative, identical* functions (e.g. + under Σ): the aggregate
@@ -18,6 +19,7 @@
    rewritten expression in which the carved sub-queries are aliases. *)
 
 open Galley_plan
+module Facts = Galley_tensor.Facts
 
 type extraction = {
   queries : Logical_query.t list; (* in dependency order *)
@@ -64,8 +66,8 @@ let make_query ~(fresh : unit -> string) ~(agg_op : Op.t) ~(v : Ir.idx)
 (* Traverse [e] (the body, or part of the body, of the Agg binding [v]) and
    aggregate [v] out of it.  Precondition: [e] mentions [v] freely and
    contains no Agg nodes (guaranteed by the inner-first restriction). *)
-let rec extract ~(dims : int Ir.Idx_map.t) ~(fresh : unit -> string)
-    ~(agg_op : Op.t) ~(v : Ir.idx) (e : Ir.expr) :
+let rec extract ~(dims : int Ir.Idx_map.t) ~(facts : Ir.expr -> Facts.t)
+    ~(fresh : unit -> string) ~(agg_op : Op.t) ~(v : Ir.idx) (e : Ir.expr) :
     Logical_query.t list * Ir.expr =
   match e with
   | Ir.Input _ | Ir.Alias _ ->
@@ -80,7 +82,7 @@ let rec extract ~(dims : int Ir.Idx_map.t) ~(fresh : unit -> string)
         (* Commutative, identical: push the aggregate into each child. *)
         let n_v = Schema.dim_of_idx dims v in
         let results =
-          List.map (fun a -> extract ~dims ~fresh ~agg_op ~v a) with_v
+          List.map (fun a -> extract ~dims ~facts ~fresh ~agg_op ~v a) with_v
         in
         let queries = List.concat_map fst results in
         let repl_with = List.map snd results in
@@ -101,11 +103,15 @@ let rec extract ~(dims : int Ir.Idx_map.t) ~(fresh : unit -> string)
         in
         (queries, Ir.Map (op, repl_with @ repl_without))
       end
-      else if Op.distributes_over ~pointwise:op ~aggregate:agg_op then begin
+      else if
+        Op.distributes_over ~pointwise:op ~aggregate:agg_op
+          ~outer:(lazy (Op.map_facts op (List.map facts without_v)))
+          ~inner:(lazy (Op.map_facts op (List.map facts with_v)))
+      then begin
         match with_v with
         | [ child ] ->
             (* Factor every other child out of the aggregate. *)
-            let queries, repl = extract ~dims ~fresh ~agg_op ~v child in
+            let queries, repl = extract ~dims ~facts ~fresh ~agg_op ~v child in
             let args' =
               List.map (fun a -> if a == child then repl else a) args
             in
@@ -127,15 +133,15 @@ let rec extract ~(dims : int Ir.Idx_map.t) ~(fresh : unit -> string)
 (* Eliminate index [v] from the full expression [e]: locate its Agg node,
    extract the minimal sub-queries, and return the new queries plus the
    rewritten expression (with the Agg node's binder list shrunk by [v]). *)
-let eliminate ~(dims : int Ir.Idx_map.t) ~(fresh : unit -> string)
-    (e : Ir.expr) (v : Ir.idx) : extraction =
+let eliminate ~(dims : int Ir.Idx_map.t) ~(facts : Ir.expr -> Facts.t)
+    ~(fresh : unit -> string) (e : Ir.expr) (v : Ir.idx) : extraction =
   match find_binding_agg e v with
   | None -> invalid_arg ("Elimination: index not aggregated: " ^ v)
   | Some (Ir.Agg (agg_op, idxs, body) as target) ->
       if Ir.contains_agg body then
         invalid_arg
           ("Elimination: inner aggregates must be eliminated before " ^ v);
-      let queries, body' = extract ~dims ~fresh ~agg_op ~v body in
+      let queries, body' = extract ~dims ~facts ~fresh ~agg_op ~v body in
       let remaining = List.filter (fun i -> i <> v) idxs in
       let replacement =
         if remaining = [] then body' else Ir.Agg (agg_op, remaining, body')

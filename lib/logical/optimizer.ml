@@ -94,6 +94,7 @@ let greedy ?(budget : Tier.budget option) (cfg : config)
     (ctx : Galley_stats.Ctx.t) ~(fresh : unit -> string) ~(name : string)
     ~(out_order : Ir.idx list option) (expr : Ir.expr) : result =
   let dims = Schema.index_dims ctx.Galley_stats.Ctx.schema expr in
+  let facts = Schema.expr_facts_or_top ctx.Galley_stats.Ctx.schema dims in
   let rec loop expr queries total =
     match Elimination.available_indices expr with
     | [] ->
@@ -109,7 +110,7 @@ let greedy ?(budget : Tier.budget option) (cfg : config)
           List.map
             (fun v ->
               Tier.tick_opt budget;
-              let ext = Elimination.eliminate ~dims ~fresh expr v in
+              let ext = Elimination.eliminate ~dims ~facts ~fresh expr v in
               let cost =
                 List.fold_left
                   (fun acc q -> acc +. query_cost cfg ctx q)
@@ -212,7 +213,11 @@ let branch_and_bound ?(budget : Tier.budget option) (cfg : config)
               (fun v ->
                 Tier.tick_opt budget;
                 let ext =
-                  Elimination.eliminate ~dims ~fresh entry.dp_expr v
+                  Elimination.eliminate ~dims
+                    ~facts:
+                      (Schema.expr_facts_or_top
+                         entry.dp_ctx.Galley_stats.Ctx.schema dims)
+                    ~fresh entry.dp_expr v
                 in
                 (* Score against the parent context: the new queries only
                    reference aliases registered along this path.  Clone and
@@ -308,6 +313,7 @@ let naive (ctx : Galley_stats.Ctx.t) ~(fresh : unit -> string)
     ~(name : string) ~(out_order : Ir.idx list option) (expr : Ir.expr) :
     result =
   let dims = Schema.index_dims ctx.Galley_stats.Ctx.schema expr in
+  let facts = Schema.expr_facts_or_top ctx.Galley_stats.Ctx.schema dims in
   let rec loop expr queries =
     match Elimination.available_indices expr with
     | [] ->
@@ -316,7 +322,7 @@ let naive (ctx : Galley_stats.Ctx.t) ~(fresh : unit -> string)
         in
         r
     | v :: _ ->
-        let ext = Elimination.eliminate ~dims ~fresh expr v in
+        let ext = Elimination.eliminate ~dims ~facts ~fresh expr v in
         List.iter (register_alias ctx) ext.Elimination.queries;
         loop ext.Elimination.rewritten (queries @ ext.Elimination.queries)
   in

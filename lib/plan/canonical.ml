@@ -12,6 +12,8 @@
    fold all-literal maps, and turn aggregates over indices absent from their
    body into an explicit repeated-application Map. *)
 
+module Facts = Galley_tensor.Facts
+
 (* A fresh binder namer: renames [i] to [i#N], with N counting from 1.
    Binder names order the logical search, so one program's plan must not
    depend on what was planned before it: the optimizer makes one namer
@@ -57,11 +59,12 @@ let uniquify ~(binder : Ir.idx -> Ir.idx) (e : Ir.expr) : Ir.expr =
 
 (* One bottom-up simplification pass; [dims] is needed to rewrite aggregates
    over absent indices into repeated application. *)
-let rec simplify_once (dims : int Ir.Idx_map.t) (e : Ir.expr) : Ir.expr =
+let rec simplify_once ~(facts : Ir.expr -> Facts.t) (dims : int Ir.Idx_map.t)
+    (e : Ir.expr) : Ir.expr =
   match e with
   | Ir.Input _ | Ir.Alias _ | Ir.Literal _ -> e
   | Ir.Map (op, args) -> (
-      let args = List.map (simplify_once dims) args in
+      let args = List.map (simplify_once ~facts dims) args in
       (* Rule 1: flatten nested variadic maps with the same operator. *)
       let args =
         if Op.is_associative op then
@@ -93,9 +96,9 @@ let rec simplify_once (dims : int Ir.Idx_map.t) (e : Ir.expr) : Ir.expr =
       | [ Ir.Literal v ] when Op.arity op = Op.Unary -> Ir.Literal (Op.apply1 op v)
       | [ Ir.Literal a; Ir.Literal b ] when Op.arity op = Op.Binary ->
           Ir.Literal (Op.apply2 op a b)
-      | args -> lift_aggregates dims op args)
+      | args -> lift_aggregates ~facts dims op args)
   | Ir.Agg (op, idxs, body) -> (
-      let body = simplify_once dims body in
+      let body = simplify_once ~facts dims body in
       if idxs = [] then body
       else
         (* Split indices into those present in the body and those absent;
@@ -128,13 +131,18 @@ let rec simplify_once (dims : int Ir.Idx_map.t) (e : Ir.expr) : Ir.expr =
 (* Rule 3: given Map (op, args) where some argument is an aggregate that op
    distributes over (or where op is the same commutative operator), lift the
    aggregate above the map when no *other* argument mentions its indices. *)
-and lift_aggregates (dims : int Ir.Idx_map.t) (op : Op.t)
-    (args : Ir.expr list) : Ir.expr =
+and lift_aggregates ~(facts : Ir.expr -> Facts.t) (dims : int Ir.Idx_map.t)
+    (op : Op.t) (args : Ir.expr list) : Ir.expr =
   let try_lift () =
     let rec split before = function
       | [] -> None
       | Ir.Agg (agg_op, idxs, body) :: after
         when Op.distributes_over ~pointwise:op ~aggregate:agg_op
+               ~outer:
+                 (lazy
+                   (Op.map_facts op
+                      (List.map facts (List.rev_append before after))))
+               ~inner:(lazy (facts body))
              && List.for_all
                   (fun other ->
                     List.for_all (fun i -> not (Ir.mentions other i)) idxs)
@@ -146,20 +154,23 @@ and lift_aggregates (dims : int Ir.Idx_map.t) (op : Op.t)
   in
   match try_lift () with
   | Some (before, (agg_op, idxs, body), after) ->
-      simplify_once dims
+      simplify_once ~facts dims
         (Ir.Agg (agg_op, idxs, Ir.Map (op, before @ (body :: after))))
   | None -> Ir.Map (op, args)
 
-let rec simplify (dims : int Ir.Idx_map.t) (e : Ir.expr) : Ir.expr =
-  let e' = simplify_once dims e in
-  if e' = e then e else simplify dims e'
+(* [facts] gives the value facts of a sub-expression, which gate the
+   distributive lifts; without it every value is possible. *)
+let rec simplify ?(facts = fun _ -> Facts.top) (dims : int Ir.Idx_map.t)
+    (e : Ir.expr) : Ir.expr =
+  let e' = simplify_once ~facts dims e in
+  if e' = e then e else simplify ~facts dims e'
 
 (* Full canonicalization of a query expression. *)
 let canonicalize ~(binder : Ir.idx -> Ir.idx) (schema : Schema.t)
     (e : Ir.expr) : Ir.expr =
   let e = uniquify ~binder e in
   let dims = Schema.index_dims schema e in
-  simplify dims e
+  simplify ~facts:(Schema.expr_facts_or_top schema dims) dims e
 
 (* ------------------------------------------------------------------ *)
 (* Canonical keys for common sub-expression elimination.                *)

@@ -199,19 +199,6 @@ let repeat op (x : float) (n : int) : float =
     | Ident -> x
     | _ -> invalid_arg ("Op.repeat: not an aggregate: " ^ to_string op)
 
-(* Does pointwise operator [f] distribute over aggregate operator [g], i.e.
-   f(a, g(b1..bn)) = g(f(a,b1) .. f(a,bn))?  Conservative table: we only
-   declare algebraically unconditional pairs (e.g. Mul over Max holds only
-   for non-negative multipliers, so it is excluded). *)
-let distributes_over ~(pointwise : t) ~(aggregate : t) : bool =
-  match (pointwise, aggregate) with
-  | Mul, Add -> true
-  | And, Or -> true
-  | Add, Max | Add, Min -> true
-  | Max, Max | Min, Min | Or, Or | And, And -> true
-  | Neg, Add -> true (* -(Σx) = Σ(-x) *)
-  | _ -> false
-
 (* Does pointwise [f] distribute over pointwise [g], i.e.
    f(g(a,b), c) = g(f(a,c), f(b,c))?  Used by the logical optimizer's
    pointwise-distributivity expansion (paper Sec. 5.1, Example 3). *)
@@ -371,6 +358,35 @@ let map_facts (op : t) (args : F.t list) : F.t =
   | Variadic, [ a ] -> facts1 op a
   | Variadic, a :: rest -> List.fold_left (facts2 op) a rest
   | _ -> F.top
+
+(* Does pointwise operator [f] distribute over aggregate operator [g], i.e.
+   f(a, g(b1..bn)) = g(f(a,b1) .. f(a,bn)), for operands kept outside the
+   aggregate whose values lie in [outer] and an aggregate body whose values
+   lie in [inner]?  Conservative table: we only declare pairs that hold
+   for every such value (e.g. Mul over Max holds only for non-negative
+   multipliers, so it is excluded).  Two pairs hold only away from the
+   infinities, decided from value facts as [absorbs] decides annihilation:
+   Mul over Add fails where ±inf meets 0 (inf * (0 + 1) is inf, while
+   inf * 0 + inf * 1 is NaN), and Add over Min/Max fails where +inf meets
+   -inf (-inf + min(inf, 1) is -inf, while min(-inf + inf, -inf + 1) is
+   NaN).  Both are refused when either side may hold the offending value.
+   The facts are forced only for those pairs. *)
+let distributes_over ~(pointwise : t) ~(aggregate : t) ~(outer : F.t Lazy.t)
+    ~(inner : F.t Lazy.t) : bool =
+  let may_inf f = F.may_pos_inf f || F.may_neg_inf f in
+  match (pointwise, aggregate) with
+  | Mul, Add ->
+      let a = Lazy.force outer and b = Lazy.force inner in
+      not ((F.contains_zero a && may_inf b) || (may_inf a && F.contains_zero b))
+  | Add, Max | Add, Min ->
+      let a = Lazy.force outer and b = Lazy.force inner in
+      not
+        ((F.may_pos_inf a && F.may_neg_inf b)
+        || (F.may_neg_inf a && F.may_pos_inf b))
+  | And, Or -> true
+  | Max, Max | Min, Min | Or, Or | And, And -> true
+  | Neg, Add -> true (* -(Σx) = Σ(-x) *)
+  | _ -> false
 
 (* Facts of an aggregate of [n] values each described by [f].  A sum's
    bounds scale by [n] and widen by the worst-case rounding of an n-term

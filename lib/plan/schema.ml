@@ -103,6 +103,12 @@ let expr_facts (t : t) (dims : int Ir.Idx_map.t) (e : Ir.expr) : Facts.t =
   in
   go e
 
+(* [expr_facts], or [Facts.top] (any value) when [e] reads a tensor the
+   schema does not know. *)
+let expr_facts_or_top (t : t) (dims : int Ir.Idx_map.t) (e : Ir.expr) :
+    Facts.t =
+  try expr_facts t dims e with Invalid_argument _ -> Facts.top
+
 (* Register the alias produced by a query: dims in [output_idxs] order,
    plus the fill and facts its expression implies. *)
 let declare_query_output (t : t) (q : Ir.query) ~(output_idxs : Ir.idx list) :

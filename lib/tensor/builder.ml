@@ -16,7 +16,9 @@
    but remembers the leaf reached by the previous coordinate prefix, so a
    run of writes into one row descends once.  [leaf] hands that row to
    the kernel backend, which writes a whole innermost loop into it
-   ([leaf_accum], or directly into a dense row's arrays). *)
+   ([leaf_accum], or directly into a dense row's arrays), or folds a
+   loop that writes one cell locally and stores the result once
+   ([cell_value], [cell_store]). *)
 
 (* Open-addressing int → int table with linear probing: keys are
    coordinates (≥ 0, so -1 marks an empty slot) and values are positions
@@ -301,6 +303,65 @@ let leaf_accum (b : t) (leaf : bnode) (i : int) (value : float)
   | B_inner_dense _ | B_inner_sparse _ | B_inner_hash _ | B_inner_bytemap _ ->
       invalid_arg "Builder.leaf_accum: inner level"
 
+(* The value of cell [i] of the leaf row [leaf], or the identity when the
+   cell holds no accumulation yet: the seed of a row loop's local
+   accumulator. *)
+let cell_value (b : t) (leaf : bnode) (i : int) : float =
+  match leaf with
+  | B_leaf_dense { vals; _ } -> vals.(i)
+  | B_leaf_sparse { crd; vals; _ } ->
+      let len = Vec.Int.length crd in
+      if len > 0 && Vec.Int.last crd = i then Vec.Float.get vals (len - 1)
+      else b.identity
+  | B_leaf_hash { slots; vals; _ } | B_leaf_bytemap { slots; vals; _ } ->
+      let p = Itab.find slots i in
+      if p >= 0 then Vec.Float.get vals p else b.identity
+  | B_scalar c -> c.v
+  | B_inner_dense _ | B_inner_sparse _ | B_inner_hash _ | B_inner_bytemap _ ->
+      invalid_arg "Builder.cell_value: inner level"
+
+(* Store [value] into cell [i] of the leaf row [leaf] and add [count]
+   accumulations to it: the write-back of a local accumulator seeded by
+   [cell_value], so the cell ends as [count] [leaf_accum]s would leave it. *)
+let cell_store (leaf : bnode) (i : int) (value : float) ~(count : int) :
+    unit =
+  match leaf with
+  | B_leaf_dense { vals; cnts } ->
+      vals.(i) <- value;
+      cnts.(i) <- cnts.(i) + count
+  | B_leaf_sparse { crd; vals; cnts } ->
+      let len = Vec.Int.length crd in
+      if len = 0 || Vec.Int.last crd < i then begin
+        Vec.Int.push crd i;
+        Vec.Float.push vals value;
+        Vec.Int.push cnts count
+      end
+      else if Vec.Int.last crd = i then begin
+        Vec.Float.set vals (len - 1) value;
+        Vec.Int.set cnts (len - 1) (Vec.Int.get cnts (len - 1) + count)
+      end
+      else seq_error ()
+  | B_leaf_hash { slots; vals; cnts } | B_leaf_bytemap { slots; vals; cnts; _ }
+    ->
+      let p = Itab.find slots i in
+      if p >= 0 then begin
+        Vec.Float.set vals p value;
+        Vec.Int.set cnts p (Vec.Int.get cnts p + count)
+      end
+      else begin
+        (match leaf with
+        | B_leaf_bytemap { mask; _ } -> Bytes.set mask i '\001'
+        | _ -> ());
+        Itab.add slots i (Vec.Float.length vals);
+        Vec.Float.push vals value;
+        Vec.Int.push cnts count
+      end
+  | B_scalar c ->
+      c.v <- value;
+      c.cnt <- c.cnt + count
+  | B_inner_dense _ | B_inner_sparse _ | B_inner_hash _ | B_inner_bytemap _ ->
+      invalid_arg "Builder.cell_store: inner level"
+
 (* Accumulate [value] into the cell at [coords] with [combine]. *)
 let accum (b : t) (coords : int array) (value : float)
     ~(combine : float -> float -> float) : unit =
@@ -310,10 +371,14 @@ let accum (b : t) (coords : int array) (value : float)
 
 (* Freeze the builder into an immutable tensor.  [finalize v cnt] maps the
    accumulated value and count of every explicit cell to its final value;
+   without it every cell keeps its value, and a dense leaf row becomes
+   the tensor's row as it is (the builder must not be written after).
    [fill] is the fill value of the result (= finalize identity 0 when the
    query aggregates, so untouched cells are consistent by construction). *)
-let freeze (b : t) ~(finalize : float -> int -> float) ~(fill : float) :
-    Tensor.t =
+let freeze ?(finalize : (float -> int -> float) option) (b : t) ~(fill : float)
+    : Tensor.t =
+  let keep = Option.is_none finalize in
+  let finalize = Option.value finalize ~default:(fun v _ -> v) in
   let final vals cnts p = finalize (Vec.Float.get vals p) (Vec.Int.get cnts p) in
   (* The frozen image of an untouched subtree at each depth, made once
      and shared (tensors are immutable once built). *)
@@ -329,7 +394,8 @@ let freeze (b : t) ~(finalize : float -> int -> float) ~(fill : float) :
     match node with
     | B_scalar c -> Tensor.Scalar (finalize c.v c.cnt)
     | B_leaf_dense { vals; cnts } ->
-        Tensor.Leaf_dense (Array.mapi (fun i v -> finalize v cnts.(i)) vals)
+        Tensor.Leaf_dense
+          (if keep then vals else Array.mapi (fun i v -> finalize v cnts.(i)) vals)
     | B_leaf_sparse { crd; vals; cnts } ->
         Tensor.Leaf_sparse
           {

@@ -145,6 +145,24 @@ module Node = struct
     | Leaf_dense _ | Leaf_sparse _ | Leaf_bytemap _ | Leaf_hash _ | Scalar _ ->
         invalid_arg "Node.find: leaf level"
 
+  (* [find] with [absent] in place of [None]: the allocation-free form
+     the kernel binders use. *)
+  let find_or (n : node) (i : int) (absent : node) : node =
+    match n with
+    | Inner_dense cs -> if i >= 0 && i < Array.length cs then cs.(i) else absent
+    | Inner_sparse { crd; children } ->
+        let p = bsearch crd i in
+        if p >= 0 then children.(p) else absent
+    | Inner_bytemap { mask; crd; children; _ } ->
+        if i >= 0 && i < Bytes.length mask && Bytes.get mask i <> '\000' then
+          let p = bsearch crd i in
+          if p >= 0 then children.(p) else absent
+        else absent
+    | Inner_hash { tbl; _ } -> (
+        match Hashtbl.find tbl i with c -> c | exception Not_found -> absent)
+    | Leaf_dense _ | Leaf_sparse _ | Leaf_bytemap _ | Leaf_hash _ | Scalar _ ->
+        invalid_arg "Node.find: leaf level"
+
   (* Lookup of a value at a leaf level, [fill] when [i] is not stored:
      the allocation-free form the kernel binders use. *)
   let find_value_or (n : node) (i : int) (fill : float) : float =
@@ -163,6 +181,27 @@ module Node = struct
     | Scalar _ | Inner_dense _ | Inner_sparse _ | Inner_bytemap _ | Inner_hash _
       ->
         invalid_arg "Node.find_value: inner level"
+
+  (* [find_value_or] stored into [dst.(slot)]: no float is boxed for the
+     result. *)
+  let load_value (n : node) (i : int) (fill : float) (dst : float array)
+      (slot : int) : unit =
+    dst.(slot) <-
+      (match n with
+      | Leaf_dense vs -> if i >= 0 && i < Array.length vs then vs.(i) else fill
+      | Leaf_sparse { crd; vals } ->
+          let p = bsearch crd i in
+          if p >= 0 then vals.(p) else fill
+      | Leaf_bytemap { mask; crd; vals; _ } ->
+          if i >= 0 && i < Bytes.length mask && Bytes.get mask i <> '\000' then
+            let p = bsearch crd i in
+            if p >= 0 then vals.(p) else fill
+          else fill
+      | Leaf_hash { tbl; _ } -> (
+          match Hashtbl.find tbl i with v -> v | exception Not_found -> fill)
+      | Scalar _ | Inner_dense _ | Inner_sparse _ | Inner_bytemap _
+      | Inner_hash _ ->
+          invalid_arg "Node.find_value: inner level")
 
   (* Lookup of a value at a leaf level. *)
   let find_value (n : node) (i : int) : float option =

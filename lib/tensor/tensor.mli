@@ -76,12 +76,20 @@ module Node : sig
   (** Child lookup at an inner level; [None] = subtree at fill. *)
   val find : t -> int -> t option
 
+  (** [find] returning the given node (a caller's sentinel) in place of
+      [None]; allocates nothing. *)
+  val find_or : t -> int -> t -> t
+
   (** Value lookup at a leaf level; [None] = fill. *)
   val find_value : t -> int -> float option
 
   (** [find_value_or n i fill]: value lookup at a leaf level, [fill] when
       [i] is not stored.  Allocates nothing. *)
   val find_value_or : t -> int -> float -> float
+
+  (** [load_value n i fill dst slot] stores [find_value_or n i fill] into
+      [dst.(slot)]; no float is boxed for the result. *)
+  val load_value : t -> int -> float -> float array -> int -> unit
 
   val scalar_value : t -> float
 

@@ -338,9 +338,9 @@ let test_timings_populated () =
 (* Run [expr] as query "C" through the pipeline at both backends and
    compare every cell with the reference under [Float.equal] (NaN equals
    NaN); return the pipeline's result. *)
-let check_special name inputs expr =
+let check_special ?(out_order = [ "i"; "j" ]) name inputs expr =
   let program =
-    { Ir.queries = [ Ir.query ~out_order:[ "i"; "j" ] "C" expr ]; outputs = [ "C" ] }
+    { Ir.queries = [ Ir.query ~out_order "C" expr ]; outputs = [ "C" ] }
   in
   let want = List.assoc "C" (Galley.Reference.eval_program inputs program) in
   List.iter
@@ -387,6 +387,39 @@ let test_min_max_fill_nan () =
       check_bool (Op.to_string op ^ " NaN at (0,1)") true
         (Float.is_nan (T.get c [| 0; 1 |])))
     [ (Op.Min, neg_infinity); (Op.Max, infinity) ]
+
+(* A term outside an aggregate is not distributed into it across an
+   infinity: out[i] = min_j (u[i] + W[i,j]) with u[1] = -inf, and row 1 of
+   W holding one finite value beside its +inf fill, meets -inf + inf = NaN,
+   where -inf + min_j W[1,j] is -inf; out[i] = sum_j (u[i] * W[i,j]) with
+   u[1] = +inf meets inf * 0 = NaN at W's 0 fill, where inf * sum_j W[1,j]
+   is inf. *)
+let test_no_distribution_across_inf () =
+  let vec entries =
+    T.of_coo ~dims:[| 3 |] ~formats:[| T.Dense |] (Array.of_list entries)
+  in
+  let w =
+    mat ~fill:infinity
+      [ ([| 0; 1 |], 2.0); ([| 1; 0 |], 2.0); ([| 2; 0 |], 1.0); ([| 2; 2 |], 3.0) ]
+  in
+  let u = vec [ ([| 0 |], 1.0); ([| 1 |], neg_infinity); ([| 2 |], 4.0) ] in
+  let c =
+    check_special ~out_order:[ "i" ] "min-plus" [ ("u", u); ("W", w) ]
+      Ir.(
+        Agg
+          ( Op.Min,
+            [ "j" ],
+            add [ input "u" [ "i" ]; input "W" [ "i"; "j" ] ] ))
+  in
+  check_bool "min-plus out[1] is NaN" true (Float.is_nan (T.get c [| 1 |]));
+  let w = mat [ ([| 0; 1 |], 2.0); ([| 1; 2 |], 5.0); ([| 2; 0 |], 1.0) ] in
+  let u = vec [ ([| 0 |], 1.0); ([| 1 |], infinity); ([| 2 |], 4.0) ] in
+  let c =
+    check_special ~out_order:[ "i" ] "sum-product" [ ("u", u); ("W", w) ]
+      Ir.(sum [ "j" ] (mul [ input "u" [ "i" ]; input "W" [ "i"; "j" ] ]))
+  in
+  check_bool "sum-product out[1] is NaN" true (Float.is_nan (T.get c [| 1 |]));
+  check_float "sum-product out[0]" 2.0 (T.get c [| 0 |])
 
 (* -------------------------------------------------------------- *)
 (* Randomized whole-pipeline property.                              *)
@@ -477,6 +510,8 @@ let () =
         [
           Alcotest.test_case "0 fill against stored inf" `Quick
             test_mul_zero_fill_inf;
+          Alcotest.test_case "no distribution across inf" `Quick
+            test_no_distribution_across_inf;
           Alcotest.test_case "min/max fill vs stored NaN" `Quick
             test_min_max_fill_nan;
         ] );

@@ -17,9 +17,14 @@ let idx_set_to_list s = Ir.Idx_set.elements s
 let canonicalize schema e =
   Canonical.canonicalize ~binder:(Canonical.binder_namer ()) schema e
 
+(* Tensors of moderate finite values, so value facts refuse no rewrite. *)
+let finite = { Galley_tensor.Facts.lo = -1e6; hi = 1e6; nan = false }
+
 let schema_with (entries : (string * int array) list) : Schema.t =
   let s = Schema.create () in
-  List.iter (fun (n, dims) -> Schema.declare s n ~dims ~fill:0.0) entries;
+  List.iter
+    (fun (n, dims) -> Schema.declare s n ~dims ~fill:0.0 ~facts:finite)
+    entries;
   s
 
 (* -------------------------------------------------------------- *)
@@ -89,6 +94,20 @@ let test_lift_agg_above_map () =
   match canonicalize schema e with
   | Ir.Agg (Op.Add, [ "i" ], Ir.Map (Op.Mul, _)) -> ()
   | e' -> Alcotest.failf "not lifted: %s" (Ir.expr_to_string e')
+
+let test_no_lift_across_infinities () =
+  (* theta[j] * Σ_i A[i,j] with theta holding +inf and A's fill 0: the
+     lifted Σ_i theta[j] * A[i,j] meets inf * 0 = NaN where the product of
+     inf and a nonzero sum does not, so the aggregate stays put. *)
+  let schema = schema_with [ ("A", [| 3; 4 |]) ] in
+  Schema.declare schema "theta" ~dims:[| 4 |] ~fill:0.0
+    ~facts:(Galley_tensor.Facts.join finite (Galley_tensor.Facts.of_value infinity));
+  let e =
+    Ir.(mul [ input "theta" [ "j" ]; sum [ "i" ] (input "A" [ "i"; "j" ]) ])
+  in
+  match canonicalize schema e with
+  | Ir.Map (Op.Mul, _) -> ()
+  | e' -> Alcotest.failf "lifted across an infinity: %s" (Ir.expr_to_string e')
 
 let test_no_lift_when_mentioned () =
   (* B[i] * Σ_i A[i]: the binder collides with a free use; uniquification
@@ -398,6 +417,8 @@ let () =
           Alcotest.test_case "merge maps" `Quick test_merge_nested_maps;
           Alcotest.test_case "merge aggs" `Quick test_merge_nested_aggs;
           Alcotest.test_case "lift agg" `Quick test_lift_agg_above_map;
+          Alcotest.test_case "no lift across infinities" `Quick
+            test_no_lift_across_infinities;
           Alcotest.test_case "shadowed binder" `Quick test_no_lift_when_mentioned;
           Alcotest.test_case "uniquify" `Quick test_uniquify_shadowing;
           Alcotest.test_case "absent index" `Quick test_agg_over_absent_index;

@@ -15,6 +15,7 @@ module Ir = Galley_plan.Ir
 module Op = Galley_plan.Op
 module Schema = Galley_plan.Schema
 module LQ = Galley_plan.Logical_query
+module Physical = Galley_plan.Physical
 module Popt = Galley_physical.Optimizer
 module Exec = Galley_engine.Exec
 module Ctx = Galley_stats.Ctx
@@ -674,6 +675,81 @@ let test_row_deadline () =
   check_int "deadline ticks" (8192 * ((n + (2 * n * n)) / 8192))
     (Metrics.value ticks - before)
 
+(* Minor-heap words allocated by one run of the staged kernel that
+   computes [q]'s output, compiled straight from its plan (all accesses
+   read inputs, so no transpose runs first), and that kernel's strategy. *)
+let kernel_minor_words inputs (q : LQ.t) : float * string =
+  let plan = plan_for inputs q in
+  let k =
+    match
+      List.find_map
+        (function
+          | Physical.Kernel k when k.Physical.name = q.LQ.name -> Some k
+          | _ -> None)
+        plan
+    with
+    | Some k -> k
+    | None -> Alcotest.fail "no kernel for the output"
+  in
+  let tensors =
+    Array.map (fun a -> List.assoc a.Physical.tensor inputs) k.Physical.accesses
+  in
+  let c =
+    Galley_compile.Backend.compile k
+      ~access_fills:(Array.map T.fill tensors)
+      ~facts:(fun a -> T.facts tensors.(a))
+      ~access_formats:(Array.map T.formats tensors)
+  in
+  ignore (c.Galley_compile.Backend.run k tensors);
+  let before = Gc.minor_words () in
+  ignore (c.Galley_compile.Backend.run k tensors);
+  (Gc.minor_words () -. before, c.Galley_compile.Backend.describe)
+
+let test_row_loop_allocation () =
+  (* A row loop allocates nothing per entry: at a fixed row count, ten
+     times more entries per row leaves the minor words of one run flat
+     (what remains is per row and per run: the builder, the output). *)
+  let rows = 3000 in
+  let sparse_rows ~cols ~per_row =
+    T.of_fun ~dims:[| rows; cols |] ~formats:[| T.Dense; T.Sparse_list |]
+      (fun c ->
+        if (c.(1) + (7 * c.(0))) mod (cols / per_row) = 0 then
+          1.0 +. float_of_int (c.(1) mod 5)
+        else 0.0)
+  in
+  let x =
+    T.of_fun ~dims:[| rows |] ~formats:[| T.Dense |] (fun c ->
+        0.5 +. float_of_int (c.(0) mod 3))
+  in
+  let flat name shape few many =
+    let w_few, m = kernel_minor_words few shape in
+    let w_many, _ = kernel_minor_words many shape in
+    check_bool (name ^ " fused") true (contains ~needle:"walk(" m || contains ~needle:"micro(" m);
+    if w_many > (1.1 *. w_few) +. 256.0 then
+      Alcotest.failf "%s (%s): %.0f minor words at 10x the entries per row, %.0f at 1x"
+        name m w_many w_few
+  in
+  flat "spmv" matvec
+    [ ("A", sparse_rows ~cols:rows ~per_row:3); ("v", x) ]
+    [ ("A", sparse_rows ~cols:rows ~per_row:30); ("v", x) ];
+  (* axpy rows: out[i,:] += A[i,k] * B[k,:] over a 16-wide dense B. *)
+  let axpy =
+    LQ.make ~output_idxs:[ "i"; "j" ] ~name:"out" ~agg_op:Op.Add
+      ~agg_idxs:[ "k" ]
+      ~body:(Ir.mul [ Ir.input "A" [ "i"; "k" ]; Ir.input "B" [ "k"; "j" ] ])
+      ()
+  in
+  let rows = 1000 in
+  let a ~per_row =
+    T.of_fun ~dims:[| rows; 400 |] ~formats:[| T.Dense; T.Sparse_list |]
+      (fun c -> if (c.(1) + (3 * c.(0))) mod (400 / per_row) = 0 then 2.0 else 0.0)
+  in
+  let b =
+    T.of_fun ~dims:[| 400; 16 |] ~formats:[| T.Dense; T.Dense |] (fun c ->
+        float_of_int ((c.(0) + c.(1)) mod 4))
+  in
+  flat "axpy" axpy [ ("A", a ~per_row:2); ("B", b) ] [ ("A", a ~per_row:20); ("B", b) ]
+
 let test_surfacing_strategies () =
   let prng = Prng.create 67 in
   let a =
@@ -885,6 +961,111 @@ let prop_special_values =
                domains (LQ.to_string q) (T.to_string got) (T.to_string want))
         [ (Exec.Staged, 1); (Exec.Staged, 4); (Exec.Interp, 1); (Exec.Interp, 4) ])
 
+(* The fused row-loop shapes, bit for bit: reductions
+   out[i] = g_j (A[i,j] f x[j]) and axpy rows out[i,j] = g_k (A[i,k] f B[k,j])
+   for g in {+, min, max}, with A's rows sparse, bytemap or dense (the
+   walked or stepped leader), the other operand's rows dense, sparse or
+   fill only, fills 0, +inf and NaN, and stored values that include
+   infinities and NaNs with distinct payloads, on either side of f.  The
+   staged backend at domains 1 and 4, with and without a deadline, must
+   give the interpreter's bits, fill and NaN payloads included.  The
+   reference must give the same values (NaN equal to NaN): it folds every
+   coordinate in index order, while both backends fold the skipped fill
+   coordinates in at freeze time, so where several NaNs meet, the
+   surviving payload can differ. *)
+let prop_fused_shapes =
+  QCheck.Test.make ~name:"fused row loops bit-identical" ~count:150
+    (QCheck.int_range 0 1_000_000)
+    (fun seed ->
+      let prng = Prng.create seed in
+      let pick a = a.(Prng.int prng (Array.length a)) in
+      let value () =
+        match Prng.int prng 8 with
+        | 0 ->
+            Int64.float_of_bits
+              (Int64.logor 0x7ff8000000000000L
+                 (Int64.of_int (1 + Prng.int prng 4096)))
+        | 1 -> pick [| infinity; neg_infinity |]
+        | _ -> float_of_int (Prng.int prng 9 - 4) /. 2.0
+      in
+      let matrix ~fill ~dims ~inner ~density =
+        let entries = ref [] in
+        for flat = 0 to T.dim_space dims - 1 do
+          if Prng.float_range prng 0.0 1.0 < density then
+            entries := (T.unflatten dims flat, value ()) :: !entries
+        done;
+        T.of_coo ~fill ~dims
+          ~formats:(Array.init (Array.length dims) (fun d ->
+               if d = Array.length dims - 1 then inner else T.Dense))
+          (Array.of_list !entries)
+      in
+      let n = 2 + Prng.int prng 10 and m = 2 + Prng.int prng 14 in
+      let leader = pick [| T.Sparse_list; T.Bytemap; T.Dense |] in
+      let a =
+        matrix ~fill:(pick [| 0.0; infinity; Float.nan |]) ~dims:[| n; m |]
+          ~inner:leader ~density:(Prng.float_range prng 0.1 0.7)
+      in
+      let load_fill = pick [| 0.0; infinity; Float.nan |] in
+      let load_fmt, density =
+        match Prng.int prng 3 with
+        | 0 -> (T.Dense, Prng.float_range prng 0.5 1.0)
+        | 1 -> (T.Sparse_list, Prng.float_range prng 0.1 0.7)
+        | _ -> (T.Sparse_list, 0.0) (* fill only *)
+      in
+      let agg_op = pick [| Op.Add; Op.Min; Op.Max |] in
+      let f = pick [| Op.Add; Op.Mul |] in
+      let operands x y = if Prng.bool prng then [ x; y ] else [ y; x ] in
+      let inputs, q =
+        if Prng.bool prng then
+          let x = matrix ~fill:load_fill ~dims:[| m |] ~inner:load_fmt ~density in
+          ( [ ("A", a); ("x", x) ],
+            LQ.make ~output_idxs:[ "i" ] ~name:"out" ~agg_op ~agg_idxs:[ "j" ]
+              ~body:
+                (Ir.Map
+                   (f, operands (Ir.input "A" [ "i"; "j" ]) (Ir.input "x" [ "j" ])))
+              () )
+        else
+          let w = 1 + Prng.int prng 6 in
+          let b = matrix ~fill:load_fill ~dims:[| m; w |] ~inner:load_fmt ~density in
+          ( [ ("A", a); ("B", b) ],
+            LQ.make ~output_idxs:[ "i"; "j" ] ~name:"out" ~agg_op
+              ~agg_idxs:[ "k" ]
+              ~body:
+                (Ir.Map
+                   ( f,
+                     operands (Ir.input "A" [ "i"; "k" ])
+                       (Ir.input "B" [ "k"; "j" ]) ))
+              () )
+      in
+      let plan = plan_for inputs q in
+      let run backend domains deadline =
+        let exec = Exec.create ~backend ~domains () in
+        Fun.protect
+          ~finally:(fun () -> Exec.shutdown exec)
+          (fun () ->
+            List.iter (fun (n, t) -> Exec.bind exec n t) inputs;
+            exec.Exec.deadline <- deadline;
+            Exec.run_plan exec plan;
+            Exec.lookup exec "out")
+      in
+      let want = reference inputs q in
+      let oracle = run Exec.Interp 1 None in
+      let far = Some (Unix.gettimeofday () +. 3600.0) in
+      (values_equal oracle want
+      || QCheck.Test.fail_reportf "interp on %s:\n%s\nvs reference\n%s"
+           (LQ.to_string q) (T.to_string oracle) (T.to_string want))
+      && List.for_all
+        (fun (name, got) ->
+          bits_equal got oracle
+          || QCheck.Test.fail_reportf "%s on %s:\n%s\nvs interp\n%s" name
+               (LQ.to_string q) (T.to_string got) (T.to_string oracle))
+        [
+          ("staged", run Exec.Staged 1 None);
+          ("staged, 4 domains", run Exec.Staged 4 None);
+          ("staged, deadline", run Exec.Staged 1 far);
+          ("staged, 4 domains, deadline", run Exec.Staged 4 far);
+        ])
+
 let () =
   Alcotest.run "kernels_v2"
     [
@@ -933,6 +1114,8 @@ let () =
           Alcotest.test_case "walked min-plus" `Quick test_row_walk_min_plus;
           Alcotest.test_case "kernel cache keys on facts" `Quick
             test_kernel_cache_facts;
+          Alcotest.test_case "no allocation per entry" `Quick
+            test_row_loop_allocation;
         ] );
       ( "surfacing",
         [
@@ -946,5 +1129,5 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_vs_oracle; prop_special_values ] );
+          [ prop_vs_oracle; prop_special_values; prop_fused_shapes ] );
     ]

@@ -20,6 +20,11 @@ let check_int = Alcotest.(check int)
 let dims_of (l : (string * int) list) : int Ir.Idx_map.t =
   List.fold_left (fun acc (i, n) -> Ir.Idx_map.add i n acc) Ir.Idx_map.empty l
 
+(* Facts of moderate finite values (products stay finite): no
+   distributive rewrite is refused. *)
+let finite (_ : Ir.expr) =
+  { Galley_tensor.Facts.lo = -1e6; hi = 1e6; nan = false }
+
 let fresh_gen () =
   let c = ref 0 in
   fun () ->
@@ -38,7 +43,7 @@ let test_msq_distributive_factoring () =
         (mul [ input "A" [ "i"; "j" ]; input "B" [ "j" ]; input "C" [ "i" ] ]))
   in
   let dims = dims_of [ ("i", 4); ("j", 5) ] in
-  let ext = Elim.eliminate ~dims ~fresh:(fresh_gen ()) e "j" in
+  let ext = Elim.eliminate ~dims ~facts:finite ~fresh:(fresh_gen ()) e "j" in
   check_int "one query" 1 (List.length ext.Elim.queries);
   let q = List.hd ext.Elim.queries in
   (* the MSQ only mentions A and B *)
@@ -55,7 +60,7 @@ let test_msq_commutative_identical () =
   (* Σ_i (A[i] + B[i]) = Σ_i A[i] + Σ_i B[i]: two sub-queries *)
   let e = Ir.(sum [ "i" ] (add [ input "A" [ "i" ]; input "B" [ "i" ] ])) in
   let dims = dims_of [ ("i", 6) ] in
-  let ext = Elim.eliminate ~dims ~fresh:(fresh_gen ()) e "i" in
+  let ext = Elim.eliminate ~dims ~facts:finite ~fresh:(fresh_gen ()) e "i" in
   check_int "two queries" 2 (List.length ext.Elim.queries);
   match ext.Elim.rewritten with
   | Ir.Map (Op.Add, [ Ir.Alias _; Ir.Alias _ ]) -> ()
@@ -65,7 +70,7 @@ let test_msq_repeated_application () =
   (* Σ_i (A[i] + B[j]): the child without i becomes n_i * B[j] *)
   let e = Ir.(sum [ "i" ] (add [ input "A" [ "i" ]; input "B" [ "j" ] ])) in
   let dims = dims_of [ ("i", 7); ("j", 3) ] in
-  let ext = Elim.eliminate ~dims ~fresh:(fresh_gen ()) e "i" in
+  let ext = Elim.eliminate ~dims ~facts:finite ~fresh:(fresh_gen ()) e "i" in
   check_int "one query (A only)" 1 (List.length ext.Elim.queries);
   let rec has_scale = function
     | Ir.Map (Op.Mul, args) ->
@@ -83,7 +88,7 @@ let test_msq_idempotent_no_scale () =
       (Op.Max, [ "i" ], Ir.Map (Op.Max, [ Ir.input "A" [ "i" ]; Ir.input "B" [ "j" ] ]))
   in
   let dims = dims_of [ ("i", 7); ("j", 3) ] in
-  let ext = Elim.eliminate ~dims ~fresh:(fresh_gen ()) e "i" in
+  let ext = Elim.eliminate ~dims ~facts:finite ~fresh:(fresh_gen ()) e "i" in
   let rec has_literal = function
     | Ir.Literal _ -> true
     | Ir.Map (_, args) -> List.exists has_literal args
@@ -100,7 +105,7 @@ let test_msq_blocking () =
         (map Op.Sqrt [ mul [ input "A" [ "i"; "j" ]; input "B" [ "j" ] ] ]))
   in
   let dims = dims_of [ ("i", 4); ("j", 5) ] in
-  let ext = Elim.eliminate ~dims ~fresh:(fresh_gen ()) e "j" in
+  let ext = Elim.eliminate ~dims ~facts:finite ~fresh:(fresh_gen ()) e "j" in
   check_int "one query" 1 (List.length ext.Elim.queries);
   let q = List.hd ext.Elim.queries in
   (match q.LQ.body with
@@ -116,7 +121,7 @@ let test_msq_multiple_containing_children () =
     Ir.(sum [ "j" ] (mul [ input "A" [ "i"; "j" ]; input "B" [ "j"; "k" ] ]))
   in
   let dims = dims_of [ ("i", 3); ("j", 4); ("k", 5) ] in
-  let ext = Elim.eliminate ~dims ~fresh:(fresh_gen ()) e "j" in
+  let ext = Elim.eliminate ~dims ~facts:finite ~fresh:(fresh_gen ()) e "j" in
   check_int "one query" 1 (List.length ext.Elim.queries);
   let q = List.hd ext.Elim.queries in
   Alcotest.(check (list string)) "outputs i,k" [ "i"; "k" ] q.LQ.output_idxs
@@ -129,7 +134,7 @@ let test_multi_index_agg_partial () =
         (mul [ input "A" [ "i"; "j" ]; input "B" [ "j"; "k" ] ]))
   in
   let dims = dims_of [ ("i", 3); ("j", 4); ("k", 5) ] in
-  let ext = Elim.eliminate ~dims ~fresh:(fresh_gen ()) e "j" in
+  let ext = Elim.eliminate ~dims ~facts:finite ~fresh:(fresh_gen ()) e "j" in
   check_bool "k still aggregated" true
     (Ir.Idx_set.mem "k" (Ir.aggregated_indices ext.Elim.rewritten))
 
@@ -145,11 +150,11 @@ let test_inner_first_restriction () =
   let dims = dims_of [ ("i", 3); ("j", 4) ] in
   check_bool "eliminating i rejected" true
     (try
-       ignore (Elim.eliminate ~dims ~fresh:(fresh_gen ()) e "i");
+       ignore (Elim.eliminate ~dims ~facts:finite ~fresh:(fresh_gen ()) e "i");
        false
      with Invalid_argument _ -> true);
   (* after eliminating j, i becomes available *)
-  let ext = Elim.eliminate ~dims ~fresh:(fresh_gen ()) e "j" in
+  let ext = Elim.eliminate ~dims ~facts:finite ~fresh:(fresh_gen ()) e "j" in
   Alcotest.(check (list string)) "now i" [ "i" ]
     (Elim.available_indices ext.Elim.rewritten)
 

@@ -152,30 +152,66 @@ let test_repeat_idempotent () =
   check_float "max idempotent" 3.0 (Op.repeat Op.Max 3.0 1000);
   check_float "add scales" 3000.0 (Op.repeat Op.Add 3.0 1000)
 
+(* Facts of finite values: every pair in the table holds. *)
+let finite = lazy { Facts.lo = -.max_float; hi = max_float; nan = false }
+
+let distributes ?(outer = finite) ?(inner = finite) f g =
+  Op.distributes_over ~pointwise:f ~aggregate:g ~outer ~inner
+
 let test_distributivity_facts () =
-  check_bool "mul over add" true
-    (Op.distributes_over ~pointwise:Op.Mul ~aggregate:Op.Add);
-  check_bool "and over or" true
-    (Op.distributes_over ~pointwise:Op.And ~aggregate:Op.Or);
-  check_bool "add over max" true
-    (Op.distributes_over ~pointwise:Op.Add ~aggregate:Op.Max);
-  check_bool "mul over max excluded (sign)" false
-    (Op.distributes_over ~pointwise:Op.Mul ~aggregate:Op.Max);
-  check_bool "sigmoid blocks" false
-    (Op.distributes_over ~pointwise:Op.Sigmoid ~aggregate:Op.Add)
+  check_bool "mul over add" true (distributes Op.Mul Op.Add);
+  check_bool "and over or" true (distributes Op.And Op.Or);
+  check_bool "add over max" true (distributes Op.Add Op.Max);
+  check_bool "mul over max excluded (sign)" false (distributes Op.Mul Op.Max);
+  check_bool "sigmoid blocks" false (distributes Op.Sigmoid Op.Add);
+  (* Gated by value facts: inf * (0 + 1) is inf, inf * 0 + inf * 1 NaN;
+     -inf + min(inf, 1) is -inf, min(-inf + inf, -inf + 1) NaN. *)
+  let with_inf = lazy (Facts.join (Facts.of_value 0.0) (Facts.of_value infinity)) in
+  let nonzero = lazy { Facts.lo = 1.0; hi = 2.0; nan = false } in
+  check_bool "mul over add: inf outside, 0 inside" false
+    (distributes ~outer:with_inf Op.Mul Op.Add);
+  check_bool "mul over add: 0 outside, inf inside" false
+    (distributes ~inner:with_inf Op.Mul Op.Add);
+  check_bool "mul over add: inf outside, no 0 inside" true
+    (distributes ~outer:with_inf ~inner:nonzero Op.Mul Op.Add);
+  let neg_inf = lazy (Facts.join (Facts.of_value neg_infinity) (Facts.of_value 1.0)) in
+  let pos_inf = lazy (Facts.join (Facts.of_value infinity) (Facts.of_value 1.0)) in
+  List.iter
+    (fun g ->
+      check_bool "add over min/max: -inf outside, +inf inside" false
+        (distributes ~outer:neg_inf ~inner:pos_inf Op.Add g);
+      check_bool "add over min/max: +inf outside, -inf inside" false
+        (distributes ~outer:pos_inf ~inner:neg_inf Op.Add g);
+      check_bool "add over min/max: one infinity" true
+        (distributes ~outer:pos_inf ~inner:pos_inf Op.Add g))
+    [ Op.Min; Op.Max ]
 
 (* Verify the declared distributivity facts semantically:
-   f(a, g(b,c)) = g(f(a,b), f(a,c)). *)
+   f(a, g(b,c)) = g(f(a,b), f(a,c)), for values that include 0, ±inf and
+   NaN, each pair asked with the facts of exactly those values.  NaN
+   equals NaN; finite results agree up to rounding. *)
 let prop_distributivity_sound =
-  QCheck.Test.make ~name:"declared distributivity holds on values" ~count:200
-    QCheck.(triple (float_range (-10.0) 10.0) (float_range (-10.0) 10.0) (float_range (-10.0) 10.0))
+  let value =
+    QCheck.(
+      oneof
+        [
+          float_range (-10.0) 10.0;
+          oneofl [ 0.0; -0.0; infinity; neg_infinity; Float.nan; 1.0 ];
+        ])
+  in
+  QCheck.Test.make ~name:"declared distributivity holds on values" ~count:2000
+    (QCheck.triple value value value)
     (fun (a, b, c) ->
       List.for_all
         (fun (f, g) ->
-          if Op.distributes_over ~pointwise:f ~aggregate:g then begin
+          let outer = lazy (Facts.of_value a) in
+          let inner = lazy (Facts.join (Facts.of_value b) (Facts.of_value c)) in
+          if Op.distributes_over ~pointwise:f ~aggregate:g ~outer ~inner then begin
             let lhs = Op.apply2 f a (Op.apply2 g b c) in
             let rhs = Op.apply2 g (Op.apply2 f a b) (Op.apply2 f a c) in
-            abs_float (lhs -. rhs) <= 1e-6 *. Float.max 1.0 (abs_float lhs)
+            (Float.is_nan lhs && Float.is_nan rhs)
+            || lhs = rhs
+            || abs_float (lhs -. rhs) <= 1e-6 *. Float.max 1.0 (abs_float lhs)
           end
           else true)
         [
