@@ -904,16 +904,27 @@ let no_degrade_arg =
     & info [ "no-degrade" ]
         ~doc:"Treat an exhausted optimizer budget as an error instead of degrading")
 
+(* Counts that must be at least 1: a zero or negative value is a usage
+   error, not a silent fallback. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let domains_arg =
   Arg.(
     value
-    & opt int Galley.Driver.default_domains
+    & opt pos_int Galley.Driver.default_domains
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Engine parallelism: OCaml domains used for DAG-parallel query \
-           execution and intra-kernel morsels (1 = serial; outputs are \
-           bit-identical at every setting; default: $(b,GALLEY_DOMAINS) or \
-           1, since no measured workload runs faster on the pool)")
+          "Engine parallelism: OCaml domains over which each kernel's \
+           outermost loop is split into morsels; queries run one at a time \
+           (1 = serial; outputs are bit-identical at every setting; \
+           default: $(b,GALLEY_DOMAINS) or 1, since no measured workload \
+           runs faster on the pool)")
 
 let nnz_guard_arg =
   Arg.(
@@ -1089,14 +1100,14 @@ let serve_faults_arg =
 let kernel_cache_cap_arg =
   Arg.(
     value
-    & opt int Galley_engine.Exec.default_kernel_cache_cap
+    & opt pos_int Galley_engine.Exec.default_kernel_cache_cap
     & info [ "kernel-cache-cap" ] ~docv:"N"
         ~doc:"LRU bound on the resident kernel cache (entries)")
 
 let cse_cache_cap_arg =
   Arg.(
     value
-    & opt int Galley_engine.Exec.default_cse_cache_cap
+    & opt pos_int Galley_engine.Exec.default_cse_cache_cap
     & info [ "cse-cache-cap" ] ~docv:"N"
         ~doc:"LRU bound on the resident CSE result cache (entries)")
 

@@ -42,9 +42,10 @@ type config = {
       (* staged closure compiler (production) or the constraint-tree
          interpreter, a library-level differential oracle for tests *)
   domains : int;
-      (* engine parallelism: size of the domain pool shared by DAG-parallel
-         query execution and intra-kernel morsels; 1 (the default) = the
-         exact serial path.  Outputs are bit-identical at every setting. *)
+      (* engine parallelism: lanes of the domain pool that splits each
+         kernel's outermost loop into morsels; queries and steps always
+         run one at a time.  1 (the default) = the exact serial path.
+         Outputs, counts and plans are identical at every setting. *)
   audit : bool;
       (* record predicted nnz (under both estimators) for every
          materialized intermediate and compare with actual nnz after
@@ -56,12 +57,19 @@ type config = {
 }
 
 (* Default parallelism: [GALLEY_DOMAINS] when set to a positive integer,
-   else one domain.  No measured workload runs faster on the pool, so
-   parallelism is opt-in (DESIGN.md §8). *)
+   else one domain (with a warning when the variable is set to anything
+   else).  No measured workload runs faster on the pool, so parallelism is
+   opt-in (DESIGN.md §8). *)
 let default_domains =
-  match Option.bind (Sys.getenv_opt "GALLEY_DOMAINS") int_of_string_opt with
-  | Some d when d >= 1 -> d
-  | Some _ | None -> 1
+  match Sys.getenv_opt "GALLEY_DOMAINS" with
+  | None -> 1
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some d when d >= 1 -> d
+      | Some _ | None ->
+          Obs.Log.warn
+            "GALLEY_DOMAINS=%S is not a positive integer; using 1 domain" s;
+          1)
 
 let default_config =
   {
@@ -159,7 +167,8 @@ let resolve_names (p : Ir.program) : Ir.program =
 let now = Unix.gettimeofday
 
 (* Phase/query breadcrumbs for classifying stray exceptions in
-   [run_checked] (single-threaded; best-effort context only). *)
+   [run_checked].  Only the domain running the pipeline writes them:
+   kernel morsel lanes never do. *)
 let cur_phase : Errors.phase ref = ref Errors.Execution
 let cur_query : string option ref = ref None
 
@@ -445,86 +454,32 @@ let execute_queries ~(config : config) ~(ctx : Ctx.t)
                 done
               end)
   in
-  let exec_serial () =
-    Array.iteri
-      (fun i q ->
-        before_plan q;
-        let plan =
-          match pre_plans.(i) with
-          | Some plan when not !use_jit -> plan
-          | Some _ | None -> plan_one ~refresh:!use_jit q
-        in
-        let estimate =
-          match config.nnz_guard with
-          | None -> Float.nan
-          | Some _ -> (
-              try
-                ctx.Ctx.estimate_expr
-                  (Ir.Alias (q.Logical_query.name, q.Logical_query.output_idxs))
-              with _ -> Float.nan)
-        in
-        all_steps := !all_steps @ plan;
-        run_one q plan;
-        guard_check q ~estimate i)
-      queries
-  in
-  (* DAG-parallel schedule: queries grouped into level-synchronous waves
-     of the def-use DAG (query i depends on every earlier query whose
-     output its body references).  Planning stays serial on this domain —
-     the statistics context is not thread-safe, and by the time a wave is
-     planned all of its dependencies have materialized, so the JIT
-     refresh-then-plan constraint holds wave by wave; only execution fans
-     out over the pool.  Outputs are bit-identical to the serial schedule
-     (each query is bit-deterministic given its inputs); only scheduling
-     artifacts — timings, CSE hit counts, kernel-ordinal assignment — may
-     differ. *)
-  let exec_parallel (pool : Galley_parallel.Pool.t) =
-    let deps =
-      Array.init n_queries (fun i ->
-          let names =
-            List.map fst
-              (Ir.referenced_names queries.(i).Logical_query.body)
-          in
-          List.filter
-            (fun j -> List.mem queries.(j).Logical_query.name names)
-            (List.init i Fun.id))
-    in
-    List.iter
-      (fun wave ->
-        let planned =
-          List.map
-            (fun i ->
-              let q = queries.(i) in
-              before_plan q;
-              let plan =
-                match pre_plans.(i) with
-                | Some plan when not !use_jit -> plan
-                | Some _ | None -> plan_one ~refresh:!use_jit q
-              in
-              all_steps := !all_steps @ plan;
-              (q, plan))
-            wave
-        in
-        match planned with
-        | [ (q, plan) ] -> run_one q plan
-        | _ ->
-            Galley_parallel.Pool.run_all pool
-              (Array.of_list
-                 (List.map (fun (q, plan) () -> run_one q plan) planned)))
-      (Galley_parallel.Dag.waves ~n:n_queries ~deps:(fun i -> deps.(i)))
-  in
   Fun.protect
     ~finally:(fun () -> Galley_engine.Exec.shutdown exec)
     (fun () ->
       try
-        (* The nnz guardrail forces mid-run corrective replanning keyed to
-           serial execution order, so it pins the serial schedule. *)
-        if
-          config.nnz_guard = None
-          && n_queries > 1
-          && Galley_engine.Exec.pool_size exec > 1
-        then exec_parallel (Galley_engine.Exec.pool exec)
-        else exec_serial ()
+        Array.iteri
+          (fun i q ->
+            before_plan q;
+            let plan =
+              match pre_plans.(i) with
+              | Some plan when not !use_jit -> plan
+              | Some _ | None -> plan_one ~refresh:!use_jit q
+            in
+            let estimate =
+              match config.nnz_guard with
+              | None -> Float.nan
+              | Some _ -> (
+                  try
+                    ctx.Ctx.estimate_expr
+                      (Ir.Alias
+                         (q.Logical_query.name, q.Logical_query.output_idxs))
+                  with _ -> Float.nan)
+            in
+            all_steps := !all_steps @ plan;
+            run_one q plan;
+            guard_check q ~estimate i)
+          queries
       with Galley_engine.Exec.Timeout -> timed_out := true);
   let found, incomplete =
     Obs.span ~cat:"phase" ~name:"collect_outputs" (fun () ->

@@ -42,10 +42,12 @@ type config = {
           interpreter ([Interp]), a library-level differential oracle for
           tests *)
   domains : int;
-      (** engine parallelism: size of the domain pool shared by
-          DAG-parallel query execution and intra-kernel morsels; [1] is
-          the exact serial path.  Outputs are bit-identical at every
-          setting.  Defaults to [GALLEY_DOMAINS] when set, else [1]. *)
+      (** engine parallelism: lanes of the domain pool over which each
+          kernel's outermost loop is split into morsels; queries and plan
+          steps always run one at a time.  [1] is the exact serial path.
+          Outputs, plans, and compile/kernel/CSE-hit counts are identical
+          at every setting.  Defaults to [GALLEY_DOMAINS] when set, else
+          [1]. *)
   audit : bool;
       (** record predicted nnz for every materialized intermediate under
           both estimators (uniform and chain-bound, from purely inferred
@@ -60,7 +62,8 @@ type config = {
 }
 
 (** The default [domains]: the [GALLEY_DOMAINS] environment variable when
-    set to a positive integer, else [1]. *)
+    set to a positive integer, else [1]; any other value of the variable
+    logs one warning. *)
 val default_domains : int
 
 (** Chain-bound estimator, branch-and-bound logical search, JIT, CSE;

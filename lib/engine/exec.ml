@@ -7,21 +7,19 @@
    kernel on a cache miss is timed separately from running it so the
    compilation-latency experiment (Fig. 9) can report cold vs warm costs.
 
-   Parallelism (DESIGN.md "Parallel runtime"): each executor owns a domain
-   pool sized by [domains] ([1] = the exact serial path).  The pool serves
-   two layers — independent steps of one plan run as level-synchronous
-   waves here, and the staged backend splits each kernel's outermost loop
-   into morsels over the same pool.  Every shared table ([tensors],
-   [versions], [kernel_cache], [cse_cache]) and the [timings] record are
-   guarded by one mutex, held only around dictionary work — never across
-   a kernel run, so lock scope cannot serialize execution.  The kernel-invocation
-   ordinal feeding [kernel_hook] is an [Atomic.t], keeping fault injection
-   well-defined when kernels launch concurrently. *)
+   Steps run one after another on the calling domain, so the tables, the
+   [timings] record and the kernel-invocation ordinal feeding
+   [kernel_hook] are plain mutable state: cache hits, compile and kernel
+   counts and fault ordinals are the same at every domain count.  The only
+   parallelism is inside a kernel (DESIGN.md "Parallel runtime"): each
+   executor owns a domain pool sized by [domains] ([1] = the exact serial
+   path), over which the staged backend splits a kernel's outermost loop
+   into morsels.  Morsel lanes read the kernel's input tensors and touch no
+   engine table. *)
 
 open Galley_plan
 module T = Galley_tensor.Tensor
 module Pool = Galley_parallel.Pool
-module Dag = Galley_parallel.Dag
 module Obs = Galley_obs
 
 exception Timeout = Kernel_exec.Timeout
@@ -87,9 +85,8 @@ type t = {
       (* called with the 1-based kernel invocation ordinal before each
          kernel runs (CSE hits skip it); a fault-injection seam *)
   backend : backend;
-  pool : Pool.t;  (* shared by step waves and intra-kernel morsels *)
-  mutex : Mutex.t;  (* guards the tables and [timings] above *)
-  kernel_ordinal : int Atomic.t;  (* 1-based invocation counter for the hook *)
+  pool : Pool.t;  (* intra-kernel morsel lanes *)
+  mutable kernel_ordinal : int;  (* kernel invocations so far, for the hook *)
 }
 
 (* Default cache bounds: generous for batch runs, finite for a resident
@@ -117,24 +114,8 @@ let create ?(cse = true) ?(backend = Staged) ?(domains = 1)
     kernel_hook = None;
     backend;
     pool = Pool.create ~domains;
-    mutex = Mutex.create ();
-    kernel_ordinal = Atomic.make 0;
+    kernel_ordinal = 0;
   }
-
-(* The engine mutex is not reentrant: public entry points lock here, and
-   everything called under the lock uses the [_unlocked] internals. *)
-let locked (t : t) (f : unit -> 'a) : 'a =
-  Mutex.lock t.mutex;
-  match f () with
-  | v ->
-      Mutex.unlock t.mutex;
-      v
-  | exception e ->
-      Mutex.unlock t.mutex;
-      raise e
-
-let pool (t : t) : Pool.t = t.pool
-let pool_size (t : t) : int = Pool.size t.pool
 
 (* Join the pool's worker domains (idempotent; the pool respawns lazily on
    the next parallel batch, so a session-held executor stays usable). *)
@@ -151,67 +132,62 @@ let set_kernel_hook (t : t) (hook : int -> unit) : unit =
 let clear_kernel_hook (t : t) : unit = t.kernel_hook <- None
 
 let bind (t : t) (name : string) (tensor : T.t) : unit =
-  (* Tensors shared across domains must be truly immutable: force the lazy
-     caches (hash-level sort order, nnz) up front instead of letting
-     worker domains race on first-use fills. *)
+  (* Morsel lanes share a kernel's inputs read-only: force the lazy caches
+     (hash-level sort order, nnz) up front instead of letting worker
+     domains race on first-use fills. *)
   if Pool.size t.pool > 1 then T.presort tensor;
-  locked t (fun () ->
-      (* Rebinding the physically-same tensor (a CSE replay in a resident
-         session) keeps the version: the value is unchanged, and bumping
-         would spuriously invalidate every downstream CSE key, breaking
-         whole-program warm replay across requests. *)
-      match Hashtbl.find_opt t.tensors name with
-      | Some existing when existing == tensor -> ()
-      | Some _ | None ->
-          let v =
-            match Hashtbl.find_opt t.versions name with
-            | Some v -> v + 1
-            | None -> 0
-          in
-          Hashtbl.replace t.versions name v;
-          Hashtbl.replace t.tensors name tensor)
-
-let version_unlocked (t : t) (name : string) : int =
-  match Hashtbl.find_opt t.versions name with Some v -> v | None -> 0
+  (* Rebinding the physically-same tensor (a CSE replay in a resident
+     session) keeps the version: the value is unchanged, and bumping would
+     spuriously invalidate every downstream CSE key, breaking whole-program
+     warm replay across requests. *)
+  match Hashtbl.find_opt t.tensors name with
+  | Some existing when existing == tensor -> ()
+  | Some _ | None ->
+      let v =
+        match Hashtbl.find_opt t.versions name with
+        | Some v -> v + 1
+        | None -> 0
+      in
+      Hashtbl.replace t.versions name v;
+      Hashtbl.replace t.tensors name tensor
 
 let version (t : t) (name : string) : int =
-  locked t (fun () -> version_unlocked t name)
+  match Hashtbl.find_opt t.versions name with Some v -> v | None -> 0
 
-let lookup_unlocked (t : t) (name : string) : T.t =
+let lookup (t : t) (name : string) : T.t =
   match Hashtbl.find_opt t.tensors name with
   | Some tensor -> tensor
   | None -> invalid_arg ("Exec: unbound tensor " ^ name)
 
-let lookup (t : t) (name : string) : T.t =
-  locked t (fun () -> lookup_unlocked t name)
-
 let lookup_opt (t : t) (name : string) : T.t option =
-  locked t (fun () -> Hashtbl.find_opt t.tensors name)
+  Hashtbl.find_opt t.tensors name
 
 (* Reset per-program state but keep the kernel cache (kernels are reused
    across programs with the same structure, as Finch does). *)
 let reset_tensors (t : t) : unit =
-  locked t (fun () ->
-      Hashtbl.reset t.tensors;
-      Lru.clear t.cse_cache)
+  Hashtbl.reset t.tensors;
+  Lru.clear t.cse_cache
 
-(* Resident-footprint accessors for health/metrics reporting. *)
-let bound_count (t : t) : int = locked t (fun () -> Hashtbl.length t.tensors)
+(* Resident-footprint accessors for health/metrics reporting.  The daemon
+   calls them from a connection thread while the executor thread runs
+   requests, with no lock: each must stay a read of single int fields
+   ([Hashtbl.length], [Lru.length], [Lru.evictions]), never a walk of a
+   table that another thread may be resizing. *)
+let bound_count (t : t) : int = Hashtbl.length t.tensors
 
 let cache_occupancy (t : t) : int * int =
-  locked t (fun () -> (Lru.length t.kernel_cache, Lru.length t.cse_cache))
+  (Lru.length t.kernel_cache, Lru.length t.cse_cache)
 
 let cache_evictions (t : t) : int * int =
-  locked t (fun () -> (Lru.evictions t.kernel_cache, Lru.evictions t.cse_cache))
+  (Lru.evictions t.kernel_cache, Lru.evictions t.cse_cache)
 
 let now = Unix.gettimeofday
 
 (* CSE key: a physical step is a pure function of the tensors it reads, and
    tensor bindings are immutable within an execution, so step-signature plus
-   read-tensor names identifies the result (paper Sec. 8.2).  Caller holds
-   the engine mutex (versions are read). *)
-let cse_key_kernel_unlocked (t : t) (k : Physical.kernel)
-    ~(signature : string) : string =
+   read-tensor names identifies the result (paper Sec. 8.2). *)
+let cse_key_kernel (t : t) (k : Physical.kernel) ~(signature : string) :
+    string =
   let buf = Buffer.create (String.length signature + 32) in
   Buffer.add_string buf signature;
   Buffer.add_char buf '#';
@@ -220,97 +196,85 @@ let cse_key_kernel_unlocked (t : t) (k : Physical.kernel)
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf a.Physical.tensor;
       Buffer.add_char buf '@';
-      Buffer.add_string buf (string_of_int (version_unlocked t a.Physical.tensor)))
+      Buffer.add_string buf (string_of_int (version t a.Physical.tensor)))
     k.Physical.accesses;
   Buffer.contents buf
 
 let run_kernel (t : t) (k : Physical.kernel) : T.t =
-  (* Dictionary reads, key construction, and cache probes happen under the
-     engine mutex; the kernel itself runs outside it. *)
-  let tensors, access_fills, access_formats, signature, cse_key, cse_hit =
-    locked t (fun () ->
-        let tensors =
-          Array.map (fun a -> lookup_unlocked t a.Physical.tensor)
-            k.Physical.accesses
-        in
-        let access_fills = Array.map T.fill tensors in
-        let access_formats = Array.map T.formats tensors in
-        let signature =
-          Kernel_exec.cache_signature k ~access_formats ~access_fills
-            ~facts:(fun a -> T.facts tensors.(a))
-        in
-        let cse_key = cse_key_kernel_unlocked t k ~signature in
-        let cse_hit =
-          if t.cse_enabled then Lru.find t.cse_cache cse_key else None
-        in
-        (tensors, access_fills, access_formats, signature, cse_key, cse_hit))
+  let tensors =
+    Array.map (fun a -> lookup t a.Physical.tensor) k.Physical.accesses
   in
-  match cse_hit with
+  let access_fills = Array.map T.fill tensors in
+  let access_formats = Array.map T.formats tensors in
+  let signature =
+    Kernel_exec.cache_signature k ~access_formats ~access_fills
+      ~facts:(fun a -> T.facts tensors.(a))
+  in
+  let cse_key = cse_key_kernel t k ~signature in
+  match if t.cse_enabled then Lru.find t.cse_cache cse_key else None with
   | Some result ->
       Obs.Metrics.incr m_cse_hits;
-      locked t (fun () -> t.timings.cse_hits <- t.timings.cse_hits + 1);
+      t.timings.cse_hits <- t.timings.cse_hits + 1;
       result
   | None ->
       if t.cse_enabled then Obs.Metrics.incr m_cse_misses;
       let compiled =
-        locked t (fun () ->
-            match Lru.find t.kernel_cache signature with
-            | Some c ->
-                Obs.Metrics.incr m_kernel_cache_hits;
-                c
-            | None ->
-                Obs.Metrics.incr m_kernel_cache_misses;
-                let t0 = now () in
-                let c =
-                  Obs.span ~cat:"compile"
-                    ~name:("compile:" ^ k.Physical.name)
-                    ~attrs:(fun () ->
-                      [ ("backend", backend_to_string t.backend) ])
-                  @@ fun () ->
-                  match t.backend with
-                  | Interp ->
-                      {
-                        (Kernel_exec.compile k ~access_fills
-                           ~facts:(fun a -> T.facts tensors.(a)))
-                        with
-                        signature;
-                      }
-                  | Staged ->
-                      let staged =
-                        Galley_compile.Backend.compile k ~access_fills
-                          ~facts:(fun a -> T.facts tensors.(a))
-                          ~access_formats
-                      in
-                      let pool = t.pool in
-                      (* Scheduling attribution rides on the merge string
-                         the profiler's hot-kernel table joins: kernels
-                         that will distribute over the pool say so. *)
-                      let describe =
-                        if Pool.size pool > 1 then
-                          staged.Galley_compile.Backend.describe
-                          ^ " par:morsel"
-                        else staged.Galley_compile.Backend.describe
-                      in
-                      {
-                        Kernel_exec.signature;
-                        describe;
-                        run =
-                          (fun ?deadline kc ts ->
-                            try
-                              staged.Galley_compile.Backend.run ?deadline ~pool
-                                kc ts
-                            with Galley_compile.Backend.Timeout ->
-                              raise Kernel_exec.Timeout);
-                      }
-                in
-                t.timings.compile_time <-
-                  t.timings.compile_time +. (now () -. t0);
-                t.timings.compile_count <- t.timings.compile_count + 1;
-                Lru.put t.kernel_cache signature c;
-                c)
+        match Lru.find t.kernel_cache signature with
+        | Some c ->
+            Obs.Metrics.incr m_kernel_cache_hits;
+            c
+        | None ->
+            Obs.Metrics.incr m_kernel_cache_misses;
+            let t0 = now () in
+            let c =
+              Obs.span ~cat:"compile"
+                ~name:("compile:" ^ k.Physical.name)
+                ~attrs:(fun () -> [ ("backend", backend_to_string t.backend) ])
+              @@ fun () ->
+              match t.backend with
+              | Interp ->
+                  {
+                    (Kernel_exec.compile k ~access_fills
+                       ~facts:(fun a -> T.facts tensors.(a)))
+                    with
+                    signature;
+                  }
+              | Staged ->
+                  let staged =
+                    Galley_compile.Backend.compile k ~access_fills
+                      ~facts:(fun a -> T.facts tensors.(a))
+                      ~access_formats
+                  in
+                  let pool = t.pool in
+                  (* Scheduling attribution rides on the merge string the
+                     profiler's hot-kernel table joins: kernels that will
+                     distribute over the pool say so. *)
+                  let describe =
+                    if Pool.size pool > 1 then
+                      staged.Galley_compile.Backend.describe ^ " par:morsel"
+                    else staged.Galley_compile.Backend.describe
+                  in
+                  {
+                    Kernel_exec.signature;
+                    describe;
+                    run =
+                      (fun ?deadline kc ts ->
+                        try
+                          staged.Galley_compile.Backend.run ?deadline ~pool kc
+                            ts
+                        with Galley_compile.Backend.Timeout ->
+                          raise Kernel_exec.Timeout);
+                  }
+            in
+            t.timings.compile_time <- t.timings.compile_time +. (now () -. t0);
+            t.timings.compile_count <- t.timings.compile_count + 1;
+            Lru.put t.kernel_cache signature c;
+            c
       in
       (match t.kernel_hook with
-      | Some hook -> hook (Atomic.fetch_and_add t.kernel_ordinal 1 + 1)
+      | Some hook ->
+          t.kernel_ordinal <- t.kernel_ordinal + 1;
+          hook t.kernel_ordinal
       | None -> ());
       Obs.Metrics.incr m_kernels_run;
       let t0 = now () in
@@ -356,10 +320,9 @@ let run_kernel (t : t) (k : Physical.kernel) : T.t =
         Array.iter (fun src -> Obs.Metrics.add m_nnz_read (T.nnz src)) tensors;
         Obs.Metrics.add m_nnz_written (T.nnz result)
       end;
-      locked t (fun () ->
-          t.timings.exec_time <- t.timings.exec_time +. (now () -. t0);
-          t.timings.kernel_count <- t.timings.kernel_count + 1;
-          if t.cse_enabled then Lru.put t.cse_cache cse_key result);
+      t.timings.exec_time <- t.timings.exec_time +. (now () -. t0);
+      t.timings.kernel_count <- t.timings.kernel_count + 1;
+      if t.cse_enabled then Lru.put t.cse_cache cse_key result;
       result
 
 let run_transpose (t : t) ~(source : string) ~(perm : int array)
@@ -371,8 +334,7 @@ let run_transpose (t : t) ~(source : string) ~(perm : int array)
     Obs.span ~cat:"exec" ~name:("transpose:" ^ source) (fun () ->
         T.transpose ?formats src perm)
   in
-  locked t (fun () ->
-      t.timings.exec_time <- t.timings.exec_time +. (now () -. t0));
+  t.timings.exec_time <- t.timings.exec_time +. (now () -. t0);
   result
 
 let run_step (t : t) (step : Physical.step) : string * T.t =
@@ -382,70 +344,22 @@ let run_step (t : t) (step : Physical.step) : string * T.t =
       bind t k.Physical.name result;
       (k.Physical.name, result)
   | Physical.Transpose { name; source; perm; formats; _ } ->
-      let key, cse_hit =
-        locked t (fun () ->
-            let key =
-              Printf.sprintf "transpose:%s@%d:%s" source
-                (version_unlocked t source)
-                (String.concat ","
-                   (Array.to_list (Array.map string_of_int perm)))
-            in
-            let hit =
-              if t.cse_enabled then Lru.find t.cse_cache key else None
-            in
-            (key, hit))
+      let key =
+        Printf.sprintf "transpose:%s@%d:%s" source (version t source)
+          (String.concat "," (Array.to_list (Array.map string_of_int perm)))
       in
       let result =
-        match cse_hit with
+        match if t.cse_enabled then Lru.find t.cse_cache key else None with
         | Some r ->
-            locked t (fun () -> t.timings.cse_hits <- t.timings.cse_hits + 1);
+            t.timings.cse_hits <- t.timings.cse_hits + 1;
             r
         | None ->
             let r = run_transpose t ~source ~perm ~formats:(Some formats) in
-            locked t (fun () ->
-                if t.cse_enabled then Lru.put t.cse_cache key r);
+            if t.cse_enabled then Lru.put t.cse_cache key r;
             r
       in
       bind t name result;
       (name, result)
 
-(* Def-use dependencies between the steps of one plan: step [i] must wait
-   for an earlier step that writes a tensor it reads (flow), reads the
-   tensor it writes (anti), or writes the same name (output). *)
-let step_deps (steps : Physical.step array) (i : int) : int list =
-  let reads = function
-    | Physical.Kernel k ->
-        Array.to_list
-          (Array.map (fun (a : Physical.access) -> a.Physical.tensor)
-             k.Physical.accesses)
-    | Physical.Transpose { source; _ } -> [ source ]
-  in
-  let writes = function
-    | Physical.Kernel k -> k.Physical.name
-    | Physical.Transpose { name; _ } -> name
-  in
-  let ri = reads steps.(i) and wi = writes steps.(i) in
-  List.filter
-    (fun j ->
-      let wj = writes steps.(j) in
-      wj = wi || List.mem wj ri || List.mem wi (reads steps.(j)))
-    (List.init i Fun.id)
-
 let run_plan (t : t) (plan : Physical.plan) : unit =
-  let steps = Array.of_list plan in
-  let n = Array.length steps in
-  if n <= 1 || Pool.size t.pool <= 1 then
-    List.iter (fun step -> ignore (run_step t step)) plan
-  else
-    (* Independent steps (e.g. the transposes feeding one kernel) run as
-       level-synchronous waves over the pool; a singleton wave stays on
-       this domain. *)
-    List.iter
-      (fun wave ->
-        match wave with
-        | [ i ] -> ignore (run_step t steps.(i))
-        | _ ->
-            Pool.run_all t.pool
-              (Array.of_list
-                 (List.map (fun i () -> ignore (run_step t steps.(i))) wave)))
-      (Dag.waves ~n ~deps:(step_deps steps))
+  List.iter (fun step -> ignore (run_step t step)) plan

@@ -8,8 +8,9 @@
    from the tail past [capacity], reporting each eviction through
    [on_evict] so callers can keep counters.
 
-   Not thread-safe on its own; the executor already serializes cache
-   access under its engine mutex. *)
+   Not thread-safe: only the domain running the executor's steps touches
+   it (kernel morsel lanes never do).  [length] and [evictions] read one
+   int field each, so a monitoring thread may call them unlocked. *)
 
 type 'v node = {
   n_key : string;

@@ -1,8 +1,8 @@
 (* A reusable domain pool.
 
-   One pool serves both parallel layers of the runtime: intra-kernel morsel
-   execution (lib/compile/backend.ml) and inter-query wave execution
-   (lib/core/driver.ml).  The design constraints, in order:
+   The pool backs the runtime's one parallel layer: the staged backend
+   splits a kernel's outermost loop into morsels and runs one lane per
+   pool slot (lib/compile/backend.ml).  The design constraints, in order:
 
    - [size <= 1] must be *exactly* the serial path: tasks run in order on
      the calling domain, exceptions propagate untouched, no domain is ever
@@ -16,14 +16,10 @@
      spawns.  An [at_exit] backstop shuts down any pool still live so a
      process never exits with workers blocked on the condition variable.
 
-   - [run_all] must support nesting: a task running on a worker may itself
-     call [run_all] on the same pool (an inter-query task running a
-     morsel-split kernel).  The submitting domain therefore *helps*: while
-     its batch is pending it pops and runs queued tasks — any batch's — and
-     only blocks on the condition variable when the queue is empty.  A
-     thread blocks only when every submitted task is already running
-     elsewhere, so nesting cannot deadlock and the submitter's core is
-     never idle.
+   - The submitting domain is one of the lanes: while its batch is pending
+     it pops and runs queued tasks, and blocks on the condition variable
+     only when every task is already running elsewhere.  Tasks do not
+     submit batches of their own.
 
    - A batch fails as a unit: the first exception (with its backtrace) is
      captured, tasks of that batch not yet started are skipped, and the
@@ -182,8 +178,8 @@ let run_all (t : t) (tasks : task array) : unit =
     ensure_workers t (min (t.parallelism - 1) (n - 1));
     if t.n_workers > 0 then register t;
     Condition.broadcast t.cond;
-    (* Help until our batch drains: run queued work (any batch's) and
-       block only when the queue is empty. *)
+    (* Work as a lane until the batch drains: run queued tasks and block
+       only when the queue is empty. *)
     while b.pending > 0 do
       if Queue.is_empty t.queue then Condition.wait t.cond t.mutex
       else begin

@@ -15,10 +15,12 @@
    statistics context, resident tensors, and kernel/CSE caches are only
    ever touched from the executor thread, so a failed request can be
    caught and answered with a structured error while the next request
-   sees consistent state.  Concurrency still comes from two places:
-   connection threads overlap I/O and protocol work with execution, and
-   each request fans out across the shared domain pool internally
-   ([config.driver.domains]).
+   sees consistent state.  The one exception is the inline [health]
+   command, which reads the engine's resident counts from a connection
+   thread; those accessors are single int-field reads.  Concurrency still
+   comes from two places: connection threads overlap I/O and protocol
+   work with execution, and each kernel splits its outermost loop into
+   morsels over the executor's domain pool ([config.driver.domains]).
 
    Admission control: the queue is bounded at [queue_capacity]; a full
    queue sheds load with an immediate structured "queue_full" rejection

@@ -1,10 +1,13 @@
-(* Parallel runtime: domain-pool unit tests, DAG wave scheduling, and the
-   serial-equivalence property — executing at [domains = 4] must produce
-   outputs bit-identical to [domains = 1] on random generated kernels and
-   on the paper's figure workloads, under both kernel backends.  The
-   runtime guarantees this by replaying each chunk's accumulation log in
-   chunk order on the submitting domain, reproducing the serial
-   accumulation sequence exactly (DESIGN.md "Parallel runtime"). *)
+(* Parallel runtime: domain-pool unit tests, the serial-equivalence
+   property, and determinism of everything but wall time.  Executing at
+   [domains = 4] must produce outputs bit-identical to [domains = 1] on
+   random generated kernels and on the paper's figure workloads, under
+   both kernel backends.  The runtime guarantees this by replaying each
+   morsel's accumulation log in morsel order on the submitting domain,
+   reproducing the serial accumulation sequence exactly (DESIGN.md
+   "Parallel runtime").  Queries and plan steps run one at a time at
+   every domain count, so plans, compile/kernel/CSE-hit counts and the
+   kernel-fault ordinal are identical as well. *)
 
 module T = Galley_tensor.Tensor
 module Prng = Galley_tensor.Prng
@@ -16,8 +19,9 @@ module Popt = Galley_physical.Optimizer
 module Exec = Galley_engine.Exec
 module Ctx = Galley_stats.Ctx
 module Pool = Galley_parallel.Pool
-module Dag = Galley_parallel.Dag
 module D = Galley.Driver
+module E = Galley.Errors
+module F = Galley.Faults
 module W = Galley_workloads
 
 let check_bool = Alcotest.(check bool)
@@ -69,22 +73,6 @@ let test_pool_exception () =
       (* The batch drained: run_all returned, so no task is still live. *)
       check_bool "other tasks bounded" true (Atomic.get ran <= 7))
 
-let test_pool_nested () =
-  (* A task may submit a batch to the same pool (an inter-query task
-     running a chunked kernel); the submitter helps, so nesting cannot
-     deadlock. *)
-  let pool = Pool.create ~domains:4 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let total = Atomic.make 0 in
-      Pool.run_all pool
-        (Array.init 3 (fun _ () ->
-             Pool.run_all pool
-               (Array.init 4 (fun _ () ->
-                    ignore (Atomic.fetch_and_add total 1)))));
-      check_int "all inner tasks ran" 12 (Atomic.get total))
-
 let test_pool_shutdown_reuse () =
   let pool = Pool.create ~domains:4 in
   let count = Atomic.make 0 in
@@ -99,43 +87,6 @@ let test_pool_shutdown_reuse () =
   Pool.shutdown pool;
   Pool.shutdown pool;
   check_int "both batches ran" 12 (Atomic.get count)
-
-(* -------------------------------------------------------------- *)
-(* Dag.                                                             *)
-(* -------------------------------------------------------------- *)
-
-let check_waves = Alcotest.(check (list (list int)))
-
-let test_dag_waves () =
-  check_waves "empty" [] (Dag.waves ~n:0 ~deps:(fun _ -> []));
-  check_waves "independent" [ [ 0; 1; 2 ] ]
-    (Dag.waves ~n:3 ~deps:(fun _ -> []));
-  check_waves "chain"
-    [ [ 0 ]; [ 1 ]; [ 2 ] ]
-    (Dag.waves ~n:3 ~deps:(fun i -> if i = 0 then [] else [ i - 1 ]));
-  (* Diamond: 1 and 2 depend on 0, 3 joins both. *)
-  check_waves "diamond"
-    [ [ 0 ]; [ 1; 2 ]; [ 3 ] ]
-    (Dag.waves ~n:4 ~deps:(function
-      | 0 -> []
-      | 1 | 2 -> [ 0 ]
-      | _ -> [ 1; 2 ]));
-  (* Mixed depths: a straggler with no deps stays in wave 0. *)
-  check_waves "mixed"
-    [ [ 0; 2 ]; [ 1; 3 ] ]
-    (Dag.waves ~n:4 ~deps:(function 1 -> [ 0 ] | 3 -> [ 0; 2 ] | _ -> []))
-
-let test_dag_rejects_forward_deps () =
-  let forward () = ignore (Dag.waves ~n:2 ~deps:(function 0 -> [ 1 ] | _ -> [])) in
-  let self () = ignore (Dag.waves ~n:2 ~deps:(fun i -> [ i ])) in
-  List.iter
-    (fun f ->
-      check_bool "invalid_arg" true
-        (try
-           f ();
-           false
-         with Invalid_argument _ -> true))
-    [ forward; self ]
 
 (* -------------------------------------------------------------- *)
 (* Serial equivalence: domains = 4 must be bit-identical to 1.       *)
@@ -306,8 +257,8 @@ let check_driver_identical name ~inputs program =
 
 let test_fig6_ml_equiv () =
   (* Fig. 6 shapes over a materialized feature matrix: Linreg (one query)
-     and the two-layer NN (an inter-query dependency, so the DAG scheduler
-     and the JIT constraint are both in play). *)
+     and the two-layer NN (an inter-query dependency, so the JIT
+     refresh-then-plan order is in play). *)
   let prng = Prng.create 7 in
   let x =
     T.random ~prng ~dims:[| 64; 12 |]
@@ -359,6 +310,82 @@ let test_fig10_bfs_equiv () =
   check_int "reference visited" (W.Bfs.reference_visited ~adjacency ~source:0)
     par.W.Bfs.visited
 
+(* -------------------------------------------------------------- *)
+(* Determinism beyond tensor contents.                               *)
+(* -------------------------------------------------------------- *)
+
+(* What a run reports besides tensors and wall time, as one comparable
+   string: the physical plan and the compile/kernel/CSE-hit counts. *)
+let run_summary (r : D.result) : string =
+  let t = r.D.timings in
+  Printf.sprintf "plan:\n%s\ncompiles=%d kernels=%d cse_hits=%d"
+    (Galley_plan.Physical.plan_to_string r.D.physical_plan)
+    t.D.compile_count t.D.kernel_count t.D.cse_hits
+
+let check_deterministic name ~inputs program =
+  let run ?(faults = F.none) domains =
+    D.run_checked
+      ~config:{ D.default_config with D.domains; faults }
+      ~inputs program
+  in
+  let summary domains =
+    match run domains with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "%s: %s" name (E.to_string e)
+  in
+  let serial = summary 1 in
+  Alcotest.(check string)
+    (name ^ ": plan and counts at domains=4")
+    (run_summary serial)
+    (run_summary (summary 4));
+  (* Every kernel invocation in turn fails under kernel-fail=N: the
+     failing query and ordinal must not depend on the domain count. *)
+  for n = 1 to serial.D.timings.D.kernel_count do
+    let fail domains =
+      match run ~faults:{ F.none with kernel_fail_on = Some n } domains with
+      | Error (E.Kernel_failure _ as e) -> E.to_string e
+      | Error e -> Alcotest.failf "%s: wrong error %s" name (E.to_string e)
+      | Ok _ -> Alcotest.failf "%s: kernel-fail=%d did not fire" name n
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "%s: kernel-fail=%d context" name n)
+      (fail 1) (fail 4)
+  done
+
+let test_determinism () =
+  let prng = Prng.create 11 in
+  let x =
+    T.random ~prng ~dims:[| 64; 12 |]
+      ~formats:[| T.Dense; T.Sparse_list |]
+      ~density:0.3 ()
+  in
+  check_deterministic "fig6 nn"
+    ~inputs:(("X", x) :: W.Ml.parameter_inputs ~seed:5 ~d:12 ~hidden:8)
+    (W.Ml.program_of W.Ml.Nn ~x:(Ir.input "X" [ "i"; "j" ]) ~pts:[ "i" ]);
+  (* Independent queries, two of them the same kernel over the same
+     inputs: the second is a CSE hit only if it runs after the first. *)
+  let a =
+    T.random ~prng ~dims:[| 300; 200 |]
+      ~formats:[| T.Dense; T.Sparse_list |]
+      ~density:0.05 ()
+  in
+  let b =
+    T.random ~prng ~dims:[| 300; 200 |]
+      ~formats:[| T.Dense; T.Sparse_list |]
+      ~density:0.05 ()
+  in
+  let v =
+    T.random ~prng ~dims:[| 200 |] ~formats:[| T.Dense |] ~density:0.5 ()
+  in
+  check_deterministic "independent queries"
+    ~inputs:[ ("A", a); ("B", b); ("v", v) ]
+    (Galley_lang.Parser.parse_program
+       "p[i] = sum[j](A[i,j] * v[j])\n\
+        q[i] = sum[j](A[i,j] * v[j])\n\
+        r[i] = sum[j](B[i,j] * v[j])\n\
+        s[i] = sum[j](A[i,j] * B[i,j])\n\
+        t = sum[i](p[i] * q[i] + r[i] * s[i])")
+
 let () =
   Alcotest.run "parallel"
     [
@@ -367,15 +394,8 @@ let () =
           Alcotest.test_case "runs all tasks" `Quick test_pool_runs_all;
           Alcotest.test_case "serial order at 1" `Quick test_pool_serial_order;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
-          Alcotest.test_case "nested batches" `Quick test_pool_nested;
           Alcotest.test_case "shutdown and reuse" `Quick
             test_pool_shutdown_reuse;
-        ] );
-      ( "dag",
-        [
-          Alcotest.test_case "waves" `Quick test_dag_waves;
-          Alcotest.test_case "rejects forward deps" `Quick
-            test_dag_rejects_forward_deps;
         ] );
       ( "equivalence",
         [
@@ -383,6 +403,11 @@ let () =
           Alcotest.test_case "fig6 ML" `Quick test_fig6_ml_equiv;
           Alcotest.test_case "fig7 subgraph" `Quick test_fig7_subgraph_equiv;
           Alcotest.test_case "fig10 BFS" `Quick test_fig10_bfs_equiv;
+        ] );
+      ( "determinism",
+        [
+          Alcotest.test_case "plans, counts and fault context" `Quick
+            test_determinism;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_parallel_equiv ] );
