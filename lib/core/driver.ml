@@ -200,7 +200,7 @@ let register_query_estimated (ctx : Ctx.t) (q : Logical_query.t) : unit =
   let query = Logical_query.to_query q in
   Schema.declare_query_output ctx.Ctx.schema query
     ~output_idxs:q.Logical_query.output_idxs;
-  ctx.Ctx.register_alias_estimated q.Logical_query.name
+  Ctx.register_alias_estimated ctx q.Logical_query.name
     ~output_idxs:q.Logical_query.output_idxs query.Ir.expr
 
 (* Estimator audit (config.audit): predict each logical query's output nnz
@@ -229,7 +229,7 @@ let audit_predict (inputs : (string * T.t) list)
           let predicted =
             try
               register_query_estimated sctx q;
-              sctx.Ctx.estimate_expr
+              Ctx.estimate_expr sctx
                 (Ir.Alias (name, q.Logical_query.output_idxs))
             with _ ->
               Obs.Log.warn "audit: %s estimator failed to predict %s"
@@ -471,7 +471,7 @@ let execute_queries ~(config : config) ~(ctx : Ctx.t)
               | None -> Float.nan
               | Some _ -> (
                   try
-                    ctx.Ctx.estimate_expr
+                    Ctx.estimate_expr ctx
                       (Ir.Alias
                          (q.Logical_query.name, q.Logical_query.output_idxs))
                   with _ -> Float.nan)
@@ -678,6 +678,7 @@ module Session = struct
 
   let config (s : session) : config = s.s_config
   let exec (s : session) : Galley_engine.Exec.t = s.s_exec
+  let ctx (s : session) : Ctx.t = s.s_ctx
 
   (* Bind or rebind an input tensor; statistics are (re)computed here, not
      per run. *)

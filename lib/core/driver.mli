@@ -172,6 +172,10 @@ module Session : sig
       counts for health reporting). *)
   val exec : session -> Galley_engine.Exec.t
 
+  (** The session's estimation context: input statistics and the memo
+      tables of the logical search. *)
+  val ctx : session -> Ctx.t
+
   (** Bind or rebind an input; statistics are (re)computed here. *)
   val bind : session -> string -> T.t -> unit
 

@@ -66,7 +66,7 @@ let rec wrap_ctx (f : t) (ctx : Ctx.t) : Ctx.t =
     in
     {
       ctx with
-      Ctx.estimate_expr = (fun e -> inject (ctx.Ctx.estimate_expr e));
+      Ctx.estimate_node = (fun n -> inject (ctx.Ctx.estimate_node n));
       Ctx.estimate_access_projected =
         (fun name idxs keep ->
           inject (ctx.Ctx.estimate_access_projected name idxs keep));

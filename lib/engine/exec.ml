@@ -3,9 +3,12 @@
    The executor owns a tensor dictionary (inputs + intermediates), a kernel
    cache keyed by the kernel's structural signature (formats, protocols,
    fills — names stripped), and a common-sub-expression cache keyed by the
-   physical step plus the identities of the tensors it reads.  Compiling a
-   kernel on a cache miss is timed separately from running it so the
-   compilation-latency experiment (Fig. 9) can report cold vs warm costs.
+   physical step plus the lineage of the tensors it reads: an input by its
+   name and binding version, a step's result by the key of the step that
+   produced it, so a result recomputed under another name still hits.
+   Compiling a kernel on a cache miss is timed separately from running it
+   so the compilation-latency experiment (Fig. 9) can report cold vs warm
+   costs.
 
    Steps run one after another on the calling domain, so the tables, the
    [timings] record and the kernel-invocation ordinal feeding
@@ -78,6 +81,10 @@ type t = {
   cse_cache : T.t Lru.t;
       (* LRU-bounded for the same reason; stale version-keyed entries
          age out of the tail *)
+  lineage : (string, string) Hashtbl.t;
+      (* names bound by a step -> the digest of that step's CSE key, which
+         stands in for the name in later keys (fixed length, so keys stay
+         short however long the chain of steps) *)
   cse_enabled : bool;
   timings : timings;
   mutable deadline : float option;
@@ -108,6 +115,7 @@ let create ?(cse = true) ?(backend = Staged) ?(domains = 1)
       Lru.create ~capacity:cse_cache_cap
         ~on_evict:(fun _ _ -> Obs.Metrics.incr m_cse_cache_evictions)
         ();
+    lineage = Hashtbl.create 32;
     cse_enabled = cse;
     timings = fresh_timings ();
     deadline = None;
@@ -131,7 +139,7 @@ let set_kernel_hook (t : t) (hook : int -> unit) : unit =
 
 let clear_kernel_hook (t : t) : unit = t.kernel_hook <- None
 
-let bind (t : t) (name : string) (tensor : T.t) : unit =
+let bind_step (t : t) (name : string) (tensor : T.t) : unit =
   (* Morsel lanes share a kernel's inputs read-only: force the lazy caches
      (hash-level sort order, nnz) up front instead of letting worker
      domains race on first-use fills. *)
@@ -151,6 +159,11 @@ let bind (t : t) (name : string) (tensor : T.t) : unit =
       Hashtbl.replace t.versions name v;
       Hashtbl.replace t.tensors name tensor
 
+(* Bind an input: later CSE keys read it by name and version. *)
+let bind (t : t) (name : string) (tensor : T.t) : unit =
+  Hashtbl.remove t.lineage name;
+  bind_step t name tensor
+
 let version (t : t) (name : string) : int =
   match Hashtbl.find_opt t.versions name with Some v -> v | None -> 0
 
@@ -161,12 +174,6 @@ let lookup (t : t) (name : string) : T.t =
 
 let lookup_opt (t : t) (name : string) : T.t option =
   Hashtbl.find_opt t.tensors name
-
-(* Reset per-program state but keep the kernel cache (kernels are reused
-   across programs with the same structure, as Finch does). *)
-let reset_tensors (t : t) : unit =
-  Hashtbl.reset t.tensors;
-  Lru.clear t.cse_cache
 
 (* Resident-footprint accessors for health/metrics reporting.  The daemon
    calls them from a connection thread while the executor thread runs
@@ -183,9 +190,22 @@ let cache_evictions (t : t) : int * int =
 
 let now = Unix.gettimeofday
 
+(* How a CSE key names a tensor a step reads: a step's result by its
+   lineage ('$' and a fixed-length digest; no tensor name starts with '$'),
+   anything else by name and binding version. *)
+let add_read (t : t) (buf : Buffer.t) (name : string) : unit =
+  match Hashtbl.find_opt t.lineage name with
+  | Some d ->
+      Buffer.add_char buf '$';
+      Buffer.add_string buf d
+  | None ->
+      Buffer.add_string buf name;
+      Buffer.add_char buf '@';
+      Buffer.add_string buf (string_of_int (version t name))
+
 (* CSE key: a physical step is a pure function of the tensors it reads, and
    tensor bindings are immutable within an execution, so step-signature plus
-   read-tensor names identifies the result (paper Sec. 8.2). *)
+   what it reads identifies the result (paper Sec. 8.2). *)
 let cse_key_kernel (t : t) (k : Physical.kernel) ~(signature : string) :
     string =
   let buf = Buffer.create (String.length signature + 32) in
@@ -194,13 +214,11 @@ let cse_key_kernel (t : t) (k : Physical.kernel) ~(signature : string) :
   Array.iteri
     (fun i (a : Physical.access) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf a.Physical.tensor;
-      Buffer.add_char buf '@';
-      Buffer.add_string buf (string_of_int (version t a.Physical.tensor)))
+      add_read t buf a.Physical.tensor)
     k.Physical.accesses;
   Buffer.contents buf
 
-let run_kernel (t : t) (k : Physical.kernel) : T.t =
+let run_kernel (t : t) (k : Physical.kernel) : T.t * string =
   let tensors =
     Array.map (fun a -> lookup t a.Physical.tensor) k.Physical.accesses
   in
@@ -215,7 +233,7 @@ let run_kernel (t : t) (k : Physical.kernel) : T.t =
   | Some result ->
       Obs.Metrics.incr m_cse_hits;
       t.timings.cse_hits <- t.timings.cse_hits + 1;
-      result
+      (result, cse_key)
   | None ->
       if t.cse_enabled then Obs.Metrics.incr m_cse_misses;
       let compiled =
@@ -323,7 +341,7 @@ let run_kernel (t : t) (k : Physical.kernel) : T.t =
       t.timings.exec_time <- t.timings.exec_time +. (now () -. t0);
       t.timings.kernel_count <- t.timings.kernel_count + 1;
       if t.cse_enabled then Lru.put t.cse_cache cse_key result;
-      result
+      (result, cse_key)
 
 let run_transpose (t : t) ~(source : string) ~(perm : int array)
     ~(formats : T.format array option) : T.t =
@@ -337,16 +355,26 @@ let run_transpose (t : t) ~(source : string) ~(perm : int array)
   t.timings.exec_time <- t.timings.exec_time +. (now () -. t0);
   result
 
+(* Bind a step's result under its lineage. *)
+let bind_result (t : t) (name : string) (result : T.t) ~(key : string) : unit =
+  bind_step t name result;
+  Hashtbl.replace t.lineage name (Digest.string key)
+
 let run_step (t : t) (step : Physical.step) : string * T.t =
   match step with
   | Physical.Kernel k ->
-      let result = run_kernel t k in
-      bind t k.Physical.name result;
+      let result, key = run_kernel t k in
+      bind_result t k.Physical.name result ~key;
       (k.Physical.name, result)
   | Physical.Transpose { name; source; perm; formats; _ } ->
       let key =
-        Printf.sprintf "transpose:%s@%d:%s" source (version t source)
-          (String.concat "," (Array.to_list (Array.map string_of_int perm)))
+        let buf = Buffer.create 64 in
+        Buffer.add_string buf "transpose:";
+        add_read t buf source;
+        Buffer.add_char buf ':';
+        Buffer.add_string buf
+          (String.concat "," (Array.to_list (Array.map string_of_int perm)));
+        Buffer.contents buf
       in
       let result =
         match if t.cse_enabled then Lru.find t.cse_cache key else None with
@@ -358,7 +386,7 @@ let run_step (t : t) (step : Physical.step) : string * T.t =
             if t.cse_enabled then Lru.put t.cse_cache key r;
             r
       in
-      bind t name result;
+      bind_result t name result ~key;
       (name, result)
 
 let run_plan (t : t) (plan : Physical.plan) : unit =

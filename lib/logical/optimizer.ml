@@ -39,12 +39,12 @@ type result = { queries : Logical_query.t list; cost : float }
 
 (* Estimated cost of one logical query (paper Sec. 5.2).  A non-finite
    estimate cannot steer the search; it exhausts the current rung. *)
-let query_cost (cfg : config) (ctx : Galley_stats.Ctx.t) (q : Logical_query.t)
-    : float =
-  let nnz_body = ctx.Galley_stats.Ctx.estimate_expr q.Logical_query.body in
+let query_cost (cfg : config) (ctx : Galley_stats.Ctx.t)
+    ((q, body) : Elimination.query) : float =
+  let nnz_body = ctx.Galley_stats.Ctx.estimate_node body in
   let nnz_out =
-    ctx.Galley_stats.Ctx.estimate_expr
-      (Logical_query.to_query q).Ir.expr
+    ctx.Galley_stats.Ctx.estimate_node
+      (Logical_query.output_node q body)
   in
   Tier.finite
     (Galley_stats.Cost.logical_query_cost ~weights:cfg.weights ~nnz_body
@@ -52,39 +52,50 @@ let query_cost (cfg : config) (ctx : Galley_stats.Ctx.t) (q : Logical_query.t)
 
 (* Register a committed logical query's output as an alias for subsequent
    estimation: schema entry (dims in output order, fill, facts) and
-   statistics. *)
-let register_alias (ctx : Galley_stats.Ctx.t) (q : Logical_query.t) : unit =
-  let query = Logical_query.to_query q in
-  Schema.declare_query_output ctx.Galley_stats.Ctx.schema query
-    ~output_idxs:q.Logical_query.output_idxs;
-  ctx.Galley_stats.Ctx.register_alias_estimated q.Logical_query.name
-    ~output_idxs:q.Logical_query.output_idxs query.Ir.expr
+   statistics.  [dims] binds every index of the searched expression. *)
+let register_alias ~(dims : int Ir.Idx_map.t) (ctx : Galley_stats.Ctx.t)
+    ((q, body) : Elimination.query) : unit =
+  let out = Logical_query.output_node q body in
+  let output_idxs = q.Logical_query.output_idxs in
+  Schema.declare_query_output ~dims ctx.Galley_stats.Ctx.schema
+    {
+      Ir.name = q.Logical_query.name;
+      expr = out.Intern.expr;
+      out_order = Some output_idxs;
+    }
+    ~output_idxs;
+  ctx.Galley_stats.Ctx.register_alias_node q.Logical_query.name ~output_idxs
+    out
 
 (* Wrap up: the remaining aggregate-free expression becomes the final
    logical query (or, when it is exactly the alias of the last emitted
    query in the right order, that query is renamed instead).  [cost_of]
    prices the final query: the estimator-backed [query_cost] on the smart
    rungs, a constant zero on the naive rung. *)
-let finish ~(cost_of : Logical_query.t -> float) (ctx : Galley_stats.Ctx.t)
-    ~(name : string) ~(out_order : Ir.idx list option) (expr : Ir.expr)
-    (queries : Logical_query.t list) : result * float =
-  assert (not (Ir.contains_agg expr));
-  let free = Ir.Idx_set.elements (Ir.free_indices expr) in
-  let output_idxs = match out_order with Some o -> o | None -> free in
-  match (expr, List.rev queries) with
-  | Ir.Alias (a, idxs), last :: earlier
+let finish ~(cost_of : Elimination.query -> float) ~dims (ctx : Galley_stats.Ctx.t)
+    ~(name : string) ~(out_order : Ir.idx list option) (expr : Intern.node)
+    (queries : Elimination.query list) : result * float =
+  assert (not expr.Intern.has_agg);
+  let output_idxs =
+    match out_order with
+    | Some o -> o
+    | None -> Ir.Idx_set.elements expr.Intern.free
+  in
+  match (expr.Intern.view, List.rev queries) with
+  | Intern.Alias (a, idxs), (last, body) :: earlier
     when a = last.Logical_query.name && idxs = output_idxs ->
       let renamed = { last with Logical_query.name } in
-      register_alias ctx renamed;
-      ({ queries = List.rev (renamed :: earlier); cost = 0.0 }, 0.0)
+      register_alias ~dims ctx (renamed, body);
+      ( { queries = List.rev (renamed :: List.map fst earlier); cost = 0.0 },
+        0.0 )
   | _ ->
       let q =
-        Logical_query.make ~output_idxs ~name ~agg_op:Op.Ident ~agg_idxs:[]
-          ~body:expr ()
+        Logical_query.of_node ~output_idxs ~name ~agg_op:Op.Ident ~agg_idxs:[]
+          expr
       in
-      let c = cost_of q in
-      register_alias ctx q;
-      ({ queries = queries @ [ q ]; cost = c }, c)
+      let c = cost_of (q, expr) in
+      register_alias ~dims ctx (q, expr);
+      ({ queries = List.map fst queries @ [ q ]; cost = c }, c)
 
 (* ------------------------------------------------------------------ *)
 (* Greedy search.                                                       *)
@@ -92,14 +103,14 @@ let finish ~(cost_of : Logical_query.t -> float) (ctx : Galley_stats.Ctx.t)
 
 let greedy ?(budget : Tier.budget option) (cfg : config)
     (ctx : Galley_stats.Ctx.t) ~(fresh : unit -> string) ~(name : string)
-    ~(out_order : Ir.idx list option) (expr : Ir.expr) : result =
-  let dims = Schema.index_dims ctx.Galley_stats.Ctx.schema expr in
+    ~(out_order : Ir.idx list option) (expr : Intern.node) : result =
+  let dims = Schema.index_dims ctx.Galley_stats.Ctx.schema expr.Intern.expr in
   let facts = Schema.expr_facts_or_top ctx.Galley_stats.Ctx.schema dims in
   let rec loop expr queries total =
     match Elimination.available_indices expr with
     | [] ->
         let r, final_cost =
-          finish ~cost_of:(query_cost cfg ctx) ctx ~name ~out_order expr
+          finish ~cost_of:(query_cost cfg ctx) ~dims ctx ~name ~out_order expr
             queries
         in
         { r with cost = total +. final_cost }
@@ -132,7 +143,7 @@ let greedy ?(budget : Tier.budget option) (cfg : config)
               Provenance.candidate ~phase:"logical" ~query:name ~tier:"greedy"
                 ~descr:("eliminate " ^ v) ~cost:c ~chosen:(v = best_v) ())
             scored;
-        List.iter (register_alias ctx) best_ext.Elimination.queries;
+        List.iter (register_alias ~dims ctx) best_ext.Elimination.queries;
         loop best_ext.Elimination.rewritten
           (queries @ best_ext.Elimination.queries)
           (total +. best_cost)
@@ -144,15 +155,15 @@ let greedy ?(budget : Tier.budget option) (cfg : config)
 (* ------------------------------------------------------------------ *)
 
 type dp_entry = {
-  dp_expr : Ir.expr;
-  dp_queries : Logical_query.t list;
+  dp_expr : Intern.node;
+  dp_queries : Elimination.query list;
   dp_cost : float;
   dp_ctx : Galley_stats.Ctx.t;
 }
 
 let branch_and_bound ?(budget : Tier.budget option) (cfg : config)
     (ctx : Galley_stats.Ctx.t) ~(fresh : unit -> string) ~(name : string)
-    ~(out_order : Ir.idx list option) (expr : Ir.expr) : result =
+    ~(out_order : Ir.idx list option) (expr : Intern.node) : result =
   (* Step 1: greedy upper bound (on a cloned context so trial alias
      statistics do not pollute the search). *)
   let greedy_result =
@@ -174,7 +185,7 @@ let branch_and_bound ?(budget : Tier.budget option) (cfg : config)
     let pruned_bound = ref 0 and pruned_dominated = ref 0 in
     let improvements = ref 0 in
     let bound = ref greedy_result.cost in
-    let dims = Schema.index_dims ctx.Galley_stats.Ctx.schema expr in
+    let dims = Schema.index_dims ctx.Galley_stats.Ctx.schema expr.Intern.expr in
     (* A DP state is the set of eliminated indices, as a mask whose bit b
        stands for [names.(b)] (ascending). *)
     let names = Array.of_list (List.sort_uniq String.compare all_indices) in
@@ -243,7 +254,8 @@ let branch_and_bound ?(budget : Tier.budget option) (cfg : config)
                   if not better then incr pruned_dominated;
                   if better then begin
                     let trial_ctx = entry.dp_ctx.Galley_stats.Ctx.clone () in
-                    List.iter (register_alias trial_ctx) ext.Elimination.queries;
+                    List.iter (register_alias ~dims trial_ctx)
+                      ext.Elimination.queries;
                     let entry' =
                       {
                         dp_expr = ext.Elimination.rewritten;
@@ -290,12 +302,12 @@ let branch_and_bound ?(budget : Tier.budget option) (cfg : config)
           List.fold_left
             (fun acc q ->
               let c = query_cost cfg ctx q in
-              register_alias ctx q;
+              register_alias ~dims ctx q;
               acc +. c)
             0.0 entry.dp_queries
         in
         let r, final_cost =
-          finish ~cost_of:(query_cost cfg ctx) ctx ~name ~out_order
+          finish ~cost_of:(query_cost cfg ctx) ~dims ctx ~name ~out_order
             entry.dp_expr entry.dp_queries
         in
         { r with cost = replay_cost +. final_cost }
@@ -310,20 +322,20 @@ let branch_and_bound ?(budget : Tier.budget option) (cfg : config)
    a 0-second deadline or a faulty estimator; the resulting plan is a
    valid (if unscored) left-to-right elimination order. *)
 let naive (ctx : Galley_stats.Ctx.t) ~(fresh : unit -> string)
-    ~(name : string) ~(out_order : Ir.idx list option) (expr : Ir.expr) :
+    ~(name : string) ~(out_order : Ir.idx list option) (expr : Intern.node) :
     result =
-  let dims = Schema.index_dims ctx.Galley_stats.Ctx.schema expr in
+  let dims = Schema.index_dims ctx.Galley_stats.Ctx.schema expr.Intern.expr in
   let facts = Schema.expr_facts_or_top ctx.Galley_stats.Ctx.schema dims in
   let rec loop expr queries =
     match Elimination.available_indices expr with
     | [] ->
         let r, _ =
-          finish ~cost_of:(fun _ -> 0.0) ctx ~name ~out_order expr queries
+          finish ~cost_of:(fun _ -> 0.0) ~dims ctx ~name ~out_order expr queries
         in
         r
     | v :: _ ->
         let ext = Elimination.eliminate ~dims ~facts ~fresh expr v in
-        List.iter (register_alias ctx) ext.Elimination.queries;
+        List.iter (register_alias ~dims ctx) ext.Elimination.queries;
         loop ext.Elimination.rewritten (queries @ ext.Elimination.queries)
   in
   loop expr []
@@ -336,7 +348,8 @@ let optimize_expr ?(budget : Tier.budget option) (cfg : config)
     (ctx : Galley_stats.Ctx.t) ~(fresh : unit -> string)
     ~(binder : Ir.idx -> Ir.idx) ~(name : string)
     ~(out_order : Ir.idx list option) (expr : Ir.expr) : result =
-  let run ctx expr =
+  let run (ctx : Galley_stats.Ctx.t) expr =
+    let expr = Intern.of_expr expr in
     match cfg.search with
     | Greedy -> greedy ?budget cfg ctx ~fresh ~name ~out_order expr
     | Branch_and_bound ->
@@ -420,7 +433,7 @@ let optimize_expr_tiered ?(deadline : float option) ?(degrade = true)
         let canon =
           Canonical.canonicalize ~binder ctx.Galley_stats.Ctx.schema expr
         in
-        let r = (naive ctx ~fresh ~name ~out_order canon, Tier.Naive) in
+        let r = (naive ctx ~fresh ~name ~out_order (Intern.of_expr canon), Tier.Naive) in
         if Provenance.enabled () then
           Provenance.rung ~phase:"logical" ~query:name ~tier:"naive"
             ~outcome:"served" ();
@@ -470,7 +483,7 @@ let optimize_program_tiered ?(timeout : float option) ?degrade (cfg : config)
   let counter = ref 0 in
   let fresh () =
     incr counter;
-    Printf.sprintf "#t%d" !counter
+    "#t" ^ string_of_int !counter
   in
   let binder = Canonical.binder_namer () in
   let tiers = ref [] in

@@ -92,7 +92,7 @@ let level_iters (ctx : Ctx.t) (body : Ir.expr) (all : Ir.Idx_set.t)
   | None ->
       let others = Ir.Idx_set.elements (Ir.Idx_set.diff all s) in
       let proj = if others = [] then body else Ir.Agg (Op.Max, others, body) in
-      let v = ctx.Ctx.estimate_expr proj in
+      let v = Ctx.estimate_expr ctx proj in
       Hashtbl.replace memo k v;
       v
 
@@ -284,7 +284,7 @@ let choose_formats (cfg : config) (ctx : Ctx.t) (body : Ir.expr)
         Ir.Idx_set.elements (Ir.Idx_set.diff all (Ir.Idx_set.of_list prefix))
       in
       let proj = if others = [] then body else Ir.Agg (Op.Max, others, body) in
-      Tier.finite (ctx.Ctx.estimate_expr proj)
+      Tier.finite (Ctx.estimate_expr ctx proj)
     end
   in
   Array.init n_out (fun level ->
@@ -490,7 +490,7 @@ let plan_query_rung ~(tier : Tier.t) ?(budget : Tier.budget option)
                 Schema.declare schema name
                   ~dims:(Array.map (fun k -> src_info.Schema.dims.(k)) perm)
                   ~fill:src_info.Schema.fill ~facts:src_info.Schema.facts;
-                ctx.Ctx.register_alias_estimated name ~output_idxs:sorted_idxs
+                Ctx.register_alias_estimated ctx name ~output_idxs:sorted_idxs
                   (Ir.Alias (a.Physical.tensor, a.Physical.idxs));
                 name
           in

@@ -191,86 +191,95 @@ type sorted =
   | S_map of Op.t * sorted list
   | S_agg of Op.t * Ir.idx list * sorted
 
+let write ~(resolve_alias : string -> string) (buf : Buffer.t) (s : sorted) :
+    unit =
+  (* Indices numbered so far, most recent first: number k is the
+     (k+1)-th distinct index met. *)
+  let seen = ref [] and next = ref 0 in
+  let idx i =
+    let rec find k = function
+      | [] ->
+          let k = !next in
+          seen := i :: !seen;
+          incr next;
+          k
+      | j :: rest -> if String.equal i j then k else find (k - 1) rest
+    in
+    let k = find (!next - 1) !seen in
+    Buffer.add_char buf '$';
+    if k < 10 then Buffer.add_char buf (Char.unsafe_chr (48 + k))
+    else Buffer.add_string buf (string_of_int k)
+  in
+  let idx_list idxs =
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun j i ->
+        if j > 0 then Buffer.add_char buf ',';
+        idx i)
+      idxs;
+    Buffer.add_char buf ']'
+  in
+  let rec go = function
+    | S_leaf (Ir.Input (n, idxs)) ->
+        Buffer.add_string buf "I:";
+        Buffer.add_string buf n;
+        idx_list idxs
+    | S_leaf (Ir.Alias (n, idxs)) ->
+        Buffer.add_string buf "A:{";
+        Buffer.add_string buf (resolve_alias n);
+        Buffer.add_char buf '}';
+        idx_list idxs
+    | S_leaf (Ir.Literal v) -> Printf.bprintf buf "L:%h" v
+    | S_leaf (Ir.Map _ | Ir.Agg _) -> assert false
+    | S_map (op, args) ->
+        Buffer.add_string buf "M:";
+        Buffer.add_string buf (Op.to_string op);
+        Buffer.add_char buf '(';
+        List.iteri
+          (fun j a ->
+            if j > 0 then Buffer.add_char buf ';';
+            go a)
+          args;
+        Buffer.add_char buf ')'
+    | S_agg (op, idxs, body) ->
+        Buffer.add_string buf "G:";
+        Buffer.add_string buf (Op.to_string op);
+        idx_list idxs;
+        Buffer.add_char buf '(';
+        go body;
+        Buffer.add_char buf ')'
+  in
+  go s
+
+(* The key of an ordered tree. *)
+let key_of_sorted ?(resolve_alias = fun (n : string) -> n) (s : sorted) :
+    string =
+  let buf = Buffer.create 256 in
+  write ~resolve_alias buf s;
+  Buffer.contents buf
+
+(* A map node's children [args] in key order: by their standalone keys
+   when the operator is commutative (stably), else as given. *)
+let order (op : Op.t) ~(key : 'a -> string) ~(sorted : 'a -> sorted)
+    (args : 'a list) : sorted list =
+  if Op.is_commutative op then
+    List.map snd
+      (List.stable_sort
+         (fun (k1, _) (k2, _) -> String.compare k1 k2)
+         (List.map (fun a -> (key a, sorted a)) args))
+  else List.map sorted args
+
 let canonical_key ?(resolve_alias = fun (n : string) -> n) (e : Ir.expr) :
     string =
-  let write (buf : Buffer.t) (s : sorted) : unit =
-    (* Indices numbered so far, most recent first: number k is the
-       (k+1)-th distinct index met. *)
-    let seen = ref [] and next = ref 0 in
-    let idx i =
-      let rec find k = function
-        | [] ->
-            let k = !next in
-            seen := i :: !seen;
-            incr next;
-            k
-        | j :: rest -> if String.equal i j then k else find (k - 1) rest
-      in
-      let k = find (!next - 1) !seen in
-      Buffer.add_char buf '$';
-      Buffer.add_string buf (string_of_int k)
-    in
-    let idx_list idxs =
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun j i ->
-          if j > 0 then Buffer.add_char buf ',';
-          idx i)
-        idxs;
-      Buffer.add_char buf ']'
-    in
-    let rec go = function
-      | S_leaf (Ir.Input (n, idxs)) ->
-          Buffer.add_string buf "I:";
-          Buffer.add_string buf n;
-          idx_list idxs
-      | S_leaf (Ir.Alias (n, idxs)) ->
-          Buffer.add_string buf "A:{";
-          Buffer.add_string buf (resolve_alias n);
-          Buffer.add_char buf '}';
-          idx_list idxs
-      | S_leaf (Ir.Literal v) -> Printf.bprintf buf "L:%h" v
-      | S_leaf (Ir.Map _ | Ir.Agg _) -> assert false
-      | S_map (op, args) ->
-          Buffer.add_string buf "M:";
-          Buffer.add_string buf (Op.to_string op);
-          Buffer.add_char buf '(';
-          List.iteri
-            (fun j a ->
-              if j > 0 then Buffer.add_char buf ';';
-              go a)
-            args;
-          Buffer.add_char buf ')'
-      | S_agg (op, idxs, body) ->
-          Buffer.add_string buf "G:";
-          Buffer.add_string buf (Op.to_string op);
-          idx_list idxs;
-          Buffer.add_char buf '(';
-          go body;
-          Buffer.add_char buf ')'
-    in
-    go s
-  in
-  let standalone s =
-    let buf = Buffer.create 64 in
-    write buf s;
-    Buffer.contents buf
-  in
   let rec sorted (e : Ir.expr) : sorted =
     match e with
     | Ir.Input _ | Ir.Alias _ | Ir.Literal _ -> S_leaf e
     | Ir.Map (op, args) ->
-        let args = List.map sorted args in
-        if Op.is_commutative op then
-          S_map
-            ( op,
-              List.map snd
-                (List.stable_sort
-                   (fun (k1, _) (k2, _) -> String.compare k1 k2)
-                   (List.map (fun a -> (standalone a, a)) args)) )
-        else S_map (op, args)
+        S_map
+          ( op,
+            order op
+              ~key:(key_of_sorted ~resolve_alias)
+              ~sorted:Fun.id (List.map sorted args) )
     | Ir.Agg (op, idxs, body) -> S_agg (op, idxs, sorted body)
   in
-  let buf = Buffer.create 256 in
-  write buf (sorted e);
-  Buffer.contents buf
+  key_of_sorted ~resolve_alias (sorted e)

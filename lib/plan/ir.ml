@@ -177,16 +177,6 @@ let rec rename_indices (subst : idx Idx_map.t) (e : expr) : expr =
   | Agg (op, idxs, body) ->
       Agg (op, List.map r idxs, rename_indices subst body)
 
-(* Replace every occurrence of subexpression [target] (physical equality or
-   structural equality) with [by]. *)
-let rec replace_subexpr ~(target : expr) ~(by : expr) (e : expr) : expr =
-  if e == target || e = target then by
-  else
-    match e with
-    | Input _ | Alias _ | Literal _ -> e
-    | Map (op, args) -> Map (op, List.map (replace_subexpr ~target ~by) args)
-    | Agg (op, idxs, body) -> Agg (op, idxs, replace_subexpr ~target ~by body)
-
 (* Repeated application of an aggregate over [n] copies of [e] — the
    expression-level counterpart of [Op.repeat], shared by the logical
    elimination and canonicalization rewrites so neither silently assumes

@@ -10,12 +10,13 @@ type t = {
   output_idxs : Ir.idx list; (* free indices of the query, fixed order *)
 }
 
-let validate (q : t) : unit =
-  if Ir.contains_agg q.body then
+(* [free] and [has_agg] are the body's free indices and whether it holds
+   an aggregate. *)
+let check (q : t) ~(free : Ir.Idx_set.t) ~(has_agg : bool) : unit =
+  if has_agg then
     invalid_arg ("Logical_query: body of " ^ q.name ^ " contains an aggregate");
   if not (Op.is_aggregate q.agg_op) then
     invalid_arg ("Logical_query: bad aggregate op in " ^ q.name);
-  let free = Ir.free_indices q.body in
   let out = Ir.Idx_set.diff free (Ir.Idx_set.of_list q.agg_idxs) in
   if not (Ir.Idx_set.equal out (Ir.Idx_set.of_list q.output_idxs)) then
     invalid_arg
@@ -24,32 +25,30 @@ let validate (q : t) : unit =
          (String.concat "," q.output_idxs)
          (String.concat "," (Ir.Idx_set.elements out)))
 
+let validate (q : t) : unit =
+  check q ~free:(Ir.free_indices q.body) ~has_agg:(Ir.contains_agg q.body)
+
 (* Free indices in order of first occurrence in a left-to-right traversal:
    the default output order of intermediates.  This tends to match the
    storage order of the inputs (and hence concordant loop orders), avoiding
    gratuitous transposes. *)
 let occurrence_order (body : Ir.expr) ~(excluding : Ir.idx list) : Ir.idx list
     =
-  let seen = Hashtbl.create 8 in
-  let out = ref [] in
-  let visit idxs =
-    List.iter
-      (fun i ->
-        if (not (Hashtbl.mem seen i)) && not (List.mem i excluding) then begin
-          Hashtbl.add seen i ();
-          out := i :: !out
-        end)
-      idxs
+  let rec visit seen = function
+    | [] -> seen
+    | i :: rest ->
+        visit
+          (if List.mem i seen || List.mem i excluding then seen else i :: seen)
+          rest
   in
-  let rec go (e : Ir.expr) =
+  let rec go seen (e : Ir.expr) =
     match e with
-    | Ir.Input (_, idxs) | Ir.Alias (_, idxs) -> visit idxs
-    | Ir.Literal _ -> ()
-    | Ir.Map (_, args) -> List.iter go args
-    | Ir.Agg (_, _, b) -> go b
+    | Ir.Input (_, idxs) | Ir.Alias (_, idxs) -> visit seen idxs
+    | Ir.Literal _ -> seen
+    | Ir.Map (_, args) -> List.fold_left go seen args
+    | Ir.Agg (_, _, b) -> go seen b
   in
-  go body;
-  List.rev !out
+  List.rev (go [] body)
 
 let make ?output_idxs ~name ~agg_op ~agg_idxs ~body () : t =
   let output_idxs =
@@ -60,6 +59,34 @@ let make ?output_idxs ~name ~agg_op ~agg_idxs ~body () : t =
   let q = { name; agg_op; agg_idxs; body; output_idxs } in
   validate q;
   q
+
+(* [make] over an interned body, whose free indices and aggregate test are
+   already known.  The occurrence order of an aggregate-free body lists
+   exactly its free indices, so only given output indices need the set
+   comparison. *)
+let of_node ?output_idxs ~name ~agg_op ~agg_idxs (body : Intern.node) : t =
+  let q =
+    {
+      name;
+      agg_op;
+      agg_idxs;
+      body = body.Intern.expr;
+      output_idxs =
+        (match output_idxs with
+        | Some idxs -> idxs
+        | None -> occurrence_order body.Intern.expr ~excluding:agg_idxs);
+    }
+  in
+  if
+    Option.is_some output_idxs || body.Intern.has_agg
+    || not (Op.is_aggregate agg_op)
+  then check q ~free:body.Intern.free ~has_agg:body.Intern.has_agg;
+  q
+
+(* The node of [to_query q]'s expression, given the node of [q]'s body. *)
+let output_node (q : t) (body : Intern.node) : Intern.node =
+  if q.agg_idxs = [] && q.agg_op = Op.Ident then body
+  else Intern.agg q.agg_op q.agg_idxs body
 
 (* View a logical query back as a generic IR query. *)
 let to_query (q : t) : Ir.query =

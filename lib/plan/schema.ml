@@ -29,9 +29,9 @@ let declare_tensor t name (tensor : Galley_tensor.Tensor.t) =
 let find t name = Hashtbl.find_opt t.tensors name
 
 let info_exn t name =
-  match find t name with
-  | Some i -> i
-  | None -> invalid_arg ("Schema: unknown tensor " ^ name)
+  match Hashtbl.find t.tensors name with
+  | i -> i
+  | exception Not_found -> invalid_arg ("Schema: unknown tensor " ^ name)
 
 let fill_of t name = (info_exn t name).fill
 let facts_of t name = (info_exn t name).facts
@@ -93,15 +93,13 @@ let expr_fill (t : t) (dims : int Ir.Idx_map.t) (e : Ir.expr) : float =
 
 (* Value facts of the tensor denoted by [e], by interval arithmetic
    through every Map and Agg node. *)
-let expr_facts (t : t) (dims : int Ir.Idx_map.t) (e : Ir.expr) : Facts.t =
-  let rec go (e : Ir.expr) : Facts.t =
-    match e with
-    | Ir.Input (name, _) | Ir.Alias (name, _) -> facts_of t name
-    | Ir.Literal v -> Facts.of_value v
-    | Ir.Map (op, args) -> Op.map_facts op (List.map go args)
-    | Ir.Agg (op, idxs, body) -> Op.agg_facts op (space dims idxs) (go body)
-  in
-  go e
+let rec expr_facts (t : t) (dims : int Ir.Idx_map.t) (e : Ir.expr) : Facts.t =
+  match e with
+  | Ir.Input (name, _) | Ir.Alias (name, _) -> facts_of t name
+  | Ir.Literal v -> Facts.of_value v
+  | Ir.Map (op, args) -> Op.map_facts op (List.map (expr_facts t dims) args)
+  | Ir.Agg (op, idxs, body) ->
+      Op.agg_facts op (space dims idxs) (expr_facts t dims body)
 
 (* [expr_facts], or [Facts.top] (any value) when [e] reads a tensor the
    schema does not know. *)
@@ -110,10 +108,11 @@ let expr_facts_or_top (t : t) (dims : int Ir.Idx_map.t) (e : Ir.expr) :
   try expr_facts t dims e with Invalid_argument _ -> Facts.top
 
 (* Register the alias produced by a query: dims in [output_idxs] order,
-   plus the fill and facts its expression implies. *)
-let declare_query_output (t : t) (q : Ir.query) ~(output_idxs : Ir.idx list) :
-    unit =
-  let dims = index_dims t q.expr in
+   plus the fill and facts its expression implies.  [dims], when given,
+   must bind every index of [q] as [index_dims] would. *)
+let declare_query_output ?dims (t : t) (q : Ir.query)
+    ~(output_idxs : Ir.idx list) : unit =
+  let dims = match dims with Some d -> d | None -> index_dims t q.expr in
   let out_dims =
     Array.of_list (List.map (fun i -> dim_of_idx dims i) output_idxs)
   in

@@ -70,7 +70,11 @@ let sorted_names (l : Ir.idx list) : Ir.idx array =
 
 (* Where each of [from]'s names sits in [into] (a superset). *)
 let positions_in ~(into : Ir.idx array) (from : Ir.idx array) : int array =
-  Array.map (fun i -> Option.get (index_of into i)) from
+  Array.map
+    (fun i ->
+      let rec go k = if String.equal into.(k) i then k else go (k + 1) in
+      go 0)
+    from
 
 (* [m] with bit k moved to bit [perm.(k)]. *)
 let remap (perm : int array) (m : int) : int =
@@ -391,7 +395,15 @@ let dedupe (xs : int array) (ys : int array) (bounds : float array) :
     let p = slot.(!h) in
     if p < 0 || not (bounds.(p) <= bounds.(j)) then slot.(!h) <- j
   done;
-  let kept = Array.of_list (List.filter (fun j -> j >= 0) (Array.to_list slot)) in
+  let n_kept = Array.fold_left (fun acc j -> if j >= 0 then acc + 1 else acc) 0 slot in
+  let kept = Array.make n_kept 0 and k = ref 0 in
+  Array.iter
+    (fun j ->
+      if j >= 0 then begin
+        kept.(!k) <- j;
+        incr k
+      end)
+    slot;
   (Array.map (fun j -> xs.(j)) kept, Array.map (fun j -> ys.(j)) kept,
    Array.map (fun j -> bounds.(j)) kept)
 
@@ -462,26 +474,28 @@ let aggregate ~dims:_ (c : t) ~over =
           incr n_keep
         end)
       c.names;
-    let kept a = Array.of_list (List.filteri (fun k _ -> perm.(k) >= 0) (Array.to_list a)) in
+    let kept a = Array.init !n_keep (fun k' ->
+        let rec go k = if perm.(k) = k' then a.(k) else go (k + 1) in
+        go 0)
+    in
     (* Conditioning on an aggregated index is meaningless afterwards; X may
        be projected (distinct counts only shrink). *)
-    let xs = ref [] and ys = ref [] and bounds = ref [] in
-    for j = Array.length c.xs - 1 downto 0 do
-      let x' = c.xs.(j) land lnot over_mask in
-      if c.ys.(j) land over_mask = 0 && x' <> 0 then begin
-        xs := remap perm x' :: !xs;
-        ys := remap perm c.ys.(j) :: !ys;
-        bounds := c.bounds.(j) :: !bounds
+    let keeps j = c.ys.(j) land over_mask = 0 && c.xs.(j) land lnot over_mask <> 0 in
+    let n = ref 0 in
+    for j = 0 to Array.length c.xs - 1 do
+      if keeps j then incr n
+    done;
+    let xs = Array.make !n 0 and ys = Array.make !n 0 in
+    let bounds = Array.make !n 0.0 and p = ref 0 in
+    for j = 0 to Array.length c.xs - 1 do
+      if keeps j then begin
+        xs.(!p) <- remap perm (c.xs.(j) land lnot over_mask);
+        ys.(!p) <- remap perm c.ys.(j);
+        bounds.(!p) <- c.bounds.(j);
+        incr p
       end
     done;
-    {
-      names = kept c.names;
-      dims = kept c.dims;
-      xs = Array.of_list !xs;
-      ys = Array.of_list !ys;
-      bounds = Array.of_list !bounds;
-      empty = c.empty;
-    }
+    { names = kept c.names; dims = kept c.dims; xs; ys; bounds; empty = c.empty }
   end
 
 (* Shortest weighted path from the empty set to the full index set, where an

@@ -294,6 +294,83 @@ let test_cse_invalidated_by_rebinding () =
   check_bool "r2 reflects new binding" true
     (T.equal_approx (Exec.lookup exec "r2") (reference [ ("A", a2) ] (q "r2")))
 
+(* Bit-for-bit equality of the dense images (and of fills and dims). *)
+let bits_equal (a : T.t) (b : T.t) : bool =
+  T.dims a = T.dims b
+  && Int64.bits_of_float (T.fill a) = Int64.bits_of_float (T.fill b)
+  &&
+  let fa = T.to_flat_dense a and fb = T.to_flat_dense b in
+  Array.for_all2
+    (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+    fa fb
+
+(* Covariance builds X twice, as two alpha-equivalent four-step chains.  A
+   step that reads an intermediate is keyed by that intermediate's
+   lineage, not its name, so the whole second chain hits: 4 hits, 6
+   kernels instead of 10, and the same output bits as without CSE. *)
+let test_cse_lineage_covariance () =
+  let scale =
+    {
+      Perfbench.Ml_joins.default_scale with
+      Perfbench.Ml_joins.cov = Perfbench.Ml_joins.star_scale 20;
+    }
+  in
+  let c =
+    List.find
+      (fun (c : Perfbench.Ml_joins.case) ->
+        c.Perfbench.Ml_joins.name = "covariance_star")
+      (Perfbench.Ml_joins.cases ~scale ~seed:1 ())
+  in
+  let run cse =
+    match
+      Galley.Driver.run_source_checked
+        ~config:{ Galley.Driver.default_config with Galley.Driver.cse }
+        ~inputs:c.Perfbench.Ml_joins.inputs c.Perfbench.Ml_joins.src
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.fail (Galley.Errors.to_string e)
+  in
+  let on = run true and off = run false in
+  let t = on.Galley.Driver.timings in
+  check_int "cse hits" 4 t.Galley.Driver.cse_hits;
+  check_int "kernels run" 6 t.Galley.Driver.kernel_count;
+  check_int "kernels run without cse" 10
+    off.Galley.Driver.timings.Galley.Driver.kernel_count;
+  List.iter2
+    (fun (n, _, x) (n', _, y) ->
+      Alcotest.(check string) "output name" n n';
+      check_bool (n ^ " identical with cse on and off") true (bits_equal x y))
+    on.Galley.Driver.outputs off.Galley.Driver.outputs
+
+(* Lineage starts at the inputs: rebinding one (a new version) misses on
+   the step that reads it and on every step downstream. *)
+let test_cse_lineage_rebinding () =
+  let prng = Prng.create 15 in
+  let a1 = sparse ~prng ~dims:[| 8; 8 |] ~density:0.3 in
+  let a2 = sparse ~prng ~dims:[| 8; 8 |] ~density:0.3 in
+  let program =
+    Galley_lang.Parser.parse_program
+      "r[i] = sum[j](A[i,j])\ns = sum[i](r[i] * r[i])"
+  in
+  let s = Galley.Driver.Session.create () in
+  let run () =
+    let r = Galley.Driver.Session.run_program s program in
+    ( r.Galley.Driver.timings.Galley.Driver.cse_hits,
+      r.Galley.Driver.timings.Galley.Driver.kernel_count )
+  in
+  Galley.Driver.Session.bind s "A" a1;
+  let _, kernels = run () in
+  check_bool "first run computes" true (kernels > 0);
+  Alcotest.(check (pair int int)) "same binding replays" (kernels, 0) (run ());
+  Galley.Driver.Session.bind s "A" a2;
+  Alcotest.(check (pair int int)) "rebound input misses" (0, kernels) (run ());
+  check_bool "result follows the new binding" true
+    (T.equal_approx
+       (Option.get (Galley.Driver.Session.lookup s "r"))
+       (reference [ ("A", a2) ]
+          (LQ.make ~output_idxs:[ "i" ] ~name:"r" ~agg_op:Op.Add
+             ~agg_idxs:[ "j" ] ~body:(Ir.input "A" [ "i"; "j" ]) ())))
+
 let test_cse_disabled () =
   let prng = Prng.create 14 in
   let a = sparse ~prng ~dims:[| 8; 8 |] ~density:0.3 in
@@ -419,6 +496,10 @@ let () =
           Alcotest.test_case "cse hits" `Quick test_cse_hits;
           Alcotest.test_case "cse vs rebinding" `Quick test_cse_invalidated_by_rebinding;
           Alcotest.test_case "cse disabled" `Quick test_cse_disabled;
+          Alcotest.test_case "cse by lineage: covariance" `Slow
+            test_cse_lineage_covariance;
+          Alcotest.test_case "cse by lineage: rebound input misses" `Quick
+            test_cse_lineage_rebinding;
         ] );
       ( "steps",
         [

@@ -283,6 +283,75 @@ let prop_canonical_key_matches_reference =
       && Canonical.canonical_key ~resolve_alias e
          = reference_canonical_key ~resolve_alias e)
 
+(* The estimate memo's classes are exactly the canonical-key classes.  A
+   context with aliases t1 and t2 registered under alpha-equivalent
+   definitions gives every expression the class of its key with each
+   alias named by its definition's id; the second expression of a pair is
+   often a variant of the first (indices renamed, commutative children
+   reversed, t1 and t2 swapped), so equal keys are exercised too. *)
+let interning_ctx () : Galley_stats.Ctx.t =
+  let prng = Galley_tensor.Prng.create 5 in
+  let a =
+    T.random ~prng ~dims:[| 4; 4 |] ~formats:[| T.Dense; T.Sparse_list |]
+      ~density:0.5 ()
+  in
+  let schema = Schema.create () in
+  Schema.declare_tensor schema "A" a;
+  let ctx = Galley_stats.Ctx.create schema in
+  ctx.Galley_stats.Ctx.register_input "A" a;
+  List.iter
+    (fun (name, j) ->
+      let def = Ir.(sum [ j ] (input "A" [ "i"; j ])) in
+      Schema.declare_query_output schema
+        { Ir.name; expr = def; out_order = Some [ "i" ] }
+        ~output_idxs:[ "i" ];
+      Galley_stats.Ctx.register_alias_estimated ctx name ~output_idxs:[ "i" ] def)
+    [ ("t1", "j"); ("t2", "k") ];
+  ctx
+
+let rec key_variant (e : Ir.expr) : Ir.expr =
+  let rename i =
+    match i with "i" -> "l" | "j" -> "i" | "k" -> "j" | "l" -> "k" | i -> i
+  in
+  match e with
+  | Ir.Input (n, idxs) -> Ir.Input (n, List.map rename idxs)
+  | Ir.Alias (n, idxs) ->
+      Ir.Alias ((match n with "t1" -> "t2" | "t2" -> "t1" | n -> n), List.map rename idxs)
+  | Ir.Literal _ -> e
+  | Ir.Map (op, args) ->
+      let args = List.map key_variant args in
+      Ir.Map (op, if Op.is_commutative op then List.rev args else args)
+  | Ir.Agg (op, idxs, body) -> Ir.Agg (op, List.map rename idxs, key_variant body)
+
+let prop_interned_classes_are_key_classes =
+  let ctx = interning_ctx () in
+  let resolve_alias = ctx.Galley_stats.Ctx.resolve in
+  QCheck.Test.make ~name:"interned classes are canonical-key classes"
+    ~count:500 (QCheck.int_range 0 100_000) (fun seed ->
+      let prng = Galley_tensor.Prng.create seed in
+      let e1 = random_key_expr prng in
+      let e2 =
+        if Galley_tensor.Prng.int prng 2 = 0 then key_variant e1
+        else random_key_expr prng
+      in
+      let key e = Canonical.canonical_key ~resolve_alias e in
+      let cls e = ctx.Galley_stats.Ctx.class_of (Galley_plan.Intern.of_expr e) in
+      Bool.equal (cls e1 = cls e2) (String.equal (key e1) (key e2)))
+
+let test_alias_resolves_to_definition () =
+  let ctx = interning_ctx () in
+  let resolve = ctx.Galley_stats.Ctx.resolve in
+  Alcotest.(check bool) "a definition id" true
+    (String.length (resolve "t1") > 2 && String.sub (resolve "t1") 0 2 = "D:");
+  check_str "equal definitions, one id" (resolve "t1") (resolve "t2");
+  check_str "no definition, the name" "A" (resolve "A");
+  let cls e = ctx.Galley_stats.Ctx.class_of (Galley_plan.Intern.of_expr e) in
+  Alcotest.(check int) "an alias's class follows its definition"
+    (cls (Ir.alias "t1" [ "x" ]))
+    (cls (Ir.alias "t2" [ "x" ]));
+  Alcotest.(check bool) "not an input's" true
+    (cls (Ir.alias "t1" [ "x" ]) <> cls (Ir.input "A" [ "x" ]))
+
 (* -------------------------------------------------------------- *)
 (* Schema.                                                          *)
 (* -------------------------------------------------------------- *)
@@ -432,6 +501,8 @@ let () =
           Alcotest.test_case "distinguishes" `Quick test_canonical_key_distinguishes;
           Alcotest.test_case "noncommutative order" `Quick test_canonical_key_noncommutative_order;
           Alcotest.test_case "alias resolution" `Quick test_resolve_alias_key;
+          Alcotest.test_case "alias class is its definition's" `Quick
+            test_alias_resolves_to_definition;
         ] );
       ( "schema",
         [
@@ -448,5 +519,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_canonicalize_preserves_free; prop_canonical_key_matches_reference ] );
+          [
+            prop_canonicalize_preserves_free;
+            prop_canonical_key_matches_reference;
+            prop_interned_classes_are_key_classes;
+          ] );
     ]

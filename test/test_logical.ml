@@ -10,9 +10,26 @@ module Ir = Galley_plan.Ir
 module Op = Galley_plan.Op
 module Schema = Galley_plan.Schema
 module LQ = Galley_plan.Logical_query
-module Elim = Galley_logical.Elimination
+module Intern = Galley_plan.Intern
 module Opt = Galley_logical.Optimizer
 module Ctx = Galley_stats.Ctx
+
+(* The extraction rules read on plain expressions: the input is interned
+   and the result read back. *)
+module Elim = struct
+  module E = Galley_logical.Elimination
+
+  type extraction = { queries : LQ.t list; rewritten : Ir.expr }
+
+  let eliminate ~dims ~facts ~fresh e v =
+    let ext = E.eliminate ~dims ~facts ~fresh (Intern.of_expr e) v in
+    {
+      queries = List.map fst ext.E.queries;
+      rewritten = ext.E.rewritten.Intern.expr;
+    }
+
+  let available_indices e = E.available_indices (Intern.of_expr e)
+end
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -376,6 +393,78 @@ let prop_plan_validity =
       List.iter LQ.validate plan;
       (List.nth plan (List.length plan - 1)).LQ.name = "out")
 
+(* -------------------------------------------------------------- *)
+(* Interned search: allocation and bounded tables.                  *)
+(* -------------------------------------------------------------- *)
+
+(* The covariance search at the ml_joins benchmark's scale and seed: the
+   exact search prices ~25k candidate queries, nearly all to show that the
+   distributed variant loses.  Interning keeps its bookkeeping down; before
+   it the search allocated 53.4M minor words. *)
+let test_covariance_search_allocation () =
+  let c =
+    List.find
+      (fun (c : Perfbench.Ml_joins.case) ->
+        c.Perfbench.Ml_joins.name = "covariance_star")
+      (Perfbench.Ml_joins.cases ~seed:1 ())
+  in
+  let inputs = c.Perfbench.Ml_joins.inputs in
+  let program =
+    Galley.Driver.resolve_names
+      (Galley_lang.Parser.parse_program c.Perfbench.Ml_joins.src)
+  in
+  let schema = Schema.create () in
+  List.iter (fun (n, t) -> Schema.declare_tensor schema n t) inputs;
+  let ctx =
+    Ctx.create ~kind:Galley.Driver.default_config.Galley.Driver.estimator schema
+  in
+  List.iter (fun (n, t) -> ctx.Ctx.register_input n t) inputs;
+  let before = Gc.minor_words () in
+  let _plan, tiers =
+    Opt.optimize_program_tiered Galley.Driver.default_config.Galley.Driver.logical
+      ctx program
+  in
+  let words = Gc.minor_words () -. before in
+  check_bool "exact tier" true
+    (List.for_all (fun (_, t) -> t = Galley_plan.Tier.Exact) tiers);
+  if words > 20e6 then
+    Alcotest.failf "covariance search allocated %.1fM minor words (bound 20M)"
+      (words /. 1e6)
+
+(* A resident session re-registers its intermediates with every program
+   and its inputs with every bind; the memo and interning tables reset
+   then, so they do not grow with the number of distinct queries served. *)
+let test_session_tables_bounded () =
+  let prng = Prng.create 31 in
+  let matrix () =
+    T.random ~prng ~dims:[| 12; 12 |] ~formats:[| T.Dense; T.Sparse_list |]
+      ~density:0.3 ()
+  in
+  let s = Galley.Driver.Session.create () in
+  Galley.Driver.Session.bind s "A" (matrix ());
+  Galley.Driver.Session.bind s "B" (matrix ());
+  let sizes =
+    List.init 200 (fun k ->
+        if k mod 10 = 9 then Galley.Driver.Session.bind s "B" (matrix ());
+        let src =
+          Printf.sprintf "r[i] = sum[j,l](A[i,j] * B[j,l] * (A[l,j] + %d))" k
+        in
+        (match
+           Galley.Driver.Session.run_program_checked s
+             (Galley_lang.Parser.parse_program src)
+         with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail (Galley.Errors.to_string e));
+        (Galley.Driver.Session.ctx s).Ctx.table_sizes ())
+  in
+  let peak l = List.fold_left max 0 l in
+  let first = peak (List.filteri (fun k _ -> k < 100) sizes)
+  and last = peak (List.filteri (fun k _ -> k >= 100) sizes) in
+  check_bool "tables hold entries" true (first > 0);
+  if last > first then
+    Alcotest.failf "tables grew: peak %d over queries 1-100, %d over 101-200"
+      first last
+
 let () =
   Alcotest.run "logical"
     [
@@ -402,6 +491,13 @@ let () =
           Alcotest.test_case "example 3 distribution" `Quick test_distribution_example3;
           Alcotest.test_case "pure map" `Quick test_pure_map_program;
           Alcotest.test_case "multi-query aliases" `Quick test_multi_query_program_aliases;
+        ] );
+      ( "interned search",
+        [
+          Alcotest.test_case "covariance search allocation" `Slow
+            test_covariance_search_allocation;
+          Alcotest.test_case "session tables bounded" `Quick
+            test_session_tables_bounded;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_plan_validity ] );

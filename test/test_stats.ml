@@ -508,7 +508,7 @@ let test_ctx_estimates_input () =
       check_float
         (Ctx.kind_to_string kind)
         (float_of_int (T.nnz t))
-        (ctx.Ctx.estimate_expr (Ir.input "A" [ "i"; "j" ])))
+        (Ctx.estimate_expr ctx (Ir.input "A" [ "i"; "j" ])))
     [ Ctx.Uniform_kind; Ctx.Chain_kind ]
 
 let test_ctx_sigmoid_fill_flip () =
@@ -518,7 +518,7 @@ let test_ctx_sigmoid_fill_flip () =
   let t = sparse_matrix ~prng ~rows:10 ~cols:10 ~density:0.3 in
   let ctx = make_ctx [ ("A", t) ] in
   let est =
-    ctx.Ctx.estimate_expr (Ir.map Op.Sigmoid [ Ir.input "A" [ "i"; "j" ] ])
+    Ctx.estimate_expr ctx (Ir.map Op.Sigmoid [ Ir.input "A" [ "i"; "j" ] ])
   in
   check_bool "pattern preserved" true (est >= float_of_int (T.nnz t) -. 1e-6)
 
@@ -528,9 +528,9 @@ let test_ctx_alias_estimated () =
   let ctx = make_ctx [ ("A", a) ] in
   let def = Ir.(sum [ "j" ] (input "A" [ "i"; "j" ])) in
   Schema.declare ctx.Ctx.schema "V" ~dims:[| 10 |] ~fill:0.0;
-  ctx.Ctx.register_alias_estimated "V" ~output_idxs:[ "i" ] def;
+  Ctx.register_alias_estimated ctx "V" ~output_idxs:[ "i" ] def;
   check_bool "alias registered" true (ctx.Ctx.has_stats "V");
-  let est = ctx.Ctx.estimate_expr (Ir.alias "V" [ "q" ]) in
+  let est = Ctx.estimate_expr ctx (Ir.alias "V" [ "q" ]) in
   check_bool "estimate sane" true (est >= 0.0 && est <= 10.0)
 
 let test_ctx_alias_measured_overrides () =
@@ -538,13 +538,13 @@ let test_ctx_alias_measured_overrides () =
   let a = sparse_matrix ~prng ~rows:10 ~cols:10 ~density:0.3 in
   let ctx = make_ctx [ ("A", a) ] in
   Schema.declare ctx.Ctx.schema "V" ~dims:[| 10 |] ~fill:0.0;
-  ctx.Ctx.register_alias_estimated "V" ~output_idxs:[ "i" ]
+  Ctx.register_alias_estimated ctx "V" ~output_idxs:[ "i" ]
     Ir.(sum [ "j" ] (input "A" [ "i"; "j" ]));
   let measured =
     T.of_coo ~dims:[| 10 |] ~formats:[| T.Sparse_list |] [| ([| 3 |], 1.0) |]
   in
   ctx.Ctx.register_alias_tensor "V" measured;
-  check_float "measured wins" 1.0 (ctx.Ctx.estimate_expr (Ir.alias "V" [ "i" ]))
+  check_float "measured wins" 1.0 (Ctx.estimate_expr ctx (Ir.alias "V" [ "i" ]))
 
 let test_ctx_clone_isolated () =
   let prng = Prng.create 10 in
@@ -552,7 +552,7 @@ let test_ctx_clone_isolated () =
   let ctx = make_ctx [ ("A", a) ] in
   let clone = ctx.Ctx.clone () in
   Schema.declare clone.Ctx.schema "W" ~dims:[| 10 |] ~fill:0.0;
-  clone.Ctx.register_alias_estimated "W" ~output_idxs:[ "i" ]
+  Ctx.register_alias_estimated clone "W" ~output_idxs:[ "i" ]
     Ir.(sum [ "j" ] (input "A" [ "i"; "j" ]));
   check_bool "clone has it" true (clone.Ctx.has_stats "W");
   check_bool "original does not" false (ctx.Ctx.has_stats "W")
