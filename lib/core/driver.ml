@@ -10,6 +10,10 @@
    Setting [jit = false] plans the whole physical program up front from
    inferred statistics.
 
+   There is one pipeline, [Session]: the batch entry points ([run],
+   [run_logical_plan]) create a session over their inputs and run one
+   program.
+
    Resilience (see DESIGN.md "Failure model"): both optimizers run under an
    optional per-query deadline with a degradation ladder (exact → greedy →
    naive), plans are validated between phases, failures are classified into
@@ -143,16 +147,19 @@ let output_res (r : result) (name : string) : (T.t, string) Stdlib.result =
 let output_of (r : result) (name : string) : T.t =
   match output_res r name with Ok t -> t | Error msg -> invalid_arg ("Galley: " ^ msg)
 
-(* Replace Input leaves that actually refer to earlier query outputs with
-   Alias leaves, so programs can be written without distinguishing them. *)
-let resolve_names (p : Ir.program) : Ir.program =
+(* Replace Input leaves that actually refer to earlier query outputs (or,
+   in a session, to tensors materialized by earlier programs: [resident])
+   with Alias leaves, so programs can be written without distinguishing
+   them. *)
+let resolve_with ~(resident : string -> bool) (p : Ir.program) : Ir.program =
   let defined = Hashtbl.create 8 in
   let queries =
     List.map
       (fun (q : Ir.query) ->
         let rec fix (e : Ir.expr) : Ir.expr =
           match e with
-          | Ir.Input (n, idxs) when Hashtbl.mem defined n -> Ir.Alias (n, idxs)
+          | Ir.Input (n, idxs) when Hashtbl.mem defined n || resident n ->
+              Ir.Alias (n, idxs)
           | Ir.Input _ | Ir.Alias _ | Ir.Literal _ -> e
           | Ir.Map (op, args) -> Ir.Map (op, List.map fix args)
           | Ir.Agg (op, idxs, body) -> Ir.Agg (op, idxs, fix body)
@@ -164,11 +171,14 @@ let resolve_names (p : Ir.program) : Ir.program =
   in
   { p with Ir.queries }
 
+let resolve_names (p : Ir.program) : Ir.program =
+  resolve_with ~resident:(fun _ -> false) p
+
 let now = Unix.gettimeofday
 
 (* Phase/query breadcrumbs for classifying stray exceptions in
-   [run_checked].  Only the domain running the pipeline writes them:
-   kernel morsel lanes never do. *)
+   [checked].  Only the domain running the pipeline writes them: kernel
+   morsel lanes never do. *)
 let cur_phase : Errors.phase ref = ref Errors.Execution
 let cur_query : string option ref = ref None
 
@@ -178,8 +188,8 @@ let error_context () = Errors.context ?query:!cur_query !cur_phase
    optimizing [q] (JIT adaptive optimization).  [refreshed] remembers names
    already measured this run: bindings are immutable within a run, so one
    measurement per intermediate suffices. *)
-let refresh_alias_stats ?(refreshed = Hashtbl.create 16) (ctx : Ctx.t)
-    (exec : Galley_engine.Exec.t) (q : Logical_query.t) : unit =
+let refresh_alias_stats ~refreshed (ctx : Ctx.t) (exec : Galley_engine.Exec.t)
+    (q : Logical_query.t) : unit =
   List.iter
     (fun (name, kind) ->
       match kind with
@@ -194,8 +204,8 @@ let refresh_alias_stats ?(refreshed = Hashtbl.create 16) (ctx : Ctx.t)
     (Ir.referenced_names q.Logical_query.body)
 
 (* Declare one logical query's output in [ctx]'s schema and register its
-   inferred (estimated) alias statistics.  Shared by [run_logical_plan],
-   [Session.register_query], and the audit's shadow contexts. *)
+   inferred (estimated) alias statistics.  Shared by
+   [Session.run_logical_plan] and the audit's shadow contexts. *)
 let register_query_estimated (ctx : Ctx.t) (q : Logical_query.t) : unit =
   let query = Logical_query.to_query q in
   Schema.declare_query_output ctx.Ctx.schema query
@@ -251,16 +261,6 @@ let audit_observe (a : Obs.Audit.t) (exec : Galley_engine.Exec.t)
       | None -> ())
     logical_plan
 
-let make_ctx (config : config) (inputs : (string * T.t) list) : Ctx.t =
-  let schema = Schema.create () in
-  List.iter (fun (name, t) -> Schema.declare_tensor schema name t) inputs;
-  let ctx = Ctx.create ~kind:config.estimator schema in
-  List.iter (fun (name, t) -> ctx.Ctx.register_input name t) inputs;
-  Faults.wrap_ctx config.faults ctx
-
-let opt_budget (config : config) : float =
-  match config.optimizer_timeout with Some s -> s | None -> 0.0
-
 let collect_outputs (exec : Galley_engine.Exec.t)
     (logical_plan : Logical_query.t list) (outputs : string list) :
     (string * Ir.idx list * T.t) list * string list =
@@ -299,316 +299,18 @@ let validate_logical ~(config : config) ~(known : string -> bool)
              })
   end
 
-(* Core physical-planning + execution loop, shared by [run],
-   [run_logical_plan], and [Session.run_logical_plan].
-
-   [before_plan] runs per query before planning (sessions register alias
-   statistics there).  Returns the completed outputs even when execution
-   hits the wall-clock deadline; queries past it are reported in
-   [incomplete_outputs]. *)
-let execute_queries ~(config : config) ~(ctx : Ctx.t)
-    ~(exec : Galley_engine.Exec.t) ~(fresh : unit -> string)
-    ~(before_plan : Logical_query.t -> unit)
-    ~(logical_plan : Logical_query.t list) ~(outputs : string list) :
-    (string * Ir.idx list * T.t) list
-    * string list
-    * Physical.plan
-    * (string * Tier.t) list
-    * float
-    * bool
-    * int =
-  Faults.install_exec config.faults exec;
-  (* Explicitly clear as well as set: a resident session's executor
-     carries state across requests, and a previous request's deadline
-     must not bleed into this one. *)
-  (match config.timeout with
-  | Some s -> Galley_engine.Exec.set_timeout exec s
-  | None -> Galley_engine.Exec.clear_timeout exec);
-  let physical_seconds = ref 0.0 in
-  let all_steps = ref [] in
-  let timed_out = ref false in
-  let physical_tiers = ref [] in
-  let guard_retries = ref 0 in
-  let refreshed = Hashtbl.create 16 in
-  let planned_names = Hashtbl.create 16 in
-  let known n =
-    Galley_engine.Exec.lookup_opt exec n <> None || Hashtbl.mem planned_names n
-  in
-  let plan_one ~refresh (q : Logical_query.t) : Physical.plan =
-    let name = q.Logical_query.name in
-    cur_phase := Errors.Physical;
-    cur_query := Some name;
-    let t0 = now () in
-    let plan, tier =
-      try
-        Obs.span ~cat:"phase"
-          ~name:("physical_opt:" ^ name)
-          (fun () ->
-            if refresh then refresh_alias_stats ~refreshed ctx exec q;
-            let deadline =
-              Option.map (fun s -> now () +. s) config.optimizer_timeout
-            in
-            Galley_physical.Optimizer.plan_query_tiered ?deadline
-              ~degrade:config.degrade ~config:config.physical ctx ~fresh q)
-      with Tier.Exhausted ->
-        Errors.raise_error
-          (Errors.Optimizer_deadline
-             {
-               context = Errors.context ~query:name Errors.Physical;
-               budget = opt_budget config;
-             })
-    in
-    physical_seconds := !physical_seconds +. (now () -. t0);
-    if config.validate then begin
-      cur_phase := Errors.Validation;
-      match Validate.physical_plan ~known plan with
-      | Ok () -> ()
-      | Error { Validate.v_query; v_message } ->
-          Errors.raise_error
-            (Errors.Plan_invalid
-               {
-                 context = Errors.context ?query:v_query Errors.Validation;
-                 message = v_message;
-               })
-    end;
-    Hashtbl.replace planned_names name ();
-    physical_tiers := (name, tier) :: !physical_tiers;
-    plan
-  in
-  let run_one (q : Logical_query.t) (plan : Physical.plan) : unit =
-    let name = q.Logical_query.name in
-    cur_phase := Errors.Execution;
-    cur_query := Some name;
-    try
-      Obs.span ~cat:"phase" ~name:("execute:" ^ name)
-        ~attrs:(fun () -> [ ("steps", string_of_int (List.length plan)) ])
-        (fun () -> Galley_engine.Exec.run_plan exec plan)
-    with
-    | Galley_engine.Exec.Timeout -> raise Galley_engine.Exec.Timeout
-    | Errors.Galley_error _ as e -> raise e
-    | Faults.Injected_kernel_failure n ->
-        Errors.raise_error
-          (Errors.Kernel_failure
-             {
-               context = Errors.context ~query:name Errors.Execution;
-               invocation = Some n;
-               message = "injected kernel fault";
-             })
-    | (Stack_overflow | Out_of_memory) as e -> raise e
-    | exn ->
-        Errors.raise_error
-          (Errors.Kernel_failure
-             {
-               context = Errors.context ~query:name Errors.Execution;
-               invocation = None;
-               message = Printexc.to_string exn;
-             })
-  in
-  (* The nnz guardrail (estimated vs. materialized intermediate size).
-     First trip: register measured statistics for the offender and force
-     JIT-style re-planning of the remaining queries.  Second trip: give
-     up with [Budget_exceeded]. *)
-  let use_jit = ref config.jit in
-  let queries = Array.of_list logical_plan in
-  let n_queries = Array.length queries in
-  let pre_plans = Array.make (max 1 n_queries) None in
-  if not config.jit then
-    Array.iteri (fun i q -> pre_plans.(i) <- Some (plan_one ~refresh:false q)) queries;
-  let guard_check (q : Logical_query.t) ~(estimate : float) (i : int) : unit =
-    match config.nnz_guard with
-    | None -> ()
-    | Some factor -> (
-        let name = q.Logical_query.name in
-        match Galley_engine.Exec.lookup_opt exec name with
-        | None -> ()
-        | Some t ->
-            let actual = float_of_int (T.nnz t) in
-            if
-              Float.is_finite estimate
-              && actual > factor *. Float.max 1.0 estimate
-            then
-              if !guard_retries >= 1 then
-                Errors.raise_error
-                  (Errors.Budget_exceeded
-                     {
-                       context = Errors.context ~query:name Errors.Execution;
-                       estimated = estimate;
-                       actual;
-                       message = "re-optimization already spent";
-                     })
-              else begin
-                incr guard_retries;
-                Obs.Metrics.incr_named "nnz_guard.retries";
-                Obs.Log.info
-                  "nnz guard: %s materialized %.0f nnz vs estimate %.0f; \
-                   re-optimizing remaining queries from measured statistics"
-                  name actual estimate;
-                (* Corrected statistics: measure the offender now; replan
-                   everything still pending from measured sizes. *)
-                Schema.declare_tensor ctx.Ctx.schema name t;
-                ctx.Ctx.register_alias_tensor name t;
-                Hashtbl.replace refreshed name ();
-                use_jit := true;
-                for j = i + 1 to n_queries - 1 do
-                  pre_plans.(j) <- None
-                done
-              end)
-  in
-  Fun.protect
-    ~finally:(fun () -> Galley_engine.Exec.shutdown exec)
-    (fun () ->
-      try
-        Array.iteri
-          (fun i q ->
-            before_plan q;
-            let plan =
-              match pre_plans.(i) with
-              | Some plan when not !use_jit -> plan
-              | Some _ | None -> plan_one ~refresh:!use_jit q
-            in
-            let estimate =
-              match config.nnz_guard with
-              | None -> Float.nan
-              | Some _ -> (
-                  try
-                    Ctx.estimate_expr ctx
-                      (Ir.Alias
-                         (q.Logical_query.name, q.Logical_query.output_idxs))
-                  with _ -> Float.nan)
-            in
-            all_steps := !all_steps @ plan;
-            run_one q plan;
-            guard_check q ~estimate i)
-          queries
-      with Galley_engine.Exec.Timeout -> timed_out := true);
-  let found, incomplete =
-    Obs.span ~cat:"phase" ~name:"collect_outputs" (fun () ->
-        collect_outputs exec logical_plan outputs)
-  in
-  ( found,
-    incomplete,
-    !all_steps,
-    List.rev !physical_tiers,
-    !physical_seconds,
-    !timed_out,
-    !guard_retries )
-
-(* Physical optimization + execution of an already-logical plan. *)
-let execute_logical ~(config : config) ~(ctx : Ctx.t)
-    ~(inputs : (string * T.t) list) ~(logical_plan : Logical_query.t list)
-    ~(outputs : string list) ~(logical_seconds : float)
-    ~(logical_tiers : (string * Tier.t) list) : result =
-  validate_logical ~config
-    ~known:(fun n -> List.mem_assoc n inputs)
-    ~outputs logical_plan;
-  let audit =
-    if config.audit then
-      Some
-        (Obs.span ~cat:"phase" ~name:"audit_predict" (fun () ->
-             audit_predict inputs logical_plan))
-    else None
-  in
-  let exec =
-    Galley_engine.Exec.create ~cse:config.cse ~backend:config.kernel_backend
-      ~domains:config.domains ~kernel_cache_cap:config.kernel_cache_cap
-      ~cse_cache_cap:config.cse_cache_cap ()
-  in
-  List.iter (fun (name, t) -> Galley_engine.Exec.bind exec name t) inputs;
-  let counter = ref 0 in
-  let fresh () =
-    incr counter;
-    Printf.sprintf "#p%d" !counter
-  in
-  let ( outputs,
-        incomplete_outputs,
-        physical_plan,
-        physical_tiers,
-        physical_seconds,
-        timed_out,
-        nnz_guard_retries ) =
-    execute_queries ~config ~ctx ~exec ~fresh
-      ~before_plan:(fun _ -> ())
-      ~logical_plan ~outputs
-  in
-  Option.iter (fun a -> audit_observe a exec logical_plan) audit;
-  let timings = exec.Galley_engine.Exec.timings in
-  {
-    outputs;
-    incomplete_outputs;
-    logical_plan;
-    physical_plan;
-    logical_tiers;
-    physical_tiers;
-    timings =
-      {
-        logical_seconds;
-        physical_seconds;
-        compile_seconds = timings.Galley_engine.Exec.compile_time;
-        execute_seconds = timings.Galley_engine.Exec.exec_time;
-        total_seconds =
-          logical_seconds +. physical_seconds
-          +. timings.Galley_engine.Exec.compile_time
-          +. timings.Galley_engine.Exec.exec_time;
-        compile_count = timings.Galley_engine.Exec.compile_count;
-        kernel_count = timings.Galley_engine.Exec.kernel_count;
-        cse_hits = timings.Galley_engine.Exec.cse_hits;
-      };
-    timed_out;
-    nnz_guard_retries;
-    audit;
-  }
-
-let run ?(config = default_config) ~(inputs : (string * T.t) list)
-    (program : Ir.program) : result =
-  let program = resolve_names program in
-  let ctx = make_ctx config inputs in
-  cur_phase := Errors.Logical;
-  cur_query := None;
-  let t0 = now () in
-  let logical_plan, logical_tiers =
-    try
-      Obs.span ~cat:"phase" ~name:"logical_opt"
-        ~attrs:(fun () ->
-          [ ("queries", string_of_int (List.length program.Ir.queries)) ])
-        (fun () ->
-          Galley_logical.Optimizer.optimize_program_tiered
-            ?timeout:config.optimizer_timeout ~degrade:config.degrade
-            config.logical ctx program)
-    with Tier.Exhausted ->
-      Errors.raise_error
-        (Errors.Optimizer_deadline
-           {
-             context = Errors.context ?query:!cur_query Errors.Logical;
-             budget = opt_budget config;
-           })
-  in
-  let logical_seconds = now () -. t0 in
-  execute_logical ~config ~ctx ~inputs ~logical_plan
-    ~outputs:program.Ir.outputs ~logical_seconds ~logical_tiers
-
-(* Run a hand-written logical plan directly, bypassing the logical
-   optimizer: this is how the "hand-coded kernel" baselines of the
-   evaluation are expressed, so that they execute on the same engine. *)
-let run_logical_plan ?(config = default_config)
-    ~(inputs : (string * T.t) list) ~(outputs : string list)
-    (logical_plan : Logical_query.t list) : result =
-  let ctx = make_ctx config inputs in
-  (* Register every query's output so estimation can see the aliases. *)
-  List.iter (register_query_estimated ctx) logical_plan;
-  execute_logical ~config ~ctx ~inputs ~logical_plan ~outputs
-    ~logical_seconds:0.0 ~logical_tiers:[]
-
-(* Convenience wrapper for single-query programs. *)
-let run_query ?config ~inputs (q : Ir.query) : result =
-  run ?config ~inputs { Ir.queries = [ q ]; outputs = [ q.Ir.name ] }
-
 (* ------------------------------------------------------------------ *)
 (* Checked entry points.                                                *)
 (* ------------------------------------------------------------------ *)
 
-let run_checked ?config ~inputs (program : Ir.program) :
-    (result, Errors.t) Result.t =
-  match run ?config ~inputs program with
+(* The one classifier of the checked entry points: taxonomy errors pass
+   through, and a stray exception is mapped with the phase and query the
+   pipeline last recorded.  An exhausted optimizer budget (the
+   [degrade = false] ladder) surfaces here as [Optimizer_deadline]. *)
+let checked (config : config) (f : unit -> 'a) : ('a, Errors.t) Stdlib.result =
+  cur_phase := Errors.Execution;
+  cur_query := None;
+  match f () with
   | r -> Ok r
   | exception Errors.Galley_error e -> Error e
   | exception Tier.Exhausted ->
@@ -617,16 +319,17 @@ let run_checked ?config ~inputs (program : Ir.program) :
            {
              context = error_context ();
              budget =
-               opt_budget (match config with Some c -> c | None -> default_config);
+               (match config.optimizer_timeout with Some s -> s | None -> 0.0);
            })
   | exception ((Invalid_argument _ | Failure _) as exn) ->
       Error (Errors.of_exn (error_context ()) exn)
 
-let parse_checked (src : string) : (Ir.program, Errors.t) Stdlib.result =
+let parse_with (parse : string -> 'a) (src : string) :
+    ('a, Errors.t) Stdlib.result =
   match
     Obs.span ~cat:"phase" ~name:"parse"
       ~attrs:(fun () -> [ ("bytes", string_of_int (String.length src)) ])
-      (fun () -> Galley_lang.Parser.parse_program src)
+      (fun () -> parse src)
   with
   | p -> Ok p
   | exception Galley_lang.Parser.Parse_error { message; pos } ->
@@ -634,20 +337,19 @@ let parse_checked (src : string) : (Ir.program, Errors.t) Stdlib.result =
   | exception Galley_lang.Lexer.Lex_error (message, pos) ->
       Error (Errors.Parse_error { message; position = pos })
 
-let run_source_checked ?config ~inputs (src : string) :
-    (result, Errors.t) Stdlib.result =
-  Result.bind (parse_checked src) (fun program ->
-      run_checked ?config ~inputs program)
+let parse_checked (src : string) : (Ir.program, Errors.t) Stdlib.result =
+  parse_with Galley_lang.Parser.parse_program src
 
 (* ------------------------------------------------------------------ *)
-(* Incremental sessions.                                               *)
+(* Sessions: the one pipeline.                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* A session keeps the statistics context and the engine (kernel cache, CSE
    cache) alive across calls: input statistics are computed once per
    binding, and re-running a structurally identical plan (e.g. one BFS
    iteration at a time, paper Sec. 9.3) reuses compiled kernels — the same
-   amortization Finch's kernel cache provides. *)
+   amortization Finch's kernel cache provides.  A batch run is a session
+   that runs one program. *)
 module Session = struct
   type session = {
     s_config : config;
@@ -661,25 +363,6 @@ module Session = struct
            resident daemon's clients can build on prior results *)
   }
 
-  let create ?(config = default_config) () : session =
-    let schema = Schema.create () in
-    {
-      s_config = config;
-      s_ctx = Faults.wrap_ctx config.faults (Ctx.create ~kind:config.estimator schema);
-      s_exec =
-        Galley_engine.Exec.create ~cse:config.cse
-          ~backend:config.kernel_backend ~domains:config.domains
-          ~kernel_cache_cap:config.kernel_cache_cap
-          ~cse_cache_cap:config.cse_cache_cap ();
-      s_inputs = [];
-      s_counter = 0;
-      s_defined = Hashtbl.create 16;
-    }
-
-  let config (s : session) : config = s.s_config
-  let exec (s : session) : Galley_engine.Exec.t = s.s_exec
-  let ctx (s : session) : Ctx.t = s.s_ctx
-
   (* Bind or rebind an input tensor; statistics are (re)computed here, not
      per run. *)
   let bind (s : session) (name : string) (tensor : T.t) : unit =
@@ -689,21 +372,42 @@ module Session = struct
     Hashtbl.remove s.s_defined name;
     s.s_inputs <- (name, tensor) :: List.remove_assoc name s.s_inputs
 
+  let create ?(config = default_config) ?(inputs = []) () : session =
+    let schema = Schema.create () in
+    let s =
+      {
+        s_config = config;
+        s_ctx =
+          Faults.wrap_ctx config.faults (Ctx.create ~kind:config.estimator schema);
+        s_exec =
+          Galley_engine.Exec.create ~cse:config.cse
+            ~backend:config.kernel_backend ~domains:config.domains
+            ~kernel_cache_cap:config.kernel_cache_cap
+            ~cse_cache_cap:config.cse_cache_cap ();
+        s_inputs = [];
+        s_counter = 0;
+        s_defined = Hashtbl.create 16;
+      }
+    in
+    List.iter (fun (name, t) -> bind s name t) inputs;
+    s
+
+  let config (s : session) : config = s.s_config
+  let exec (s : session) : Galley_engine.Exec.t = s.s_exec
+  let ctx (s : session) : Ctx.t = s.s_ctx
+
   let fresh (s : session) () =
     s.s_counter <- s.s_counter + 1;
     Printf.sprintf "#s%d" s.s_counter
 
-  (* Register one query's output for estimation: measured when already
-     materialized (JIT), else inferred from its defining expression. *)
-  let register_query (s : session) (q : Logical_query.t) : unit =
-    register_query_estimated s.s_ctx q;
-    Hashtbl.replace s.s_defined q.Logical_query.name ()
-
-  (* Shared tail of [run_logical_plan] and [run_program]: physically
-     optimize + execute against the resident executor, reporting
-     compile/execute timings as deltas so per-request numbers stay
+  (* Physically optimize and execute a logical plan against the resident
+     executor: JIT planning per query (or the whole plan up front with
+     [jit = false]), the nnz guardrail, and per-query execution.  The
+     completed outputs come back even when execution hits the wall-clock
+     deadline; queries past it are reported in [incomplete_outputs].
+     Compile/execute timings are deltas, so per-request numbers stay
      meaningful on a long-lived session. *)
-  let session_execute (s : session) ~(config : config)
+  let execute (s : session) ~(config : config)
       ~(logical_plan : Logical_query.t list)
       ~(logical_tiers : (string * Tier.t) list) ~(logical_seconds : float)
       ~(outputs : string list) : result =
@@ -737,75 +441,216 @@ module Session = struct
     let compile_n0 = t_before.Galley_engine.Exec.compile_count in
     let kernel_n0 = t_before.Galley_engine.Exec.kernel_count in
     let cse0 = t_before.Galley_engine.Exec.cse_hits in
-    let ( outputs,
-          incomplete_outputs,
-          physical_plan,
-          physical_tiers,
-          physical_seconds,
-          timed_out,
-          nnz_guard_retries ) =
-      execute_queries ~config ~ctx ~exec ~fresh:(fresh s)
-        ~before_plan:(register_query s) ~logical_plan ~outputs
+    Faults.install_exec config.faults exec;
+    (* Explicitly clear as well as set: the executor carries state across
+       requests, and a previous request's deadline must not bleed into
+       this one. *)
+    (match config.timeout with
+    | Some secs -> Galley_engine.Exec.set_timeout exec secs
+    | None -> Galley_engine.Exec.clear_timeout exec);
+    let physical_seconds = ref 0.0 in
+    let all_steps = ref [] in
+    let timed_out = ref false in
+    let physical_tiers = ref [] in
+    let guard_retries = ref 0 in
+    let refreshed = Hashtbl.create 16 in
+    let planned_names = Hashtbl.create 16 in
+    let known n =
+      Galley_engine.Exec.lookup_opt exec n <> None || Hashtbl.mem planned_names n
+    in
+    let plan_one ~refresh (q : Logical_query.t) : Physical.plan =
+      let name = q.Logical_query.name in
+      cur_phase := Errors.Physical;
+      cur_query := Some name;
+      let t0 = now () in
+      let plan, tier =
+        Obs.span ~cat:"phase"
+          ~name:("physical_opt:" ^ name)
+          (fun () ->
+            if refresh then refresh_alias_stats ~refreshed ctx exec q;
+            let deadline =
+              Option.map (fun s -> now () +. s) config.optimizer_timeout
+            in
+            Galley_physical.Optimizer.plan_query_tiered ?deadline
+              ~degrade:config.degrade ~config:config.physical ctx
+              ~fresh:(fresh s) q)
+      in
+      physical_seconds := !physical_seconds +. (now () -. t0);
+      if config.validate then begin
+        cur_phase := Errors.Validation;
+        match Validate.physical_plan ~known plan with
+        | Ok () -> ()
+        | Error { Validate.v_query; v_message } ->
+            Errors.raise_error
+              (Errors.Plan_invalid
+                 {
+                   context = Errors.context ?query:v_query Errors.Validation;
+                   message = v_message;
+                 })
+      end;
+      Hashtbl.replace planned_names name ();
+      physical_tiers := (name, tier) :: !physical_tiers;
+      plan
+    in
+    let run_one (q : Logical_query.t) (plan : Physical.plan) : unit =
+      let name = q.Logical_query.name in
+      cur_phase := Errors.Execution;
+      cur_query := Some name;
+      Hashtbl.replace s.s_defined name ();
+      try
+        Obs.span ~cat:"phase" ~name:("execute:" ^ name)
+          ~attrs:(fun () -> [ ("steps", string_of_int (List.length plan)) ])
+          (fun () -> Galley_engine.Exec.run_plan exec plan)
+      with
+      | Galley_engine.Exec.Timeout -> raise Galley_engine.Exec.Timeout
+      | Errors.Galley_error _ as e -> raise e
+      | Faults.Injected_kernel_failure n ->
+          Errors.raise_error
+            (Errors.Kernel_failure
+               {
+                 context = Errors.context ~query:name Errors.Execution;
+                 invocation = Some n;
+                 message = "injected kernel fault";
+               })
+      | (Stack_overflow | Out_of_memory) as e -> raise e
+      | exn ->
+          Errors.raise_error
+            (Errors.Kernel_failure
+               {
+                 context = Errors.context ~query:name Errors.Execution;
+                 invocation = None;
+                 message = Printexc.to_string exn;
+               })
+    in
+    (* The nnz guardrail (estimated vs. materialized intermediate size).
+       First trip: register measured statistics for the offender and force
+       JIT-style re-planning of the remaining queries.  Second trip: give
+       up with [Budget_exceeded]. *)
+    let use_jit = ref config.jit in
+    let queries = Array.of_list logical_plan in
+    let n_queries = Array.length queries in
+    let pre_plans = Array.make (max 1 n_queries) None in
+    if not config.jit then
+      Array.iteri
+        (fun i q -> pre_plans.(i) <- Some (plan_one ~refresh:false q))
+        queries;
+    let guard_check (q : Logical_query.t) ~(estimate : float) (i : int) : unit
+        =
+      match config.nnz_guard with
+      | None -> ()
+      | Some factor -> (
+          let name = q.Logical_query.name in
+          match Galley_engine.Exec.lookup_opt exec name with
+          | None -> ()
+          | Some t ->
+              let actual = float_of_int (T.nnz t) in
+              if
+                Float.is_finite estimate
+                && actual > factor *. Float.max 1.0 estimate
+              then
+                if !guard_retries >= 1 then
+                  Errors.raise_error
+                    (Errors.Budget_exceeded
+                       {
+                         context = Errors.context ~query:name Errors.Execution;
+                         estimated = estimate;
+                         actual;
+                         message = "re-optimization already spent";
+                       })
+                else begin
+                  incr guard_retries;
+                  Obs.Metrics.incr_named "nnz_guard.retries";
+                  Obs.Log.info
+                    "nnz guard: %s materialized %.0f nnz vs estimate %.0f; \
+                     re-optimizing remaining queries from measured statistics"
+                    name actual estimate;
+                  (* Corrected statistics: measure the offender now; replan
+                     everything still pending from measured sizes. *)
+                  Schema.declare_tensor ctx.Ctx.schema name t;
+                  ctx.Ctx.register_alias_tensor name t;
+                  Hashtbl.replace refreshed name ();
+                  use_jit := true;
+                  for j = i + 1 to n_queries - 1 do
+                    pre_plans.(j) <- None
+                  done
+                end)
+    in
+    Fun.protect
+      ~finally:(fun () -> Galley_engine.Exec.shutdown exec)
+      (fun () ->
+        try
+          Array.iteri
+            (fun i q ->
+              let plan =
+                match pre_plans.(i) with
+                | Some plan when not !use_jit -> plan
+                | Some _ | None -> plan_one ~refresh:!use_jit q
+              in
+              let estimate =
+                match config.nnz_guard with
+                | None -> Float.nan
+                | Some _ -> (
+                    try
+                      Ctx.estimate_expr ctx
+                        (Ir.Alias
+                           (q.Logical_query.name, q.Logical_query.output_idxs))
+                    with _ -> Float.nan)
+              in
+              all_steps := !all_steps @ plan;
+              run_one q plan;
+              guard_check q ~estimate i)
+            queries
+        with Galley_engine.Exec.Timeout -> timed_out := true);
+    let outputs, incomplete_outputs =
+      Obs.span ~cat:"phase" ~name:"collect_outputs" (fun () ->
+          collect_outputs exec logical_plan outputs)
     in
     Option.iter (fun a -> audit_observe a exec logical_plan) audit;
     let t_after = exec.Galley_engine.Exec.timings in
+    let compile_seconds = t_after.Galley_engine.Exec.compile_time -. compile0 in
+    let execute_seconds = t_after.Galley_engine.Exec.exec_time -. exec0 in
     {
       outputs;
       incomplete_outputs;
       logical_plan;
-      physical_plan;
+      physical_plan = !all_steps;
       logical_tiers;
-      physical_tiers;
+      physical_tiers = List.rev !physical_tiers;
       timings =
         {
           logical_seconds;
-          physical_seconds;
-          compile_seconds = t_after.Galley_engine.Exec.compile_time -. compile0;
-          execute_seconds = t_after.Galley_engine.Exec.exec_time -. exec0;
+          physical_seconds = !physical_seconds;
+          compile_seconds;
+          execute_seconds;
           total_seconds =
-            logical_seconds +. physical_seconds
-            +. t_after.Galley_engine.Exec.compile_time -. compile0
-            +. t_after.Galley_engine.Exec.exec_time -. exec0;
+            logical_seconds +. !physical_seconds +. compile_seconds
+            +. execute_seconds;
           compile_count = t_after.Galley_engine.Exec.compile_count - compile_n0;
           kernel_count = t_after.Galley_engine.Exec.kernel_count - kernel_n0;
           cse_hits = t_after.Galley_engine.Exec.cse_hits - cse0;
         };
-      timed_out;
-      nnz_guard_retries;
+      timed_out = !timed_out;
+      nnz_guard_retries = !guard_retries;
       audit;
     }
 
-  (* Run a hand-written logical plan against the session state. *)
+  (* Run a hand-written logical plan against the session state.  Every
+     query's output is registered before planning, so estimation (and the
+     up-front planning of [jit = false]) can see the aliases. *)
   let run_logical_plan (s : session) ~(outputs : string list)
       (logical_plan : Logical_query.t list) : result =
-    session_execute s ~config:s.s_config ~logical_plan ~logical_tiers:[]
+    List.iter (register_query_estimated s.s_ctx) logical_plan;
+    execute s ~config:s.s_config ~logical_plan ~logical_tiers:[]
       ~logical_seconds:0.0 ~outputs
 
-  (* Rewrite [Input] leaves that refer to tensors materialized by earlier
-     session queries into [Alias] leaves ([resolve_names] only sees the
-     current program; this sees the whole resident history). *)
-  let resolve_resident (s : session) (p : Ir.program) : Ir.program =
-    let queries =
-      List.map
-        (fun (q : Ir.query) ->
-          let rec fix (e : Ir.expr) : Ir.expr =
-            match e with
-            | Ir.Input (n, idxs) when Hashtbl.mem s.s_defined n ->
-                Ir.Alias (n, idxs)
-            | Ir.Input _ | Ir.Alias _ | Ir.Literal _ -> e
-            | Ir.Map (op, args) -> Ir.Map (op, List.map fix args)
-            | Ir.Agg (op, idxs, body) -> Ir.Agg (op, idxs, fix body)
-          in
-          { q with Ir.expr = fix q.Ir.expr })
-        p.Ir.queries
-    in
-    { p with Ir.queries }
-
   (* Full pipeline (logical + physical optimization + execution) against
-     the resident session: the serving hot path.  [config] overrides the
-     per-request knobs (timeouts, degradation, optimizer tier, faults);
-     structural fields baked into the resident executor at [create] time
-     (estimator kind, backend, domains, CSE, cache caps) are fixed.
+     the resident session: the serving hot path, and with a fresh session
+     the batch [run].  [config] overrides the per-request knobs (timeouts,
+     degradation, optimizer tier, faults); structural fields baked into
+     the resident executor at [create] time (estimator kind, backend,
+     domains, CSE, cache caps) are fixed.  The logical optimizer registers
+     every query's output as an alias while it plans, so [execute] sees
+     them without registering again.
 
      The physical-intermediate name counter restarts per program so that
      a structurally identical request regenerates identical intermediate
@@ -814,30 +659,25 @@ module Session = struct
      (zero kernels run on the warm path). *)
   let run_program (s : session) ?config (program : Ir.program) : result =
     let config = match config with Some c -> c | None -> s.s_config in
-    let program = resolve_resident s (resolve_names program) in
+    let program =
+      resolve_with ~resident:(Hashtbl.mem s.s_defined) program
+    in
     s.s_counter <- 0;
     cur_phase := Errors.Logical;
     cur_query := None;
     let t0 = now () in
     let logical_plan, logical_tiers =
-      try
-        Obs.span ~cat:"phase" ~name:"logical_opt"
-          ~attrs:(fun () ->
-            [ ("queries", string_of_int (List.length program.Ir.queries)) ])
-          (fun () ->
-            Galley_logical.Optimizer.optimize_program_tiered
-              ?timeout:config.optimizer_timeout ~degrade:config.degrade
-              config.logical s.s_ctx program)
-      with Tier.Exhausted ->
-        Errors.raise_error
-          (Errors.Optimizer_deadline
-             {
-               context = Errors.context ?query:!cur_query Errors.Logical;
-               budget = opt_budget config;
-             })
+      Obs.span ~cat:"phase" ~name:"logical_opt"
+        ~attrs:(fun () ->
+          [ ("queries", string_of_int (List.length program.Ir.queries)) ])
+        (fun () ->
+          Galley_logical.Optimizer.optimize_program_tiered
+            ?timeout:config.optimizer_timeout ~degrade:config.degrade
+            ~on_query:(fun name -> cur_query := Some name)
+            config.logical s.s_ctx program)
     in
     let logical_seconds = now () -. t0 in
-    session_execute s ~config ~logical_plan ~logical_tiers ~logical_seconds
+    execute s ~config ~logical_plan ~logical_tiers ~logical_seconds
       ~outputs:program.Ir.outputs
 
   (* [run_program] with classified failures as [Error]: the per-request
@@ -846,21 +686,39 @@ module Session = struct
      intermediates, which are version-guarded). *)
   let run_program_checked (s : session) ?config (program : Ir.program) :
       (result, Errors.t) Stdlib.result =
-    match run_program s ?config program with
-    | r -> Ok r
-    | exception Errors.Galley_error e -> Error e
-    | exception Tier.Exhausted ->
-        Error
-          (Errors.Optimizer_deadline
-             {
-               context = error_context ();
-               budget =
-                 opt_budget
-                   (match config with Some c -> c | None -> s.s_config);
-             })
-    | exception ((Invalid_argument _ | Failure _) as exn) ->
-        Error (Errors.of_exn (error_context ()) exn)
+    checked
+      (match config with Some c -> c | None -> s.s_config)
+      (fun () -> run_program s ?config program)
 
   let lookup (s : session) (name : string) : T.t option =
     Galley_engine.Exec.lookup_opt s.s_exec name
 end
+
+(* ------------------------------------------------------------------ *)
+(* Batch entry points: each is a one-program session.                   *)
+(* ------------------------------------------------------------------ *)
+
+let run ?config ~(inputs : (string * T.t) list) (program : Ir.program) :
+    result =
+  Session.run_program (Session.create ?config ~inputs ()) program
+
+let run_checked ?(config = default_config) ~inputs (program : Ir.program) :
+    (result, Errors.t) Stdlib.result =
+  checked config (fun () -> run ~config ~inputs program)
+
+let run_source_checked ?config ~inputs (src : string) :
+    (result, Errors.t) Stdlib.result =
+  Result.bind (parse_checked src) (fun program ->
+      run_checked ?config ~inputs program)
+
+(* Run a hand-written logical plan directly, bypassing the logical
+   optimizer: this is how the "hand-coded kernel" baselines of the
+   evaluation are expressed, so that they execute on the same engine. *)
+let run_logical_plan ?config ~(inputs : (string * T.t) list)
+    ~(outputs : string list) (logical_plan : Logical_query.t list) : result =
+  Session.run_logical_plan (Session.create ?config ~inputs ()) ~outputs
+    logical_plan
+
+(* Convenience wrapper for single-query programs. *)
+let run_query ?config ~inputs (q : Ir.query) : result =
+  run ?config ~inputs { Ir.queries = [ q ]; outputs = [ q.Ir.name ] }

@@ -120,7 +120,12 @@ val output_res : result -> string -> (T.t, string) Stdlib.result
     [Alias] leaves (applied automatically by {!run}). *)
 val resolve_names : Ir.program -> Ir.program
 
-(** Optimize and execute a whole program against the given input tensors. *)
+(** Optimize and execute a whole program against the given input tensors.
+    A batch run is a one-program session: it creates a {!Session} over
+    [inputs] and runs {!Session.run_program} once, so batch and resident
+    runs share one pipeline.  Failures raise ({!Errors.Galley_error}, or a
+    stray [Invalid_argument], [Failure] or [Tier.Exhausted]); {!run_checked}
+    classifies them. *)
 val run : ?config:config -> inputs:(string * T.t) list -> Ir.program -> result
 
 (** Like {!run}, but classified failures come back as [Error] instead of
@@ -131,8 +136,20 @@ val run_checked :
   Ir.program ->
   (result, Errors.t) Result.t
 
-(** Parse program source, mapping parser/lexer failures to
-    {!Errors.Parse_error} with a character position. *)
+(** [checked config f] runs one pipeline call with the classification of
+    every checked entry point: {!Errors.Galley_error} passes through, an
+    exhausted optimizer budget becomes {!Errors.Optimizer_deadline} (with
+    [config]'s budget), and a stray [Invalid_argument] or [Failure] becomes
+    {!Errors.Plan_invalid}, each in the phase and query the pipeline was
+    in when it failed. *)
+val checked : config -> (unit -> 'a) -> ('a, Errors.t) Stdlib.result
+
+(** [parse_with parse src] runs a parser under the [parse] span, mapping
+    parser/lexer failures to {!Errors.Parse_error} with a character
+    position. *)
+val parse_with : (string -> 'a) -> string -> ('a, Errors.t) Stdlib.result
+
+(** [parse_with] over the straight-line program parser. *)
 val parse_checked : string -> (Ir.program, Errors.t) Stdlib.result
 
 (** [parse_checked] composed with [run_checked]. *)
@@ -144,7 +161,8 @@ val run_source_checked :
 
 (** Execute a hand-written logical plan, bypassing the logical optimizer:
     how the paper's hand-coded kernel baselines are expressed, so they run
-    on the same engine. *)
+    on the same engine.  Like {!run}, a one-program session: it is
+    {!Session.run_logical_plan} on a fresh session over [inputs]. *)
 val run_logical_plan :
   ?config:config ->
   inputs:(string * T.t) list ->
@@ -155,15 +173,18 @@ val run_logical_plan :
 (** Single-query convenience wrapper around {!run}. *)
 val run_query : ?config:config -> inputs:(string * T.t) list -> Ir.query -> result
 
-(** Incremental sessions: keep input statistics, named result tensors,
-    and the engine's kernel/CSE caches alive across calls (one BFS
-    iteration at a time, paper Sec. 9.3 — or one request at a time in
+(** Sessions, the one pipeline: keep input statistics, named result
+    tensors, and the engine's kernel/CSE caches alive across calls (one
+    BFS iteration at a time, paper Sec. 9.3 — or one request at a time in
     `galley serve`, which is how the Fig. 9 cold/warm amortization pays
-    off across a query stream). *)
+    off across a query stream).  The batch entry points ({!run},
+    {!run_logical_plan}) are sessions that run one program. *)
 module Session : sig
   type session
 
-  val create : ?config:config -> unit -> session
+  (** A fresh session with [inputs] bound in order (default none). *)
+  val create :
+    ?config:config -> ?inputs:(string * T.t) list -> unit -> session
 
   (** The configuration the session was created with. *)
   val config : session -> config
@@ -179,6 +200,10 @@ module Session : sig
   (** Bind or rebind an input; statistics are (re)computed here. *)
   val bind : session -> string -> T.t -> unit
 
+  (** Physically optimize and execute a hand-written logical plan against
+      the session.  Every query's output is registered for estimation
+      before planning, so [jit = false] can plan the whole program up
+      front. *)
   val run_logical_plan :
     session -> outputs:string list -> Logical_query.t list -> result
 

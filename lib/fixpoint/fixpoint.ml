@@ -499,51 +499,27 @@ let run_session (s : D.Session.session) ?config (p : Ir.xprogram) :
   (merge_results ~outputs ~incomplete (List.rev !reps) (List.rev !all),
    List.rev !reports)
 
-let error_ctx () = E.context E.Execution
-
+(* Classified like every driver entry point ([Driver.checked]): a failure
+   inside an iteration carries the pipeline phase and query it hit. *)
 let run_session_checked (s : D.Session.session) ?config (p : Ir.xprogram) :
     (D.result * fix_report list, E.t) result =
-  match run_session s ?config p with
-  | r -> Ok r
-  | exception E.Galley_error e -> Error e
-  | exception Tier.Exhausted ->
-      let c = match config with Some c -> c | None -> D.Session.config s in
-      Error
-        (E.Optimizer_deadline
-           {
-             context = error_ctx ();
-             budget =
-               (match c.D.optimizer_timeout with Some s -> s | None -> 0.0);
-           })
-  | exception ((Invalid_argument _ | Failure _) as exn) ->
-      Error (E.of_exn (error_ctx ()) exn)
+  D.checked
+    (match config with Some c -> c | None -> D.Session.config s)
+    (fun () -> run_session s ?config p)
 
 (* Batch convenience: a throwaway session over explicit inputs. *)
-let run ?(config = D.default_config) ~(inputs : (string * T.t) list)
-    (p : Ir.xprogram) : D.result * fix_report list =
-  let s = D.Session.create ~config () in
-  List.iter (fun (n, t) -> D.Session.bind s n t) inputs;
-  run_session s p
+let run ?config ~(inputs : (string * T.t) list) (p : Ir.xprogram) :
+    D.result * fix_report list =
+  run_session (D.Session.create ?config ~inputs ()) p
 
-let run_checked ?(config = D.default_config) ~(inputs : (string * T.t) list)
-    (p : Ir.xprogram) : (D.result * fix_report list, E.t) result =
-  let s = D.Session.create ~config () in
-  List.iter (fun (n, t) -> D.Session.bind s n t) inputs;
-  run_session_checked s p
+let run_checked ?config ~(inputs : (string * T.t) list) (p : Ir.xprogram) :
+    (D.result * fix_report list, E.t) result =
+  run_session_checked (D.Session.create ?config ~inputs ()) p
 
 (* Parse to the statement-level dialect with taxonomy-classified
    failures: the fixpoint-aware counterpart of [Driver.parse_checked]. *)
 let parse_checked (src : string) : (Ir.xprogram, E.t) result =
-  match
-    Obs.span ~cat:"phase" ~name:"parse"
-      ~attrs:(fun () -> [ ("bytes", string_of_int (String.length src)) ])
-      (fun () -> Galley_lang.Parser.parse_xprogram src)
-  with
-  | p -> Ok p
-  | exception Galley_lang.Parser.Parse_error { message; pos } ->
-      Error (E.Parse_error { message; position = pos })
-  | exception Galley_lang.Lexer.Lex_error (message, pos) ->
-      Error (E.Parse_error { message; position = pos })
+  D.parse_with Galley_lang.Parser.parse_xprogram src
 
 let run_source_checked ?config ~(inputs : (string * T.t) list) (src : string)
     : (D.result * fix_report list, E.t) result =

@@ -476,9 +476,11 @@ let optimize_query_tiered ?deadline ?degrade (cfg : config)
 (* Optimize a whole program: queries are processed in order; each query's
    output is registered as an alias usable by later queries.  [timeout] is
    a per-query wall-clock budget (seconds); the second component records
-   which ladder tier served each input query. *)
-let optimize_program_tiered ?(timeout : float option) ?degrade (cfg : config)
-    (ctx : Galley_stats.Ctx.t) (p : Ir.program) :
+   which ladder tier served each input query.  [on_query] is told each
+   query's name before it is optimized (the driver's error context). *)
+let optimize_program_tiered ?(timeout : float option) ?degrade
+    ?(on_query = ignore) (cfg : config) (ctx : Galley_stats.Ctx.t)
+    (p : Ir.program) :
     Logical_query.t list * (string * Tier.t) list =
   let counter = ref 0 in
   let fresh () =
@@ -490,6 +492,7 @@ let optimize_program_tiered ?(timeout : float option) ?degrade (cfg : config)
   let queries =
     List.concat_map
       (fun (q : Ir.query) ->
+        on_query q.Ir.name;
         let deadline =
           Option.map (fun s -> Unix.gettimeofday () +. s) timeout
         in

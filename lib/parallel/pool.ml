@@ -18,8 +18,11 @@
 
    - The submitting domain is one of the lanes: while its batch is pending
      it pops and runs queued tasks, and blocks on the condition variable
-     only when every task is already running elsewhere.  Tasks do not
-     submit batches of their own.
+     only when every task is already running elsewhere.  One batch is in
+     flight per pool at a time (its one submitter, the kernel morsel
+     driver, waits for it to drain), so the pending count and the first
+     failure live on the pool itself; tasks do not submit batches of
+     their own.
 
    - A batch fails as a unit: the first exception (with its backtrace) is
      captured, tasks of that batch not yet started are skipped, and the
@@ -30,21 +33,17 @@
 
 type task = unit -> unit
 
-(* One [run_all] call: tasks still outstanding plus the first failure. *)
-type batch = {
-  mutable pending : int;
-  mutable failed : (exn * Printexc.raw_backtrace) option;
-}
-
-(* [enq_us = 0] means tracing was off at enqueue time: no wait/run spans
-   are emitted for the entry, keeping the disabled path span-free. *)
-type entry = { e_task : task; e_batch : batch; e_enq_us : int }
-
 type t = {
   parallelism : int;  (* total lanes, counting the submitting domain *)
   mutex : Mutex.t;
-  cond : Condition.t;  (* signals: queue non-empty, or a batch drained *)
-  queue : entry Queue.t;
+  cond : Condition.t;  (* signals: queue non-empty, or the batch drained *)
+  queue : task Queue.t;  (* the in-flight batch's unstarted tasks *)
+  mutable pending : int;  (* tasks of the batch not yet retired *)
+  mutable failed : (exn * Printexc.raw_backtrace) option;
+      (* the batch's first failure *)
+  mutable enq_us : int;
+      (* when the batch was queued; [0] means tracing was off then, and no
+         wait/run spans are emitted, keeping the disabled path span-free *)
   mutable workers : unit Domain.t list;
   mutable n_workers : int;
   mutable stop : bool;
@@ -59,6 +58,9 @@ let create ~(domains : int) : t =
     mutex = Mutex.create ();
     cond = Condition.create ();
     queue = Queue.create ();
+    pending = 0;
+    failed = None;
+    enq_us = 0;
     workers = [];
     n_workers = 0;
     stop = false;
@@ -68,36 +70,31 @@ let size (t : t) : int = t.parallelism
 
 let tasks_run = Galley_obs.Metrics.counter "pool.tasks_run"
 
-(* Run one popped entry and retire it from its batch.  [skip] is decided
-   under the pool mutex at pop time: once a batch has failed, its
-   remaining tasks are dropped unrun. *)
-let run_entry (t : t) (e : entry) ~(skip : bool) : unit =
-  let b = e.e_batch in
+(* Run one popped task and retire it from the batch.  [skip] is decided
+   under the pool mutex at pop time: once the batch has failed, its
+   remaining tasks are dropped unrun.  [t.enq_us] is stable while the
+   batch has a task outstanding. *)
+let run_task (t : t) (task : task) ~(skip : bool) : unit =
+  let enq_us = t.enq_us in
   (* Queue-wait span: from enqueue to the moment a lane picked it up. *)
-  if e.e_enq_us > 0 && Galley_obs.Trace.enabled () then
-    Galley_obs.Trace.complete ~cat:"pool" ~name:"pool.wait" ~start_us:e.e_enq_us
+  if enq_us > 0 && Galley_obs.Trace.enabled () then
+    Galley_obs.Trace.complete ~cat:"pool" ~name:"pool.wait" ~start_us:enq_us
       ~end_us:(Galley_obs.Clock.now_us ()) ();
   let failure =
     if skip then None
     else begin
       Galley_obs.Metrics.incr tasks_run;
-      let run () =
-        if e.e_enq_us > 0 then
-          Galley_obs.Trace.span ~cat:"pool" ~name:"pool.task" e.e_task
-        else e.e_task ()
-      in
       try
-        run ();
+        if enq_us > 0 then Galley_obs.Trace.span ~cat:"pool" ~name:"pool.task" task
+        else task ();
         None
       with ex -> Some (ex, Printexc.get_raw_backtrace ())
     end
   in
   Mutex.lock t.mutex;
-  (match failure with
-  | Some _ when b.failed = None -> b.failed <- failure
-  | _ -> ());
-  b.pending <- b.pending - 1;
-  if b.pending = 0 then Condition.broadcast t.cond;
+  if t.failed = None then t.failed <- failure;
+  t.pending <- t.pending - 1;
+  if t.pending = 0 then Condition.broadcast t.cond;
   Mutex.unlock t.mutex
 
 let rec worker_loop (t : t) : unit =
@@ -107,10 +104,10 @@ let rec worker_loop (t : t) : unit =
   done;
   if Queue.is_empty t.queue then Mutex.unlock t.mutex (* stop: exit *)
   else begin
-    let entry = Queue.pop t.queue in
-    let skip = entry.e_batch.failed <> None in
+    let task = Queue.pop t.queue in
+    let skip = t.failed <> None in
     Mutex.unlock t.mutex;
-    run_entry t entry ~skip;
+    run_task t task ~skip;
     worker_loop t
   end
 
@@ -167,30 +164,34 @@ let run_all (t : t) (tasks : task array) : unit =
     (* The exact serial path: in order, on this domain, exceptions raw. *)
     Array.iter (fun task -> task ()) tasks
   else begin
-    let b = { pending = n; failed = None } in
     let enq_us =
       if Galley_obs.Trace.enabled () then Galley_obs.Clock.now_us () else 0
     in
     Mutex.lock t.mutex;
-    Array.iter
-      (fun task -> Queue.push { e_task = task; e_batch = b; e_enq_us = enq_us } t.queue)
-      tasks;
+    if t.pending > 0 then begin
+      Mutex.unlock t.mutex;
+      invalid_arg "Pool.run_all: a batch is already in flight on this pool"
+    end;
+    t.pending <- n;
+    t.enq_us <- enq_us;
+    Array.iter (fun task -> Queue.push task t.queue) tasks;
     ensure_workers t (min (t.parallelism - 1) (n - 1));
     if t.n_workers > 0 then register t;
     Condition.broadcast t.cond;
     (* Work as a lane until the batch drains: run queued tasks and block
        only when the queue is empty. *)
-    while b.pending > 0 do
+    while t.pending > 0 do
       if Queue.is_empty t.queue then Condition.wait t.cond t.mutex
       else begin
-        let entry = Queue.pop t.queue in
-        let skip = entry.e_batch.failed <> None in
+        let task = Queue.pop t.queue in
+        let skip = t.failed <> None in
         Mutex.unlock t.mutex;
-        run_entry t entry ~skip;
+        run_task t task ~skip;
         Mutex.lock t.mutex
       end
     done;
-    let failed = b.failed in
+    let failed = t.failed in
+    t.failed <- None;
     Mutex.unlock t.mutex;
     match failed with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt

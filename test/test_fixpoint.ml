@@ -128,6 +128,20 @@ let test_runtime_validation () =
   expect_plan_invalid "non-scalar until" ~inputs:[ ("X", v) ]
     "X = iterate max 5 until X[i] - X'[i] { X[i] := X[i] * 0.5 }"
 
+(* An unbound tensor is found by the logical optimizer: the fixpoint
+   entry points classify it like [Driver.run_source_checked], in the
+   logical phase and naming the query that reads it. *)
+let test_unbound_tensor_phase () =
+  let a = T.of_fun ~dims:[| 4; 4 |] ~formats:[| T.Dense; T.Dense |] (fun _ -> 1.0) in
+  let src = "Y[i] = sum[j](A[i,j] * B[j])" in
+  match Fix.run_source_checked ~inputs:[ ("A", a) ] src with
+  | Error (E.Plan_invalid { context; _ }) ->
+      Alcotest.(check string)
+        "phase" "logical" (E.phase_to_string context.E.phase);
+      Alcotest.(check (option string)) "query" (Some "Y") context.E.query
+  | Error e -> Alcotest.failf "wrong taxonomy class: %s" (E.to_string e)
+  | Ok _ -> Alcotest.fail "ran with B unbound"
+
 (* ------------------------------------------------------------------ *)
 (* Divergence taxonomy                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -394,6 +408,8 @@ let () =
         [
           Alcotest.test_case "runtime validation" `Quick
             test_runtime_validation;
+          Alcotest.test_case "unbound tensor is a logical error" `Quick
+            test_unbound_tensor_phase;
         ] );
       ( "divergence",
         [

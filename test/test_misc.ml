@@ -304,6 +304,40 @@ let test_session_kernel_cache_warm () =
   let r2 = D.Session.run_logical_plan s ~outputs:[ "rowsum" ] plan in
   check_int "no new compilations when warm" 0 r2.D.timings.D.compile_count
 
+(* A session runs a hand-written plan the same with and without JIT: every
+   query's output must be registered before planning, so that planning the
+   whole program up front ([jit = false]) sees the aliases, and the outputs
+   agree bit for bit. *)
+let test_session_logical_plan_no_jit () =
+  let module W = Galley_workloads in
+  let star = W.Tpch.star_instance ~scale:W.Tpch.tiny_scale ~seed:14 () in
+  let inputs =
+    star.W.Tpch.inputs
+    @ W.Ml.parameter_inputs ~seed:17 ~d:star.W.Tpch.d ~hidden:4
+  in
+  let plan, out =
+    W.Ml.baseline_plan W.Ml.Linreg ~x:star.W.Tpch.x_def ~pts:[ "i" ]
+  in
+  let run jit =
+    let config =
+      {
+        D.default_config with
+        jit;
+        physical = W.Ml.baseline_physical_config ~pts:1 ~dense:false;
+      }
+    in
+    let s = D.Session.create ~config ~inputs () in
+    D.output_of (D.Session.run_logical_plan s ~outputs:[ out ] plan) out
+  in
+  let jit = T.to_coo (run true) and no_jit = T.to_coo (run false) in
+  check_int "same entries" (Array.length jit) (Array.length no_jit);
+  Array.iter2
+    (fun (c, v) (c', v') ->
+      check_bool "same coordinates" true (c = c');
+      check_bool "same bits" true
+        (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float v')))
+    jit no_jit
+
 let () =
   Alcotest.run "misc"
     [
@@ -343,5 +377,9 @@ let () =
       ( "printing",
         [ Alcotest.test_case "pretty printers" `Quick test_pretty_printers ] );
       ( "session",
-        [ Alcotest.test_case "warm kernel cache" `Quick test_session_kernel_cache_warm ] );
+        [
+          Alcotest.test_case "warm kernel cache" `Quick test_session_kernel_cache_warm;
+          Alcotest.test_case "logical plan without jit" `Quick
+            test_session_logical_plan_no_jit;
+        ] );
     ]

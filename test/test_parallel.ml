@@ -73,6 +73,29 @@ let test_pool_exception () =
       (* The batch drained: run_all returned, so no task is still live. *)
       check_bool "other tasks bounded" true (Atomic.get ran <= 7))
 
+(* The pending count and first failure live on the pool: a failed batch
+   must leave the next one clean, and a task may not submit a batch of
+   its own to the pool running it. *)
+let test_pool_failure_resets () =
+  let pool = Pool.create ~domains:4 in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      (try Pool.run_all pool (Array.init 6 (fun _ () -> failwith "boom"))
+       with Failure _ -> ());
+      let count = Atomic.make 0 in
+      Pool.run_all pool
+        (Array.init 6 (fun _ () -> ignore (Atomic.fetch_and_add count 1)));
+      check_int "next batch runs every task" 6 (Atomic.get count);
+      let nested =
+        try
+          Pool.run_all pool
+            (Array.init 2 (fun _ () -> Pool.run_all pool [| ignore; ignore |]));
+          false
+        with Invalid_argument _ -> true
+      in
+      check_bool "nested batch rejected" true nested)
+
 let test_pool_shutdown_reuse () =
   let pool = Pool.create ~domains:4 in
   let count = Atomic.make 0 in
@@ -394,6 +417,7 @@ let () =
           Alcotest.test_case "runs all tasks" `Quick test_pool_runs_all;
           Alcotest.test_case "serial order at 1" `Quick test_pool_serial_order;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
+          Alcotest.test_case "failure resets" `Quick test_pool_failure_resets;
           Alcotest.test_case "shutdown and reuse" `Quick
             test_pool_shutdown_reuse;
         ] );
